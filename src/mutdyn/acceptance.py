@@ -31,15 +31,15 @@ from .orbits import (
     StartPolicy,
     GrowthKind,
     _phi_drift_pass,
-    growth_classification,
     iterate_orbit,
     monotonic_angle_audit,
     scan_grid,
 )
-from .params import Params, kappa_nu, theta_of
+from .params import Params, theta_of
 from .rational import PointPos, mu_x_log, symplectic_residual
 from .tropical import (
     PointPL,
+    _record_orbit,
     detect_period,
     first_sign_coherent_index,
     mu1_c,
@@ -48,7 +48,6 @@ from .tropical import (
     mu2_c_branch_matrices,
     mu_c,
     mu_c_branch_matrices,
-    phi,
     tau,
     tau1,
     tau_closed_form,
@@ -166,13 +165,10 @@ def _c5_escape():
         kappa = math.sqrt(params.pq)
         floor = kappa - 1.0 - 1e-6
         for _ in range(20):
-            s, t = _draw_start(rng)
-            for _ in range(300):
+            ss, ts, _ = _record_orbit(params, *_draw_start(rng), 299)
+            for s, t in zip(ss, ts):
                 if s > 0.0 and t < 0.0 and math.sqrt(p) * s + math.sqrt(q) * t >= 0.0:
                     break
-                t1 = t + p * s if s > 0.0 else t
-                s = -s + q * t1 if t1 > 0.0 else -s
-                t = -t1
             else:
                 return False, f"p={p} q={q} start never reached the coherent cone"
             for _ in range(100):
@@ -232,8 +228,8 @@ def _c7_angle_and_signs():
         for _ in range(100):
             start = PointPL(*_draw_start(rng))
             where = f"p={p} q={q} start={start.as_tuple()}"
-            value = phi(params, start)
             orbit = iterate_orbit(params, OrbitKind.TROPICAL, start, 200)
+            value = float(orbit.phi[0])
             if value >= 0.0:
                 nonneg += 1
                 bad = monotonic_angle_audit(orbit, slack)

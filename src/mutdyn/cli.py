@@ -11,7 +11,7 @@ import sys
 
 from .errors import DomainError, RangeError, RegimeError
 from .exchange import ExtendedExchangeMatrix, mutation_class
-from .export import export_csv, export_json
+from .export import _emit, export_csv, export_json, fmt_float
 from .levelset import levelset_points
 from .orbits import OrbitKind, StartPolicy, iterate_orbit, scan_grid
 from .params import Params
@@ -62,24 +62,7 @@ def _orbit_text(orbit, fmt: str) -> str:
 
 
 def _cmd_orbit(args) -> int:
-    orbit = iterate_orbit(
-        _params_from(args), OrbitKind.RATIONAL, (args.x0, args.y0), args.steps
-    )
-    _write_out(_orbit_text(orbit, args.format), args.out)
-    if orbit.truncated:
-        print(
-            f"orbit left float range at step {orbit.truncated_at}; "
-            f"wrote the finite prefix",
-            file=sys.stderr,
-        )
-        return 2
-    return 0
-
-
-def _cmd_trop_orbit(args) -> int:
-    orbit = iterate_orbit(
-        _params_from(args), OrbitKind.TROPICAL, (args.s0, args.t0), args.steps
-    )
+    orbit = iterate_orbit(_params_from(args), args.kind, (args.a0, args.b0), args.steps)
     _write_out(_orbit_text(orbit, args.format), args.out)
     if orbit.truncated:
         print(
@@ -188,13 +171,9 @@ def _cmd_levelset(args) -> int:
         text = render_svg(pieces, RenderSpec())
     elif args.format == "json":
         payload = [[list(pt) for pt in piece] for piece in pieces]
-        from .export import _emit
-
         text = _emit({"level": float(args.level), "pieces": payload}) + "\n"
     else:
         lines = ["piece,index,s,t"]
-        from .export import fmt_float
-
         for pi, piece in enumerate(pieces):
             for idx, (s, t) in enumerate(piece):
                 lines.append(f"{pi},{idx},{fmt_float(s)},{fmt_float(t)}")
@@ -225,8 +204,6 @@ def _cmd_matclass(args) -> int:
     if args.full:
         text = export_json(result)
     else:
-        from .export import _emit
-
         text = _emit({"size": result.size, "complete": result.complete}) + "\n"
     _write_out(text, args.out)
     return 0
@@ -244,19 +221,19 @@ def _build_parser() -> _Parser:
 
     sp = sub.add_parser("orbit", help="iterate the birational map on the positive quadrant")
     _add_params_args(sp)
-    sp.add_argument("--x0", type=float, required=True)
-    sp.add_argument("--y0", type=float, required=True)
+    sp.add_argument("--x0", dest="a0", metavar="X0", type=float, required=True)
+    sp.add_argument("--y0", dest="b0", metavar="Y0", type=float, required=True)
     sp.add_argument("--steps", type=int, required=True)
     _add_output_args(sp)
-    sp.set_defaults(func=_cmd_orbit)
+    sp.set_defaults(func=_cmd_orbit, kind=OrbitKind.RATIONAL)
 
     sp = sub.add_parser("trop-orbit", help="iterate the piecewise-linear map on the plane")
     _add_params_args(sp)
-    sp.add_argument("--s0", type=float, required=True)
-    sp.add_argument("--t0", type=float, required=True)
+    sp.add_argument("--s0", dest="a0", metavar="S0", type=float, required=True)
+    sp.add_argument("--t0", dest="b0", metavar="T0", type=float, required=True)
     sp.add_argument("--steps", type=int, required=True)
     _add_output_args(sp)
-    sp.set_defaults(func=_cmd_trop_orbit)
+    sp.set_defaults(func=_cmd_orbit, kind=OrbitKind.TROPICAL)
 
     sp = sub.add_parser("period", help="detect the period of a piecewise-linear orbit")
     _add_params_args(sp)

@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import DomainError
 from .params import Params, Regime, classify_regime
-from .tropical import PointPL, phi
+from .tropical import _conserved, _quad_coefs
 
 __all__ = ["levelset_points", "levelset_residual"]
 
@@ -200,8 +200,8 @@ def levelset_points(
 
 def levelset_residual(params: Params, pieces, level: float) -> float:
     """Largest relative deviation of sampled points from the level."""
-    worst = 0.0
-    for piece in pieces:
-        for s, t in piece:
-            worst = max(worst, abs(phi(params, PointPL(s, t)) - level))
-    return worst / level
+    pts = np.array([pt for piece in pieces for pt in piece], dtype=float).reshape(-1, 2)
+    if not np.isfinite(pts).all():
+        raise DomainError("coordinates must be finite")
+    vals = _conserved(_quad_coefs(params.p, params.q), pts[:, 0], pts[:, 1])
+    return float(np.max(np.abs(vals - level), initial=0.0)) / level

@@ -7,10 +7,10 @@ from enum import Enum
 
 import numpy as np
 
-from .errors import DomainError, RangeError
-from .params import DEFAULT_TOL, Params, Regime, Tolerances, classify_regime, kappa_nu
+from .errors import DomainError
+from .params import DEFAULT_TOL, Params, Regime, classify_regime
 from .rational import PointPos
-from .tropical import PointPL
+from .tropical import PointPL, _banded_signs, _conserved, _lift, _quad_coefs, _record_orbit
 from .floatops import fpow
 
 __all__ = [
@@ -124,51 +124,19 @@ def _iterate_rational(params: Params, start: PointPos, steps: int):
     return xs, ys, trunc
 
 
-def _iterate_tropical(params: Params, start: PointPL, steps: int):
-    p, q = params.p, params.q
-    s, t = start.s, start.t
-    ss = [s]
-    ts = [t]
-    trunc = None
-    for i in range(1, steps + 1):
-        t1 = t + p * s if s > 0.0 else t
-        s = -s + q * t1 if t1 > 0.0 else -s
-        t = -t1
-        if not (math.isfinite(s) and math.isfinite(t)):
-            trunc = i
-            break
-        ss.append(s)
-        ts.append(t)
-    return ss, ts, trunc
-
-
 def _tropical_diagnostics(params: Params, pts: np.ndarray):
-    p, q = params.p, params.q
     S = pts[:, 0]
     T = pts[:, 1]
-    rp = math.sqrt(p)
-    rq = math.sqrt(q)
-    kappa, nu = kappa_nu(params)
-    coef = kappa * (p * q - 4.0) / (kappa + 2.0)
     with np.errstate(over="ignore", invalid="ignore"):
-        mirror = (S < 0.0) & (T > 0.0)
-        lin = np.where(mirror, rp * S - rq * T, rp * S + rq * T)
-        cross = np.where(mirror, S * -T, S * T)
-        phi = lin * lin + coef * cross
-    cut = math.atan(-nu)
-    raw = np.arctan2(T, S)
-    polar = np.where(raw > cut, raw, raw + 2.0 * math.pi)
+        phi = _conserved(_quad_coefs(params.p, params.q), S, T)
+    polar, _ = _lift(params, S, T)
     polar[(S == 0.0) & (T == 0.0)] = math.nan
-    band = DEFAULT_TOL.eq_tol * np.maximum(1.0, np.maximum(np.abs(S), np.abs(T)))
-    signs = np.zeros((len(S), 2), dtype=np.int8)
-    signs[:, 0] = np.where(np.abs(S) <= band, 0, np.where(S > 0.0, 1, -1))
-    signs[:, 1] = np.where(np.abs(T) <= band, 0, np.where(T > 0.0, 1, -1))
+    norm = np.maximum(np.abs(S), np.abs(T))
+    signs = np.column_stack(_banded_signs(S, T, norm, DEFAULT_TOL.eq_tol)).astype(np.int8)
     return phi, polar, signs
 
 
-def iterate_orbit(
-    params: Params, kind: OrbitKind, start, steps: int, tol: Tolerances = DEFAULT_TOL
-) -> Orbit:
+def iterate_orbit(params: Params, kind: OrbitKind, start, steps: int) -> Orbit:
     """Iterate the chosen map from start, recording points and diagnostics.
 
     start may be the matching point type or a plain pair.  An iterate
@@ -204,7 +172,7 @@ def iterate_orbit(
         )
     if kind is OrbitKind.TROPICAL:
         pt = start if isinstance(start, PointPL) else PointPL(*start)
-        ss, ts, trunc = _iterate_tropical(params, pt, steps)
+        ss, ts, trunc = _record_orbit(params, pt.s, pt.t, steps)
         pts = np.column_stack([np.asarray(ss, dtype=float), np.asarray(ts, dtype=float)])
         with np.errstate(divide="ignore"):
             log_r = np.log(np.max(np.abs(pts), axis=1))
@@ -320,7 +288,8 @@ def phi_drift_batch(p, q, s0, t0, steps: int, scale_cap: float | None = None):
     swamps what the quadratic can measure in 64 bits (see the README
     notes), so capped sampling is the honest measurement window.
     Orbits are dropped from sampling once any value involved stops
-    being finite.
+    being finite; a start whose value is already out of float range
+    raises DomainError, as in conserved_drift.
     """
     return _phi_drift_pass(p, q, s0, t0, steps, (scale_cap,))[0]
 
@@ -341,31 +310,22 @@ def _phi_drift_pass(p, q, s0, t0, steps: int, scale_caps: tuple):
         raise DomainError("exponents must be finite and positive")
     if not (np.isfinite(s).all() and np.isfinite(t).all()):
         raise DomainError("starts must be finite")
-    s = s.astype(float, copy=True)
-    t = t.astype(float, copy=True)
-    rp = np.sqrt(p)
-    rq = np.sqrt(q)
-    kappa = np.sqrt(p * q)
-    coef = kappa * (p * q - 4.0) / (kappa + 2.0)
     zero = np.zeros_like(s)
-
-    def quad(sa, ta):
-        # on the mirror quadrant the quadratic is taken at (s, -t)
-        tm = np.where((sa < zero) & (ta > zero), -ta, ta)
-        lin = rp * sa + rq * tm
-        return lin * lin + coef * (sa * tm)
-
-    base = quad(s, t)
-    denom = np.maximum(1.0, np.abs(base))
-    drifts = [np.zeros_like(base) for _ in scale_caps]
     capped = any(cap is not None for cap in scale_caps)
     with np.errstate(over="ignore", invalid="ignore"):
+        coefs = _quad_coefs(p, q)
+        base = _conserved(coefs, s, t)
+        # a start whose value is not finite would read as zero drift
+        if not np.isfinite(base).all():
+            raise DomainError("conserved quantity already out of float range at the start")
+        denom = np.maximum(1.0, np.abs(base))
+        drifts = [np.zeros_like(base) for _ in scale_caps]
         for _ in range(steps):
             ns = -s
             t1 = np.where(s > zero, t + p * s, t)
             s = np.where(t1 > zero, ns + q * t1, ns)
             t = -t1
-            d = np.abs(quad(s, t) - base) / denom
+            d = np.abs(_conserved(coefs, s, t) - base) / denom
             # a step adds nothing once d, and so the quadratic, is not finite
             d = np.where(np.isfinite(d), d, zero)
             if capped:
@@ -452,7 +412,6 @@ def scan_grid(
     kind: OrbitKind,
     steps: int,
     start_policy: StartPolicy | None = None,
-    tol: Tolerances = DEFAULT_TOL,
 ) -> ScanTable:
     """Growth verdicts over a uniform parameter grid.
 
@@ -477,7 +436,7 @@ def scan_grid(
             params = Params(p, q)
             best = None
             for start in start_policy.starts_for(kind, i, j):
-                orbit = iterate_orbit(params, kind, start, steps, tol)
+                orbit = iterate_orbit(params, kind, start, steps)
                 verdict = growth_classification(orbit)
                 if best is None or _SEVERITY[verdict.kind] > _SEVERITY[best.kind]:
                     best = verdict

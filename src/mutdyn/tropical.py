@@ -19,7 +19,9 @@ import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from .errors import DomainError, RegimeError
+import numpy as np
+
+from .errors import DomainError
 from .params import DEFAULT_TOL, Params, Tolerances, kappa_nu, theta_of
 
 __all__ = [
@@ -145,27 +147,42 @@ def reflect_y(pt: PointPL) -> PointPL:
     return PointPL(pt.s, -pt.t)
 
 
-def _f_raw(p: float, q: float, s: float, t: float) -> float:
-    # ps^2 + pq st + qt^2, evaluated as (sqrt(p)s + sqrt(q)t)^2 plus a
+def _quad_coefs(p, q):
+    # ps^2 + pq st + qt^2 is evaluated as (sqrt(p)s + sqrt(q)t)^2 plus a
     # cross term with coefficient pq - 2 sqrt(pq).  The rewritten
     # coefficient kills the catastrophic cancellation the monomial sum
     # suffers near pq = 4 once orbits grow; pq - 4 is exact there.
-    rp = math.sqrt(p)
-    rq = math.sqrt(q)
+    # np.sqrt rounds as math.sqrt does and takes floats and arrays alike.
+    kappa = np.sqrt(p * q)
+    return np.sqrt(p), np.sqrt(q), kappa * (p * q - 4.0) / (kappa + 2.0)
+
+
+def _quad(coefs, s, t):
+    rp, rq, coef = coefs
     lin = rp * s + rq * t
-    kappa = math.sqrt(p * q)
-    coef = kappa * (p * q - 4.0) / (kappa + 2.0)
     return lin * lin + coef * (s * t)
+
+
+def _conserved(coefs, s, t):
+    # the mirror quadratic, the plain one at (s, -t), on the open second
+    # quadrant; the plain one everywhere else
+    return _quad(coefs, s, np.where((s < 0.0) & (t > 0.0), -t, t))
+
+
+def _scalar(evaluate, params: Params, s: float, t: float) -> float:
+    # numpy scalars warn on overflow where Python floats go to inf quietly
+    with np.errstate(over="ignore", invalid="ignore"):
+        return float(evaluate(_quad_coefs(params.p, params.q), s, t))
 
 
 def f_quad(params: Params, pt: PointPL) -> float:
     """The quadratic ps^2 + pq st + qt^2."""
-    return _f_raw(params.p, params.q, pt.s, pt.t)
+    return _scalar(_quad, params, pt.s, pt.t)
 
 
 def g_quad(params: Params, pt: PointPL) -> float:
     """The mirror quadratic ps^2 - pq st + qt^2, i.e. f at (s, -t)."""
-    return _f_raw(params.p, params.q, pt.s, -pt.t)
+    return _scalar(_quad, params, pt.s, -pt.t)
 
 
 def phi(params: Params, pt: PointPL) -> float:
@@ -175,9 +192,7 @@ def phi(params: Params, pt: PointPL) -> float:
     plain one everywhere else; invariant under mu_c exactly in exact
     arithmetic, to rounding here.
     """
-    if pt.s < 0.0 and pt.t > 0.0:
-        return g_quad(params, pt)
-    return f_quad(params, pt)
+    return _scalar(_conserved, params, pt.s, pt.t)
 
 
 def tau1(params: Params, pt: PointPL) -> PointPL:
@@ -209,18 +224,14 @@ def chebyshev_u(n: int, x: float) -> float:
     n = int(n)
     if n < -1:
         raise DomainError(f"index must be >= -1, got {n}")
-    prev, cur = 0.0, 1.0
-    if n == -1:
-        return prev
-    for _ in range(n):
-        prev, cur = cur, 2.0 * x * cur - prev
-    return cur
+    return _cheb_table(x, n)[n + 2]
 
 
 def _cheb_table(x: float, top: int) -> list[float]:
-    # values U_{-2}..U_{top} of the recurrence at x; index k lives at [k + 2]
-    vals = [-1.0, 0.0]
-    for _ in range(top + 1):
+    # values U_{-2}..U_{top} of the recurrence at x; index k lives at [k + 2].
+    # U_0 is seeded rather than computed, since 2x * 0 is nan at infinite x
+    vals = [-1.0, 0.0, 1.0]
+    for _ in range(top):
         vals.append(2.0 * x * vals[-1] - vals[-2])
     return vals
 
@@ -280,11 +291,20 @@ def polar_angle(params: Params, pt: PointPL) -> PolarAngle:
     """
     if pt.s == 0.0 and pt.t == 0.0:
         raise DomainError("polar angle undefined at the origin")
-    _, nu = kappa_nu(params)
-    cut = math.atan(-nu)
-    raw = math.atan2(pt.t, pt.s)
-    theta = raw if raw > cut else raw + 2.0 * math.pi
-    return PolarAngle(theta, cut)
+    theta, cut = _lift(params, pt.s, pt.t)
+    return PolarAngle(float(theta), cut)
+
+
+def _lift(params: Params, s, t):
+    # atan2 lifted over the cut; np.arctan2 serves floats and arrays
+    # alike, so a single point and a whole orbit get the same bits
+    cut = math.atan(-kappa_nu(params)[1])
+    raw = np.arctan2(t, s)
+    return np.where(raw > cut, raw, raw + 2.0 * math.pi), cut
+
+
+# steps detect_period records at a time
+_PERIOD_BLOCK = 4096
 
 
 def detect_period(params: Params, pt: PointPL, max_steps: int, tol: Tolerances = DEFAULT_TOL):
@@ -297,19 +317,41 @@ def detect_period(params: Params, pt: PointPL, max_steps: int, tol: Tolerances =
     max_steps = int(max_steps)
     if max_steps < 1:
         raise DomainError(f"max_steps must be >= 1, got {max_steps}")
-    p, q = params.p, params.q
     s0, t0 = pt.s, pt.t
     bound = tol.period_tol * max(1.0, abs(s0), abs(t0))
-    s, t = s0, t0
-    for k in range(1, max_steps + 1):
+    # recorded block by block, so a long horizon holds one block at a time
+    s, t, done = s0, t0, 0
+    while done < max_steps:
+        ss, ts, trunc = _record_orbit(params, s, t, min(_PERIOD_BLOCK, max_steps - done))
+        for k in range(1, len(ss)):
+            if abs(ss[k] - s0) <= bound and abs(ts[k] - t0) <= bound:
+                return done + k
+        if trunc is not None:
+            return None
+        done += len(ss) - 1
+        s, t = ss[-1], ts[-1]
+    return None
+
+
+def _record_orbit(params: Params, s: float, t: float, steps: int):
+    # the composed step with every iterate kept: lists of s and t from
+    # the start on, and the 1-based step that left float range (None if
+    # none did; the lists end before it).  The step is written out here
+    # because a call per step costs measurably in long loops.
+    p, q = params.p, params.q
+    ss = [s]
+    ts = [t]
+    trunc = None
+    for i in range(1, steps + 1):
         t1 = t + p * s if s > 0.0 else t
         s = -s + q * t1 if t1 > 0.0 else -s
         t = -t1
         if not (math.isfinite(s) and math.isfinite(t)):
-            return None
-        if abs(s - s0) <= bound and abs(t - t0) <= bound:
-            return k
-    return None
+            trunc = i
+            break
+        ss.append(s)
+        ts.append(t)
+    return ss, ts, trunc
 
 
 def sign_pair(pt: PointPL, scale: float | None = None, tol: Tolerances = DEFAULT_TOL) -> SignPair:
@@ -319,14 +361,15 @@ def sign_pair(pt: PointPL, scale: float | None = None, tol: Tolerances = DEFAULT
     orbit-wide scale to keep the band consistent along a trajectory.
     """
     ref = max(abs(pt.s), abs(pt.t)) if scale is None else float(scale)
-    band = tol.eq_tol * max(1.0, ref)
+    first, second = _banded_signs(pt.s, pt.t, ref, tol.eq_tol)
+    return SignPair(int(first), int(second))
 
-    def one(v: float) -> int:
-        if abs(v) <= band:
-            return 0
-        return 1 if v > 0.0 else -1
 
-    return SignPair(one(pt.s), one(pt.t))
+def _banded_signs(s, t, scale, eq_tol: float):
+    # signs in {-1, 0, 1} with a zero band of eq_tol max(1, scale); fmax
+    # keeps the band at eq_tol for a nan scale
+    band = eq_tol * np.fmax(1.0, scale)
+    return tuple(np.where(np.abs(v) <= band, 0, np.where(v > 0.0, 1, -1)) for v in (s, t))
 
 
 def first_sign_coherent_index(

@@ -1,5 +1,6 @@
 """Orbit storage, growth verdicts, drift and angle audits, scans."""
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -231,6 +232,12 @@ def test_batch_drift_validation():
         phi_drift_batch(-1.0, 1.0, 1.0, 0.0, 10)
     with pytest.raises(DomainError):
         phi_drift_batch(1.0, 1.0, math.inf, 0.0, 10)
+    # the start's quadratic overflows: nothing can be sampled, so neither
+    # a warning nor a drift of 0.0, which would read as conservation
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DomainError):
+            phi_drift_batch(3.0, 3.0, 1e200, 1e200, 5)
 
 
 def test_start_policy_validation():

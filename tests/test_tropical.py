@@ -5,6 +5,8 @@ import pytest
 
 from mutdyn.errors import DomainError, RegimeError
 from mutdyn.floatops import close_rel, det2
+from mutdyn import tropical
+from mutdyn.orbits import OrbitKind, iterate_orbit
 from mutdyn.params import DEFAULT_TOL, Params
 from mutdyn.tropical import (
     PointPL,
@@ -197,6 +199,7 @@ def test_chebyshev_recurrence_values():
     assert chebyshev_u(-1, 5.0) == 0.0
     assert chebyshev_u(0, -3.0) == 1.0
     assert chebyshev_u(1, 0.7) == 1.4
+    assert chebyshev_u(0, math.inf) == 1.0
     with pytest.raises(DomainError):
         chebyshev_u(-2, 1.0)
 
@@ -274,6 +277,26 @@ def test_polar_angle_lift():
         polar_angle(params, PointPL(0.0, 0.0))
 
 
+def test_scalar_diagnostics_match_orbit_diagnostics_bit_for_bit():
+    # polar_angle, phi and sign_pair at each stored iterate give exactly
+    # the orbit's own per-point diagnostics, across regimes and scales
+    rng = np.random.default_rng(54)
+    for trial in range(60):
+        p = float(rng.uniform(0.3, 3.0))
+        params = Params(p, float(rng.uniform(0.2, 12.0)) / p)
+        scale = (1.0, 1e150, 1e-150)[trial % 3]
+        start = tuple(float(v) * scale for v in rng.uniform(-3.0, 3.0, 2))
+        orbit = iterate_orbit(params, OrbitKind.TROPICAL, start, 60)
+        for k, (s, t) in enumerate(orbit.points.tolist()):
+            pt = PointPL(s, t)
+            assert np.array_equal(phi(params, pt), orbit.phi[k], equal_nan=True)
+            assert sign_pair(pt) == tuple(orbit.signs[k])
+            if s == 0.0 and t == 0.0:
+                assert math.isnan(orbit.polar[k])
+            else:
+                assert polar_angle(params, pt).theta == orbit.polar[k]
+
+
 def test_detect_period_examples():
     q7 = 4.0 * math.cos(math.pi / 7.0) ** 2
     assert detect_period(Params(1.0, q7), PointPL(1.0, 1.0), 40) == 9
@@ -282,6 +305,22 @@ def test_detect_period_examples():
     q10 = 4.0 * math.cos(math.pi / 10.0) ** 2
     assert detect_period(Params(1.0, q10), PointPL(1.0, 1.0), 40) == 6
     assert detect_period(Params(1.0, 1.0), PointPL(1.0, 0.0), 10) == 5
+
+
+def test_detect_period_does_not_depend_on_its_block_size(monkeypatch):
+    # the horizon is recorded block by block; returns found in a later
+    # block, and the None of an escape, come out as with one block
+    rng = np.random.default_rng(55)
+    cases = []
+    for m in (3, 5, 7, 10):
+        params = Params(1.0, 4.0 * math.cos(math.pi / m) ** 2)
+        cases += [(params, PointPL(*rng.uniform(-3.0, 3.0, 2))) for _ in range(20)]
+    cases += [(Params(3.0, 3.0), PointPL(1.0, 1.0)), (Params(2.0, 2.0), PointPL(1.0, 1.0))]
+    want = [detect_period(params, pt, 40) for params, pt in cases]
+    assert want.count(None) == 2
+    monkeypatch.setattr(tropical, "_PERIOD_BLOCK", 3)
+    assert [detect_period(params, pt, 40) for params, pt in cases] == want
+    assert detect_period(Params(3.0, 3.0), PointPL(1.0, 1.0), 1000) is None
 
 
 def test_detect_period_none_in_escape_regimes():
