@@ -9,9 +9,11 @@ from __future__ import annotations
 import argparse
 import sys
 
+import numpy as np
+
 from .errors import DomainError, RangeError, RegimeError
 from .exchange import ExtendedExchangeMatrix, mutation_class
-from .export import _emit, export_csv, export_json, fmt_float
+from .export import _csv, _emit, export_csv, export_json
 from .levelset import levelset_points
 from .orbits import OrbitKind, StartPolicy, iterate_orbit, scan_grid
 from .params import Params
@@ -170,14 +172,13 @@ def _cmd_levelset(args) -> int:
     if args.format == "svg":
         text = render_svg(pieces, RenderSpec())
     elif args.format == "json":
-        payload = [[list(pt) for pt in piece] for piece in pieces]
-        text = _emit({"level": float(args.level), "pieces": payload}) + "\n"
+        arrays = [np.array(piece, dtype=float).reshape(-1, 2) for piece in pieces]
+        text = _emit({"level": float(args.level), "pieces": arrays}) + "\n"
     else:
-        lines = ["piece,index,s,t"]
-        for pi, piece in enumerate(pieces):
-            for idx, (s, t) in enumerate(piece):
-                lines.append(f"{pi},{idx},{fmt_float(s)},{fmt_float(t)}")
-        text = "\n".join(lines) + "\n"
+        pts = np.array([pt for piece in pieces for pt in piece], dtype=float).reshape(-1, 2)
+        which = [pi for pi, piece in enumerate(pieces) for _ in piece]
+        index = [idx for piece in pieces for idx in range(len(piece))]
+        text = _csv("piece,index,s,t", [which, index, pts[:, 0], pts[:, 1]])
     _write_out(text, args.out)
     return 0
 

@@ -10,6 +10,8 @@ from __future__ import annotations
 import json
 import math
 
+import numpy as np
+
 from .errors import DomainError
 from .exchange import MutationClassResult
 from .orbits import GrowthVerdict, Orbit, OrbitKind, ScanTable
@@ -17,28 +19,48 @@ from .orbits import GrowthVerdict, Orbit, OrbitKind, ScanTable
 __all__ = ["fmt_float", "export_csv", "export_json", "parse_scan_json"]
 
 
+def _fmt_col(a, quote: bool = False) -> list:
+    """Every number of an array, flattened in C order, as text.
+
+    The one number rule of every export: an integral float below 1e16
+    in magnitude prints bare (so -0.0 prints as 0), any other finite
+    float prints as its shortest round-trip ``repr``, and non-finite
+    values print as inf/-inf/nan, in double quotes when ``quote`` is
+    set.  Integer arrays print as integers.
+    """
+    a = np.asarray(a).ravel()
+    if a.dtype.kind in "iu":
+        return list(map(str, a.tolist()))
+    a = a.astype(float, copy=False)
+    # CPython's float repr already spells non-finite values inf/-inf/nan
+    out = list(map(float.__repr__, a.tolist()))
+    bare = np.flatnonzero((np.trunc(a) == a) & (np.abs(a) < 1e16))
+    for i, text in zip(bare.tolist(), map(str, a[bare].astype(np.int64).tolist())):
+        out[i] = text
+    if quote:
+        for i in np.flatnonzero(~np.isfinite(a)).tolist():
+            out[i] = '"' + out[i] + '"'
+    return out
+
+
 def fmt_float(v: float) -> str:
-    """Shortest decimal that round-trips; integral values print bare.
+    """Shortest decimal that round-trips; integral values below 1e16 print bare.
 
     Non-finite values (possible in diagnostics of orbits that grew
     past 1e154, never in orbit points) print as inf/-inf/nan.
     """
-    v = float(v)
-    if math.isnan(v):
-        return "nan"
-    if math.isinf(v):
-        return "inf" if v > 0.0 else "-inf"
-    if v == int(v) and abs(v) < 1e16:
-        return str(int(v))
-    return repr(v)
+    return _fmt_col(np.array([float(v)]))[0]
 
 
 def _num(v: float) -> str:
     # JSON-safe variant: non-finite becomes a quoted token
-    v = float(v)
-    if math.isfinite(v):
-        return fmt_float(v)
-    return json.dumps(fmt_float(v))
+    return _fmt_col(np.array([float(v)]), quote=True)[0]
+
+
+def _csv(header: str, columns) -> str:
+    """CSV text: the header, then one row per entry of the equal-length columns."""
+    cells = [_fmt_col(c) for c in columns]
+    return "\n".join([header, *map(",".join, zip(*cells))]) + "\n"
 
 
 def export_csv(orbit: Orbit) -> str:
@@ -46,23 +68,28 @@ def export_csv(orbit: Orbit) -> str:
 
     Tropical orbits add the conserved quadratic as a final column.
     """
-    lines = []
     pts = orbit.points
+    columns = [np.arange(len(pts)), pts[:, 0], pts[:, 1]]
     if orbit.kind is OrbitKind.TROPICAL:
-        lines.append("step,s,t,phi")
-        ph = orbit.phi
-        for i in range(len(pts)):
-            lines.append(
-                f"{i},{fmt_float(pts[i, 0])},{fmt_float(pts[i, 1])},{fmt_float(ph[i])}"
-            )
-    else:
-        lines.append("step,x,y")
-        for i in range(len(pts)):
-            lines.append(f"{i},{fmt_float(pts[i, 0])},{fmt_float(pts[i, 1])}")
-    return "\n".join(lines) + "\n"
+        return _csv("step,s,t,phi", columns + [orbit.phi])
+    return _csv("step,x,y", columns)
+
+
+def _emit_array(a: np.ndarray) -> str:
+    # format the whole array in one call, then nest the texts by shape
+    items = _fmt_col(a, quote=True)
+    for axis in range(a.ndim - 1, 0, -1):
+        k = a.shape[axis]
+        if k == 0:
+            items = ["[]"] * math.prod(a.shape[:axis])
+        else:
+            items = ["[" + ",".join(row) + "]" for row in zip(*[iter(items)] * k)]
+    return "[" + ",".join(items) + "]"
 
 
 def _emit(obj) -> str:
+    if isinstance(obj, np.ndarray):
+        return _emit_array(obj)
     if isinstance(obj, dict):
         inner = ",".join(f"{json.dumps(k)}:{_emit(v)}" for k, v in obj.items())
         return "{" + inner + "}"
@@ -98,13 +125,13 @@ def _orbit_dict(orbit: Orbit) -> dict:
         "requested_steps": orbit.requested_steps,
         "truncated_at": orbit.truncated_at,
         "truncation_reason": orbit.truncation_reason,
-        "points": [[float(a), float(b)] for a, b in orbit.points],
+        "points": orbit.points,
     }
-    diag = {"log_radius": [float(v) for v in orbit.log_radius]}
+    diag = {"log_radius": orbit.log_radius}
     if orbit.kind is OrbitKind.TROPICAL:
-        diag["phi"] = [float(v) for v in orbit.phi]
-        diag["polar_angle"] = [float(v) for v in orbit.polar]
-        diag["sign_pairs"] = [[int(a), int(b)] for a, b in orbit.signs]
+        diag["phi"] = orbit.phi
+        diag["polar_angle"] = orbit.polar
+        diag["sign_pairs"] = orbit.signs
     out["diagnostics"] = diag
     return out
 
@@ -125,7 +152,7 @@ def _class_dict(result: MutationClassResult) -> dict:
     return {
         "size": result.size,
         "complete": result.complete,
-        "matrices": [[list(row) for row in m.entries] for m in result.matrices],
+        "matrices": np.array([m.entries for m in result.matrices], dtype=float),
     }
 
 

@@ -1,12 +1,15 @@
 """Serialization formats and the command-line front end."""
 import json
 import math
+import random
 
+import numpy as np
 import pytest
 
 import mutdyn.acceptance
 from mutdyn.cli import main
 from mutdyn.errors import DomainError
+from mutdyn.exchange import ExtendedExchangeMatrix, mutation_class
 from mutdyn.export import export_csv, export_json, fmt_float, parse_scan_json
 from mutdyn.orbits import OrbitKind, StartPolicy, iterate_orbit, scan_grid
 from mutdyn.params import Params
@@ -22,6 +25,10 @@ def test_fmt_float_cases():
     assert fmt_float(math.inf) == "inf"
     assert fmt_float(-math.inf) == "-inf"
     assert float(fmt_float(0.30000000000000004)) == 0.30000000000000004
+    assert fmt_float(1e16) == "1e+16"
+    assert fmt_float(-1e16) == "-1e+16"
+    assert fmt_float(9999999999999998.0) == "9999999999999998"
+    assert fmt_float(5e-324) == "5e-324"
 
 
 def test_csv_golden_tropical():
@@ -66,6 +73,101 @@ def test_json_quotes_non_finite_diagnostics():
     quoted = [v for v in doc["diagnostics"]["phi"] if isinstance(v, str)]
     assert quoted
     assert all(v in ("nan", "inf", "-inf") for v in quoted)
+
+
+def _rule_num(v, quote=False):
+    # the documented number rule, one value at a time
+    v = float(v)
+    if math.isnan(v):
+        text = "nan"
+    elif math.isinf(v):
+        text = "inf" if v > 0 else "-inf"
+    elif v.is_integer() and abs(v) < 1e16:
+        return "%d" % v
+    else:
+        return repr(v)
+    return '"' + text + '"' if quote else text
+
+
+def _rule_list(values):
+    return "[" + ",".join(_rule_num(v, quote=True) for v in values) + "]"
+
+
+def _rule_rows(rows):
+    return "[" + ",".join(_rule_list(row) for row in rows) + "]"
+
+
+def _rule_csv(orbit):
+    head = "step,s,t,phi" if orbit.kind is OrbitKind.TROPICAL else "step,x,y"
+    lines = [head]
+    for i, (a, b) in enumerate(orbit.points.tolist()):
+        row = [str(i), _rule_num(a), _rule_num(b)]
+        if orbit.kind is OrbitKind.TROPICAL:
+            row.append(_rule_num(orbit.phi[i]))
+        lines.append(",".join(row))
+    return "\n".join(lines) + "\n"
+
+
+def _rule_json(orbit):
+    diag = '"log_radius":' + _rule_list(orbit.log_radius.tolist())
+    if orbit.kind is OrbitKind.TROPICAL:
+        diag += ',"phi":' + _rule_list(orbit.phi.tolist())
+        diag += ',"polar_angle":' + _rule_list(orbit.polar.tolist())
+        signs = ",".join("[%d,%d]" % (a, b) for a, b in orbit.signs.tolist())
+        diag += ',"sign_pairs":[' + signs + "]"
+    fields = [
+        '"kind":"%s"' % orbit.kind.value,
+        '"params":{"p":%s,"q":%s}' % (_rule_num(orbit.params.p), _rule_num(orbit.params.q)),
+        '"start":' + _rule_list(orbit.start),
+        '"requested_steps":%d' % orbit.requested_steps,
+        '"truncated_at":' + json.dumps(orbit.truncated_at),
+        '"truncation_reason":' + json.dumps(orbit.truncation_reason),
+        '"points":' + _rule_rows(orbit.points.tolist()),
+        '"diagnostics":{' + diag + "}",
+    ]
+    return "{" + ",".join(fields) + "}\n"
+
+
+def _export_orbits():
+    rng = random.Random(20240601)
+    edge = [0.0, -0.0, 1.0, -2.0, 3.0, 1e15, -1e15, 1e16, -1e16, 1.7e150, -3.1e150]
+    positive = [1.0, 2.0, 3.0, 1e15, 1e16, 1.7e150, 0.37]
+    orbits = []
+    for i in range(40):
+        params = Params(rng.choice([1.0, 2.0, 3.0, rng.uniform(0.3, 4.0)]),
+                        rng.choice([1.0, 0.5, 3.0, rng.uniform(0.3, 4.0)]))
+        steps = rng.choice([0, 1, 7, 60])
+        if i % 2:
+            start = (rng.choice(edge), rng.choice(edge))
+            orbits.append(iterate_orbit(params, OrbitKind.TROPICAL, start, steps))
+        else:
+            start = (rng.choice(positive), rng.choice(positive))
+            orbits.append(iterate_orbit(params, OrbitKind.RATIONAL, start, steps))
+    orbits.append(iterate_orbit(Params(4, 4), OrbitKind.RATIONAL, (1e80, 1e80), 5))
+    orbits.append(iterate_orbit(Params(3, 3), OrbitKind.TROPICAL, (1, 1), 300))
+    return orbits
+
+
+def test_orbit_exports_follow_the_number_rule_byte_for_byte():
+    orbits = _export_orbits()
+    assert any(o.steps == 0 for o in orbits)
+    assert orbits[-2].truncated
+    assert not np.isfinite(orbits[-1].phi).all()
+    for orbit in orbits:
+        assert export_csv(orbit) == _rule_csv(orbit)
+        assert export_json(orbit) == _rule_json(orbit)
+
+
+def test_class_export_follows_the_number_rule_byte_for_byte():
+    for seed in (
+        ExtendedExchangeMatrix.from_exponents(1, 1, rows=((1, 0),), negated=True),
+        ExtendedExchangeMatrix.from_exponents(1, 3, rows=((0.5, 1.25), (-2, 1e-3))),
+    ):
+        result = mutation_class(seed)
+        members = ",".join(_rule_rows(m.entries) for m in result.matrices)
+        want = '{"size":%d,"complete":%s,"matrices":[%s]}\n' % (
+            result.size, json.dumps(result.complete), members)
+        assert export_json(result) == want
 
 
 def test_json_rejects_unsupported_objects():
@@ -216,6 +318,57 @@ def test_cli_levelset_formats(capsys):
         "levelset", "--p", "1", "--q", "1", "--level", "-1",
     ])
     assert code == 1 and err.startswith("error:")
+
+
+LEVELSET_CSV = """\
+piece,index,s,t
+0,0,1.3705703238997557e-13,0.9999999999999314
+0,1,0.31827860315943635,0.8021223943585721
+0,2,0.6118980597077037,0.5420990663025278
+0,3,0.8581097300725571,0.24007574132252646
+0,4,1.037837969153742,-0.08054783778784341
+0,5,1.1371580426032655,-0.39493084363474157
+0,6,1.148374968011696,-0.6787159472735256
+0,7,1.0706196960448153,-0.9099164414383276
+0,8,0.9099164414383268,-1.0706196960448158
+0,9,0.6787159472735245,-1.1483749680116961
+0,10,0.39493084363474096,-1.1371580426032655
+0,11,0.08054783778784269,-1.0378379691537418
+0,12,-0.24007574132252768,-0.8581097300725564
+0,13,-0.542099066302528,-0.6118980597077035
+0,14,-0.8021223943585726,-0.3182786031594359
+0,15,-0.9999999999999318,-1.3627987627273797e-13
+1,0,-1.3578027591165664e-13,0.9999999999999319
+1,1,-0.08054783778789676,0.9572901313658686
+1,2,-0.16070325460659574,0.9099164414382604
+1,3,-0.24007574132268722,0.8581097300724472
+1,4,-0.3182786031593832,0.802122394358612
+1,5,-0.3949308436347409,0.7422271989685245
+1,6,-0.46965902073822036,0.6787159472734812
+1,7,-0.542099066302624,0.6118980597076115
+1,8,-0.611898059707611,0.5420990663026245
+1,9,-0.6787159472734808,0.46965902073822086
+1,10,-0.7422271989685242,0.3949308436347413
+1,11,-0.8021223943586117,0.3182786031593837
+1,12,-0.858109730072447,0.24007574132268766
+1,13,-0.9099164414382603,0.16070325460659612
+1,14,-0.9572901313658684,0.0805478377878972
+1,15,-0.9999999999999318,1.3627987627273797e-13
+"""
+
+
+def test_cli_levelset_golden_bytes(capsys):
+    argv = ["levelset", "--p", "1", "--q", "1", "--level", "1", "--samples", "16"]
+    code, out, _ = _run(capsys, argv)
+    assert code == 0 and out == LEVELSET_CSV
+    rows = [line.split(",") for line in LEVELSET_CSV.splitlines()[1:]]
+    pieces = [
+        "[" + ",".join(f"[{s},{t}]" for pi, _, s, t in rows if pi == k) + "]"
+        for k in ("0", "1")
+    ]
+    code, out, _ = _run(capsys, argv + ["--format", "json"])
+    assert code == 0
+    assert out == '{"level":1,"pieces":[' + ",".join(pieces) + "]}\n"
 
 
 def test_cli_matclass(capsys):
