@@ -54,7 +54,8 @@ class ExtendedExchangeMatrix:
         (a, b), (c, d) = rows[0], rows[1]
         if a != 0.0 or d != 0.0:
             raise DomainError("exchange block must have a zero diagonal")
-        if b * c > 0.0:
+        # by the signs, since the product b * c can underflow to zero
+        if (b > 0.0 and c > 0.0) or (b < 0.0 and c < 0.0):
             raise DomainError(
                 "exchange block off-diagonal entries must have opposite signs or vanish"
             )
@@ -128,10 +129,11 @@ class MutationClassResult:
 
 def _bucket_key(mat: ExtendedExchangeMatrix) -> tuple:
     # coarse hash at 1e-6 granularity; exact membership is decided by
-    # the tolerance comparison within a bucket.  Two members closer
-    # than the tolerance to the same bucket edge from opposite sides
-    # would be double-counted; at that granularity versus eq_tol the
-    # window is vanishing and duplicates stay near-identical anyway.
+    # the tolerance comparison within a bucket.  Near-equal members in
+    # different buckets are double-counted, and with large entries
+    # rounding puts round trips there: at p = 1, q = 5, row (1, 1) the
+    # cap 10^4 fills although at most 2946 members are distinct (the two
+    # mutation chains leave float range after 1471 and 1474 steps).
     return tuple(round(v * 1e6) for row in mat.entries for v in row)
 
 

@@ -89,8 +89,8 @@ def _clip_curve(point_fn, keep, grid: np.ndarray, circular: bool, samples: int):
     return pieces
 
 
-def _form_matrix(p: float, q: float, mirrored: bool) -> np.ndarray:
-    h = -0.5 * p * q if mirrored else 0.5 * p * q
+def _form_matrix(p: float, q: float) -> np.ndarray:
+    h = 0.5 * p * q
     return np.array([[p, h], [h, q]], dtype=float)
 
 
@@ -112,7 +112,7 @@ def _conic_pieces(params: Params, level: float, mirrored: bool, samples: int, ex
     keep = _keep_g if mirrored else _keep_f
     # the mirrored quadratic is the plain one at (s, -t); parameterize
     # the plain conic and flip the sample, so both share one code path
-    a_mat = _form_matrix(p, q, mirrored=False)
+    a_mat = _form_matrix(p, q)
     vals, vecs = np.linalg.eigh(a_mat)
     regime = classify_regime(params)
     r_cap = min(extent * _char_radius(params, level), _accuracy_radius(params, level))

@@ -4,6 +4,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
 
 import numpy as np
 
@@ -41,9 +42,10 @@ class OrbitKind(Enum):
 
 @dataclass(frozen=True, eq=False)
 class Orbit:
-    """A stored trajectory with per-point diagnostics.
+    """A stored trajectory; its per-point diagnostics derive from it.
 
     points holds the start and every computed iterate, shape (n+1, 2).
+    The diagnostics are computed from points on first read and kept:
     log_radius is the log of the infinity norm per point.  For
     tropical orbits, phi holds the conserved quadratic, polar the
     lifted polar angle (nan at an origin hit) and signs the banded
@@ -56,15 +58,13 @@ class Orbit:
 
     params: Params
     kind: OrbitKind
-    start: tuple
     points: np.ndarray
-    log_radius: np.ndarray
-    phi: np.ndarray | None
-    polar: np.ndarray | None
-    signs: np.ndarray | None
     requested_steps: int
     truncated_at: int | None
-    truncation_reason: str | None
+
+    @property
+    def start(self) -> tuple:
+        return tuple(self.points[0].tolist())
 
     @property
     def steps(self) -> int:
@@ -73,6 +73,39 @@ class Orbit:
     @property
     def truncated(self) -> bool:
         return self.truncated_at is not None
+
+    @property
+    def truncation_reason(self) -> str | None:
+        return None if self.truncated_at is None else "left float range"
+
+    @cached_property
+    def log_radius(self) -> np.ndarray:
+        # a tropical orbit through the origin has log radius -inf there
+        with np.errstate(divide="ignore"):
+            return np.log(np.max(np.abs(self.points), axis=1))
+
+    @cached_property
+    def phi(self) -> np.ndarray | None:
+        if self.kind is not OrbitKind.TROPICAL:
+            return None
+        with np.errstate(over="ignore", invalid="ignore"):
+            coefs = _quad_coefs(self.params.p, self.params.q)
+            return _conserved(coefs, self.points[:, 0], self.points[:, 1])
+
+    @cached_property
+    def polar(self) -> np.ndarray | None:
+        if self.kind is not OrbitKind.TROPICAL:
+            return None
+        S, T = self.points[:, 0], self.points[:, 1]
+        return np.where((S == 0.0) & (T == 0.0), math.nan, _lift(self.params, S, T)[0])
+
+    @cached_property
+    def signs(self) -> np.ndarray | None:
+        if self.kind is not OrbitKind.TROPICAL:
+            return None
+        S, T = self.points[:, 0], self.points[:, 1]
+        signs = _banded_signs(S, T, np.maximum(np.abs(S), np.abs(T)), DEFAULT_TOL.eq_tol)
+        return np.column_stack(signs).astype(np.int8)
 
 
 class GrowthKind(Enum):
@@ -124,20 +157,8 @@ def _iterate_rational(params: Params, start: PointPos, steps: int):
     return xs, ys, trunc
 
 
-def _tropical_diagnostics(params: Params, pts: np.ndarray):
-    S = pts[:, 0]
-    T = pts[:, 1]
-    with np.errstate(over="ignore", invalid="ignore"):
-        phi = _conserved(_quad_coefs(params.p, params.q), S, T)
-    polar, _ = _lift(params, S, T)
-    polar[(S == 0.0) & (T == 0.0)] = math.nan
-    norm = np.maximum(np.abs(S), np.abs(T))
-    signs = np.column_stack(_banded_signs(S, T, norm, DEFAULT_TOL.eq_tol)).astype(np.int8)
-    return phi, polar, signs
-
-
 def iterate_orbit(params: Params, kind: OrbitKind, start, steps: int) -> Orbit:
-    """Iterate the chosen map from start, recording points and diagnostics.
+    """Iterate the chosen map from start, recording every point.
 
     start may be the matching point type or a plain pair.  An iterate
     leaving float range truncates the orbit (see Orbit); horizons that
@@ -155,42 +176,13 @@ def iterate_orbit(params: Params, kind: OrbitKind, start, steps: int) -> Orbit:
     if kind is OrbitKind.RATIONAL:
         pt = start if isinstance(start, PointPos) else PointPos(*start)
         xs, ys, trunc = _iterate_rational(params, pt, steps)
-        pts = np.column_stack([np.asarray(xs, dtype=float), np.asarray(ys, dtype=float)])
-        log_r = np.log(np.max(np.abs(pts), axis=1))
-        return Orbit(
-            params=params,
-            kind=kind,
-            start=pt.as_tuple(),
-            points=pts,
-            log_radius=log_r,
-            phi=None,
-            polar=None,
-            signs=None,
-            requested_steps=steps,
-            truncated_at=trunc,
-            truncation_reason=None if trunc is None else "left float range",
-        )
-    if kind is OrbitKind.TROPICAL:
+    elif kind is OrbitKind.TROPICAL:
         pt = start if isinstance(start, PointPL) else PointPL(*start)
-        ss, ts, trunc = _record_orbit(params, pt.s, pt.t, steps)
-        pts = np.column_stack([np.asarray(ss, dtype=float), np.asarray(ts, dtype=float)])
-        with np.errstate(divide="ignore"):
-            log_r = np.log(np.max(np.abs(pts), axis=1))
-        phi, polar, signs = _tropical_diagnostics(params, pts)
-        return Orbit(
-            params=params,
-            kind=kind,
-            start=pt.as_tuple(),
-            points=pts,
-            log_radius=log_r,
-            phi=phi,
-            polar=polar,
-            signs=signs,
-            requested_steps=steps,
-            truncated_at=trunc,
-            truncation_reason=None if trunc is None else "left float range",
-        )
-    raise DomainError(f"unknown orbit kind {kind!r}")
+        xs, ys, trunc = _record_orbit(params, pt.s, pt.t, steps)
+    else:
+        raise DomainError(f"unknown orbit kind {kind!r}")
+    pts = np.column_stack([np.asarray(xs, dtype=float), np.asarray(ys, dtype=float)])
+    return Orbit(params=params, kind=kind, points=pts, requested_steps=steps, truncated_at=trunc)
 
 
 def growth_classification(orbit: Orbit, delta: float = 0.01) -> GrowthVerdict:
@@ -289,7 +281,7 @@ def phi_drift_batch(p, q, s0, t0, steps: int, scale_cap: float | None = None):
     notes), so capped sampling is the honest measurement window.
     Orbits are dropped from sampling once any value involved stops
     being finite; a start whose value is already out of float range
-    raises DomainError, as in conserved_drift.
+    raises DomainError, as in conserved_drift, and so does a nan cap.
     """
     return _phi_drift_pass(p, q, s0, t0, steps, (scale_cap,))[0]
 
@@ -310,6 +302,9 @@ def _phi_drift_pass(p, q, s0, t0, steps: int, scale_caps: tuple):
         raise DomainError("exponents must be finite and positive")
     if not (np.isfinite(s).all() and np.isfinite(t).all()):
         raise DomainError("starts must be finite")
+    # norm <= nan never holds, so a nan cap would sample nothing and read as zero drift
+    if any(cap is not None and math.isnan(cap) for cap in scale_caps):
+        raise DomainError("scale_cap must not be nan")
     zero = np.zeros_like(s)
     capped = any(cap is not None for cap in scale_caps)
     with np.errstate(over="ignore", invalid="ignore"):

@@ -40,6 +40,9 @@ def test_rejects_same_sign_off_diagonal():
         ExtendedExchangeMatrix(((0, 1), (1, 0)))
     with pytest.raises(DomainError):
         ExtendedExchangeMatrix(((0, -2), (-3, 0)))
+    # the product underflows to 0.0, the signs still agree
+    with pytest.raises(DomainError):
+        ExtendedExchangeMatrix(((0, 1e-200), (1e-200, 0)))
 
 
 def test_allows_vanishing_off_diagonal():

@@ -41,6 +41,8 @@ def test_tropical_five_cycle_points_exact():
     assert np.array_equal(orbit.points, expected)
     assert np.array_equal(orbit.phi, np.ones(6))
     assert len(orbit.polar) == 6 and len(orbit.signs) == 6
+    # a diagnostic is computed on first read and kept
+    assert orbit.phi is orbit.phi
 
 
 def test_start_accepts_point_or_pair():
@@ -51,6 +53,10 @@ def test_start_accepts_point_or_pair():
     c = iterate_orbit(params, OrbitKind.TROPICAL, PointPL(-0.4, 1.1), 20)
     d = iterate_orbit(params, OrbitKind.TROPICAL, (-0.4, 1.1), 20)
     assert np.array_equal(c.points, d.points)
+    # the start derives from the points and keeps the sign of a zero
+    e = iterate_orbit(params, OrbitKind.TROPICAL, (-0.0, 1.0), 20)
+    assert e.start == (-0.0, 1.0)
+    assert math.copysign(1.0, e.start[0]) == -1.0
 
 
 def test_step_validation():
@@ -238,6 +244,9 @@ def test_batch_drift_validation():
         warnings.simplefilter("error")
         with pytest.raises(DomainError):
             phi_drift_batch(3.0, 3.0, 1e200, 1e200, 5)
+    # no norm is <= nan, so a nan cap would sample nothing and read 0.0
+    with pytest.raises(DomainError):
+        phi_drift_batch(3.0, 3.0, 1.0, 1.0, 60, scale_cap=math.nan)
 
 
 def test_start_policy_validation():
