@@ -8,6 +8,7 @@ precision can and cannot deliver.
 from __future__ import annotations
 
 import math
+from functools import lru_cache
 
 __all__ = [
     "EQ_TOL",
@@ -48,19 +49,46 @@ def fpow(base: float, expo: float) -> float:
     float ** instead of returning inf, which would tear holes in long
     iterations, so that case is normalized here.
     """
+    return _power(expo)(base)
+
+
+# The running product 1.0 * base * ... * base of fpow's integer branch,
+# indexed by the exponent 0..4.
+_INT_POWERS = (
+    lambda b: 1.0,
+    lambda b: 1.0 * b,
+    lambda b: 1.0 * b * b,
+    lambda b: 1.0 * b * b * b,
+    lambda b: 1.0 * b * b * b * b,
+)
+
+
+@lru_cache(maxsize=256, typed=True)
+def _power(expo: float):
+    """The callable base -> fpow(base, expo), its branch chosen once.
+
+    Integer exponents with |n| <= 4 get repeated multiplication (a
+    negative n takes the reciprocal first); every other exponent gets
+    the libm power with overflow mapped to inf.  A loop that raises
+    many bases to one exponent builds this once instead of paying
+    fpow's dispatch on every call.  The callables of recent exponents
+    are kept, so a scalar fpow call does not build one each time;
+    typed keys keep an exponent's type, and so the result's.
+    """
     n = int(expo) if -4.0 <= expo <= 4.0 else None
     if n is not None and expo == n:
         if n < 0:
-            base = 1.0 / base
-            n = -n
-        r = 1.0
-        for _ in range(n):
-            r *= base
-        return r
-    try:
-        return base ** expo
-    except OverflowError:
-        return math.inf
+            product = _INT_POWERS[-n]
+            return lambda base: product(1.0 / base)
+        return _INT_POWERS[n]
+
+    def power(base: float) -> float:
+        try:
+            return base ** expo
+        except OverflowError:
+            return math.inf
+
+    return power
 
 
 def softplus(z: float) -> float:

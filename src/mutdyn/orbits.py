@@ -12,7 +12,7 @@ from .errors import DomainError
 from .params import DEFAULT_TOL, Params, Regime, classify_regime
 from .rational import PointPos
 from .tropical import PointPL, _banded_signs, _conserved, _lift, _quad_coefs, _record_orbit
-from .floatops import fpow
+from .floatops import _power
 
 __all__ = [
     "MAX_ORBIT_POINTS",
@@ -82,7 +82,7 @@ class Orbit:
     def log_radius(self) -> np.ndarray:
         # a tropical orbit through the origin has log radius -inf there
         with np.errstate(divide="ignore"):
-            return np.log(np.max(np.abs(self.points), axis=1))
+            return np.log(_max_norms(self.points))
 
     @cached_property
     def phi(self) -> np.ndarray | None:
@@ -140,15 +140,23 @@ class GrowthVerdict:
             raise DomainError(f"inconsistent growth verdict {self!r}")
 
 
+def _max_norms(points: np.ndarray) -> np.ndarray:
+    # the same values as np.max(np.abs(points), axis=1), without numpy's
+    # slow reduction over rows two wide
+    a = np.abs(points)
+    return np.maximum(a[:, 0], a[:, 1])
+
+
 def _iterate_rational(params: Params, start: PointPos, steps: int):
-    p, q = params.p, params.q
+    # fpow's branch for p and q is chosen once for the whole orbit
+    pow_p, pow_q = _power(params.p), _power(params.q)
     x, y = start.x, start.y
     xs = [x]
     ys = [y]
     trunc = None
     for i in range(1, steps + 1):
-        x = (1.0 + fpow(y, q)) / x
-        y = (1.0 + fpow(x, p)) / y
+        x = (1.0 + pow_q(y)) / x
+        y = (1.0 + pow_p(x)) / y
         if not (math.isfinite(x) and math.isfinite(y) and x > 0.0 and y > 0.0):
             trunc = i
             break
@@ -218,7 +226,7 @@ def growth_classification(orbit: Orbit, delta: float = 0.01) -> GrowthVerdict:
     sigma = float(np.polyfit(idx, lr, 1)[0])
     if sigma > math.log1p(delta):
         return GrowthVerdict(GrowthKind.EXPONENTIAL, ratio=math.exp(sigma))
-    radius = np.max(np.abs(orbit.points[half:]), axis=1)
+    radius = _max_norms(orbit.points[half:])
     rho = float(np.polyfit(idx, radius, 1)[0])
     if rho > 0.0 and rho * (n - half) > 0.25 * max(1.0, float(np.max(radius))):
         return GrowthVerdict(GrowthKind.LINEAR, rate=rho)

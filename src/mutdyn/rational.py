@@ -106,10 +106,11 @@ class UVRegion(Enum):
     ON_MU2_CURVE = auto()
 
 
-def _finite_point(x: float, y: float, where: str) -> PointPos:
+def _finite_point(x: float, y: float, where: str, point=PointPos):
+    # an image out of float range is a RangeError, not the point type's DomainError
     if not (math.isfinite(x) and x > 0.0 and math.isfinite(y) and y > 0.0):
         raise RangeError(f"{where} left the representable positive quadrant")
-    return PointPos(x, y)
+    return point(x, y)
 
 
 def mu1_x(params: Params, pt: PointPos) -> PointPos:
@@ -142,7 +143,9 @@ def mu_x_closed(params: Params, pt: PointPos) -> PointPos:
     yq1 = 1.0 + fpow(pt.y, params.q)
     xp = fpow(pt.x, params.p)
     xx = yq1 / pt.x
-    yy = (xp + fpow(yq1, params.p)) / (xp * pt.y)
+    den = xp * pt.y
+    # x^p * y can underflow to 0; the image is then out of range
+    yy = (xp + fpow(yq1, params.p)) / den if den > 0.0 else math.inf
     return _finite_point(xx, yy, "mu_x_closed")
 
 
@@ -164,29 +167,24 @@ def mu_x_log(params: Params, ab: tuple[float, float]) -> tuple[float, float]:
 
 def to_uv(params: Params, pt: PointPos) -> UVPoint:
     """Coordinate change (x, y) -> (x^p, y^2)."""
-    return UVPoint(fpow(pt.x, params.p), pt.y * pt.y)
+    return _finite_point(fpow(pt.x, params.p), pt.y * pt.y, "to_uv", UVPoint)
 
 
 def from_uv(params: Params, uv: UVPoint) -> PointPos:
     """Inverse coordinate change (u, v) -> (u^(1/p), sqrt(v))."""
-    return PointPos(fpow(uv.u, 1.0 / params.p), math.sqrt(uv.v))
+    return _finite_point(fpow(uv.u, 1.0 / params.p), math.sqrt(uv.v), "from_uv")
 
 
 def mu1_uv(params: Params, uv: UVPoint) -> UVPoint:
     """The first reflection in (u, v): u -> (1 + v^(q/2))^p / u."""
     uu = fpow(1.0 + fpow(uv.v, params.q / 2.0), params.p) / uv.u
-    if not math.isfinite(uu) or uu <= 0.0:
-        raise RangeError("mu1_uv left the representable positive quadrant")
-    return UVPoint(uu, uv.v)
+    return _finite_point(uu, uv.v, "mu1_uv", UVPoint)
 
 
 def mu2_uv(params: Params, uv: UVPoint) -> UVPoint:
     """The second reflection in (u, v): v -> (1 + u)^2 / v."""
     w = 1.0 + uv.u
-    vv = (w * w) / uv.v
-    if not math.isfinite(vv) or vv <= 0.0:
-        raise RangeError("mu2_uv left the representable positive quadrant")
-    return UVPoint(uv.u, vv)
+    return _finite_point(uv.u, (w * w) / uv.v, "mu2_uv", UVPoint)
 
 
 def mu_uv(params: Params, uv: UVPoint) -> UVPoint:

@@ -1,9 +1,10 @@
 import math
+import struct
 
 import numpy as np
 import pytest
 
-from mutdyn.floatops import close_rel, det2, fpow, softplus, ulp_gap
+from mutdyn.floatops import _power, close_rel, det2, fpow, softplus, ulp_gap
 
 
 def test_close_rel():
@@ -43,6 +44,64 @@ def test_fpow_integer_exponents_exact_products():
 def test_fpow_overflow_is_inf():
     assert fpow(1e300, 2.0) == math.inf
     assert fpow(10.0, 1000.0) == math.inf
+
+
+def _fpow_rule(base, expo):
+    # fpow's exponent rule decided on every call: repeated multiplication
+    # for integers |n| <= 4 (reciprocal first when negative), else libm
+    # pow with overflow mapped to inf
+    n = int(expo) if -4.0 <= expo <= 4.0 else None
+    if n is not None and expo == n:
+        if n < 0:
+            base = 1.0 / base
+            n = -n
+        r = 1.0
+        for _ in range(n):
+            r *= base
+        return r
+    try:
+        return base**expo
+    except OverflowError:
+        return math.inf
+
+
+def _bits(v):
+    return struct.pack("<d", v)
+
+
+def test_power_helper_follows_fpow_rule_bit_for_bit():
+    rng = np.random.default_rng(22)
+    expos = [float(n) for n in range(-5, 6)]
+    expos += [4.5, -4.5, 0.5, math.nextafter(2.0, 0.0), math.nextafter(2.0, 3.0)]
+    expos += [float(e) for e in rng.uniform(-6.0, 6.0, 40)]
+    bases = [1e-300, 1.0, 50.0, 1e200]
+    bases += [float(b) for b in rng.uniform(0.01, 50.0, 200)]
+    bases += [float(b) for b in 10.0 ** rng.uniform(-300.0, 300.0, 200)]
+    for expo in expos:
+        power = _power(expo)
+        for base in bases:
+            want = _bits(_fpow_rule(base, expo))
+            assert _bits(power(base)) == want, (base, expo)
+            assert _bits(fpow(base, expo)) == want, (base, expo)
+
+
+def test_fpow_result_keeps_the_exponents_type():
+    # equal exponents of different types must not share one callable
+    assert type(fpow(1.7, 2.5)) is float
+    assert type(fpow(1.7, np.float64(2.5))) is np.float64
+    assert type(fpow(1.7, 2.5)) is float
+
+
+def test_power_helper_maps_pow_overflow_to_inf():
+    # exponents off the multiplication branch, where ** itself raises
+    for base, expo in ((1e200, 4.5), (1e200, 5.0), (1e-300, -5.0), (50.0, 1000.5)):
+        with pytest.raises(OverflowError):
+            base**expo
+        assert _power(expo)(base) == math.inf
+        assert fpow(base, expo) == math.inf
+    # the multiplication branch overflows to inf on its own
+    assert _power(4.0)(1e200) == math.inf
+    assert _power(-4.0)(1e-300) == math.inf
 
 
 def test_softplus_oracle():

@@ -5,7 +5,7 @@ import warnings
 import numpy as np
 import pytest
 
-from mutdyn.errors import DomainError
+from mutdyn.errors import DomainError, RangeError
 from mutdyn.orbits import (
     _phi_drift_pass,
     MAX_ORBIT_POINTS,
@@ -22,7 +22,7 @@ from mutdyn.orbits import (
     scan_grid,
 )
 from mutdyn.params import Params
-from mutdyn.rational import PointPos
+from mutdyn.rational import PointPos, mu_x
 from mutdyn.tropical import PointPL
 
 
@@ -77,6 +77,56 @@ def test_truncation_on_float_range_exit():
     assert orbit.points.shape == (1, 2)
     assert orbit.steps == 0
     assert orbit.requested_steps == 50
+
+
+def test_rational_orbit_steps_mu_x_bit_for_bit():
+    below, above = math.nextafter(2.0, 0.0), math.nextafter(2.0, 3.0)
+    cases = [
+        ((4.0, 4.0), (1e80, 1e80)),
+        ((1.0, 1.0), (1.0, 1.0)),
+        ((2.0, 1.0), (1e-200, 1.0)),
+        ((3.0, 2.0), (0.7, 1.9)),
+        ((2.0, 2.0), (1.3, 0.4)),
+        ((1.5, 0.5), (2.0, 3.0)),
+        ((below, above), (1.1, 0.9)),
+        ((above, 3.0), (5.0, 0.2)),
+        ((4.5, 3.5), (1e10, 1e-5)),
+    ]
+    rng = np.random.default_rng(24)
+    for _ in range(20):
+        pq = tuple(float(v) for v in rng.uniform(0.2, 4.5, 2))
+        cases.append((pq, tuple(float(v) for v in 10.0 ** rng.uniform(-3.0, 3.0, 2))))
+    truncated = 0
+    for (p, q), start in cases:
+        params = Params(p, q)
+        orbit = iterate_orbit(params, OrbitKind.RATIONAL, start, 300)
+        pt = PointPos(*start)
+        points = [pt.as_tuple()]
+        trunc = None
+        for i in range(1, 301):
+            try:
+                pt = mu_x(params, pt)
+            except RangeError:
+                trunc = i
+                break
+            points.append(pt.as_tuple())
+        assert orbit.truncated_at == trunc, (p, q, start)
+        assert orbit.points.tobytes() == np.array(points, dtype=float).tobytes(), (p, q, start)
+        truncated += trunc is not None
+    assert 0 < truncated < len(cases)
+
+
+def test_log_radius_is_the_log_of_each_points_max_norm():
+    orbits = [
+        iterate_orbit(Params(1.3, 0.8), OrbitKind.TROPICAL, (-0.0, 1e150), 200),
+        iterate_orbit(Params(3.0, 3.0), OrbitKind.TROPICAL, (0.0, -0.0), 20),
+        iterate_orbit(Params(1.0, 1.0), OrbitKind.TROPICAL, (-2.5, 0.0), 20),
+        iterate_orbit(Params(2.0, 2.0), OrbitKind.RATIONAL, (1.3, 0.4), 300),
+    ]
+    for orbit in orbits:
+        with np.errstate(divide="ignore"):
+            want = np.log(np.max(np.abs(orbit.points), axis=1))
+        assert orbit.log_radius.tobytes() == want.tobytes()
 
 
 def test_truncated_orbit_classifies_exponential_without_length_gate():

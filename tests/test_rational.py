@@ -143,6 +143,34 @@ def test_range_error_on_overflow():
             pt = mu_x(params, pt)
 
 
+def test_closed_step_reports_an_underflowed_denominator_as_range_exit():
+    # x^p * y underflows to 0, so the closed form's y-denominator is 0
+    params = Params(2.0, 1.0)
+    pt = PointPos(1e-200, 1.0)
+    with pytest.raises(RangeError, match="mu2_x left the representable positive quadrant"):
+        mu_x(params, pt)
+    with pytest.raises(RangeError, match="mu_x_closed left the representable positive quadrant"):
+        mu_x_closed(params, pt)
+
+
+def test_uv_maps_report_range_exits_as_range_errors():
+    # valid inputs whose images overflow or underflow; the coordinate
+    # changes report them as the (u, v) reflections do
+    cases = [
+        (mu1_uv, Params(2.0, 2.0), UVPoint(1e-300, 1e200)),
+        (mu2_uv, Params(2.0, 2.0), UVPoint(1e200, 1e-200)),
+        (to_uv, Params(2.0, 1.0), PointPos(1e-200, 1.0)),
+        (to_uv, Params(2.0, 1.0), PointPos(1e200, 1.0)),
+        (to_uv, Params(1.0, 1.0), PointPos(1.0, 1e-200)),
+        (to_uv, Params(1.0, 1.0), PointPos(1.0, 1e200)),
+        (from_uv, Params(0.5, 1.0), UVPoint(1e-300, 1.0)),
+        (from_uv, Params(0.5, 1.0), UVPoint(1e300, 1.0)),
+    ]
+    for fn, params, pt in cases:
+        with pytest.raises(RangeError, match=f"{fn.__name__} left the representable positive quadrant"):
+            fn(params, pt)
+
+
 def test_uv_change_of_coordinates_commutes():
     rng = np.random.default_rng(36)
     for _ in range(300):
