@@ -21,6 +21,7 @@ import subprocess
 import sys
 import time
 from dataclasses import dataclass
+from functools import reduce
 
 import numpy as np
 
@@ -31,17 +32,21 @@ from .orbits import (
     StartPolicy,
     GrowthKind,
     _phi_drift_pass,
+    _tropical_orbits,
     iterate_orbit,
     monotonic_angle_audit,
     scan_grid,
 )
-from .params import Params, theta_of
+from .params import DEFAULT_TOL, Params, kappa_nu, theta_of
 from .rational import PointPos, mu_x_log, symplectic_residual
 from .tropical import (
     PointPL,
+    _closed_forms,
     _record_orbit,
+    _sign_coherent_indices,
+    _tau_step,
+    _trig_forms,
     detect_period,
-    first_sign_coherent_index,
     mu1_c,
     mu1_c_branch_matrices,
     mu2_c,
@@ -49,9 +54,6 @@ from .tropical import (
     mu_c,
     mu_c_branch_matrices,
     tau,
-    tau1,
-    tau_closed_form,
-    tau_trig_form,
 )
 
 __all__ = ["Criterion", "CRITERIA", "run_all"]
@@ -220,15 +222,18 @@ def _c7_angle_and_signs():
         q = float(rng.uniform(4.2, 9.0)) / p
         pairs.append((p, q))
     slack = 1e-12
+    # nothing below draws, so every start can be drawn first
+    starts = [[PointPL(*_draw_start(rng)) for _ in range(100)] for _ in pairs]
+    flat = [(p, q, start.s, start.t) for (p, q), row in zip(pairs, starts) for start in row]
+    coherent = iter(_sign_coherent_indices(*np.array(flat).T, 500, DEFAULT_TOL.eq_tol))
     worst_n = -1
     nonneg = negative = 0
     witness = None
-    for p, q in pairs:
+    for (p, q), row in zip(pairs, starts):
         params = Params(p, q)
-        for _ in range(100):
-            start = PointPL(*_draw_start(rng))
+        s0, t0 = np.array([start.as_tuple() for start in row]).T
+        for start, orbit in zip(row, _tropical_orbits(params, s0, t0, 200)):
             where = f"p={p} q={q} start={start.as_tuple()}"
-            orbit = iterate_orbit(params, OrbitKind.TROPICAL, start, 200)
             value = float(orbit.phi[0])
             if value >= 0.0:
                 nonneg += 1
@@ -245,7 +250,7 @@ def _c7_angle_and_signs():
                     return False, f"unlifted angle fell at step {fell[0] + 1}, {where}"
                 if witness is None:
                     witness = (p, q, start.as_tuple(), value, monotonic_angle_audit(orbit, slack))
-            n0 = first_sign_coherent_index(params, start, cap=500)
+            n0 = next(coherent)
             if n0 is None:
                 return False, f"no sign coherence by 500 for {where}"
             worst_n = max(worst_n, n0)
@@ -263,38 +268,36 @@ def _c7_angle_and_signs():
 
 def _c8_closed_forms():
     rng = _rng(8)
-    worst = 0.0
+    params, starts = [], []
     for trial in range(1000):
         sub = trial < 600
         pq = float(rng.uniform(0.2, 3.9)) if sub else float(rng.uniform(4.0, 7.0))
         p = float(rng.uniform(0.3, 2.5))
-        params = Params(p, pq / p)
-        pt = PointPL(*rng.uniform(-3.0, 3.0, 2))
-        cur = pt
-        for n in range(31):
-            closed, closed_t = tau_closed_form(params, n, pt)
-            tilde = tau1(params, cur)
-            scale = max(
-                1.0, abs(cur.s), abs(cur.t), abs(closed.s), abs(closed.t), abs(closed_t.t)
-            )
-            err = max(
-                abs(closed.s - cur.s),
-                abs(closed.t - cur.t),
-                abs(closed_t.s + cur.s),
-                abs(closed_t.t - tilde.t),
-            )
-            if sub:
-                trig, trig_t = tau_trig_form(params, n, pt)
-                err = max(
-                    err,
-                    abs(trig.s - closed.s),
-                    abs(trig.t - closed.t),
-                    abs(trig_t.t - closed_t.t),
-                )
-            worst = max(worst, err / scale)
-            if err > 1e-9 * scale:
-                return False, f"closed form off by {err:.2e} at n={n}, params={params}"
-            cur = tau(params, cur)
+        params.append(Params(p, pq / p))
+        starts.append(PointPL(*rng.uniform(-3.0, 3.0, 2)).as_tuple())
+    # one column per trial, one row per n = 0..30
+    p, q = np.array([(prm.p, prm.q) for prm in params]).T
+    kappa, nu = np.array([kappa_nu(prm) for prm in params]).T
+    s0, t0 = np.array(starts).T
+    cur_s, cur_t = np.empty((2, 31, len(params)))
+    cur_s[0], cur_t[0] = s0, t0
+    for n in range(1, 31):
+        cur_s[n], cur_t[n] = _tau_step(p, q, cur_s[n - 1], cur_t[n - 1])
+    tilde_t = cur_t + p * cur_s
+    sn, tn, tn_t = _closed_forms(kappa, nu, 30, s0, t0)
+    scale = reduce(np.maximum, (1.0, abs(cur_s), abs(cur_t), abs(sn), abs(tn), abs(tn_t)))
+    err = reduce(np.maximum, (abs(sn - cur_s), abs(tn - cur_t), abs(-sn + cur_s), abs(tn_t - tilde_t)))
+    sub = slice(0, 600)
+    thetas = [theta_of(prm) for prm in params[sub]]
+    trig_s, trig_t, trig_t_t = _trig_forms(thetas, nu[sub], 30, s0[sub], t0[sub])
+    trig_err = (abs(trig_s - sn[:, sub]), abs(trig_t - tn[:, sub]), abs(trig_t_t - tn_t[:, sub]))
+    err[:, sub] = reduce(np.maximum, trig_err, err[:, sub])
+    # the first failure in trial order, then n
+    failing = np.flatnonzero((err > 1e-9 * scale).T)
+    if len(failing):
+        trial, n = divmod(int(failing[0]), 31)
+        return False, f"closed form off by {err[n, trial]:.2e} at n={n}, params={params[trial]}"
+    worst = float(np.max(err / scale))
     agree = 0
     rng2 = _rng(80)
     while agree < 300:

@@ -11,7 +11,16 @@ import numpy as np
 from .errors import DomainError
 from .params import DEFAULT_TOL, Params, Regime, classify_regime
 from .rational import PointPos
-from .tropical import PointPL, _banded_signs, _conserved, _lift, _quad_coefs, _record_orbit
+from .tropical import (
+    PointPL,
+    _banded_signs,
+    _conserved,
+    _lift,
+    _pl_step,
+    _quad_coefs,
+    _record_orbit,
+    _record_orbits,
+)
 from .floatops import _power
 
 __all__ = [
@@ -193,6 +202,20 @@ def iterate_orbit(params: Params, kind: OrbitKind, start, steps: int) -> Orbit:
     return Orbit(params=params, kind=kind, points=pts, requested_steps=steps, truncated_at=trunc)
 
 
+def _tropical_orbits(params: Params, s0, t0, steps: int) -> list:
+    # iterate_orbit's tropical orbits for many starts, recorded in one
+    # array pass: one Orbit per start, with the scalar recorder's bits
+    ss, ts, truncs = _record_orbits(params.p, params.q, s0, t0, steps)
+    orbits = []
+    for j, trunc in enumerate(truncs):
+        end = steps + 1 if trunc is None else trunc
+        pts = np.column_stack([ss[:end, j], ts[:end, j]])
+        orbits.append(
+            Orbit(params, OrbitKind.TROPICAL, pts, requested_steps=steps, truncated_at=trunc)
+        )
+    return orbits
+
+
 def growth_classification(orbit: Orbit, delta: float = 0.01) -> GrowthVerdict:
     """Classify tail growth of the radius over the final half of an orbit.
 
@@ -324,10 +347,7 @@ def _phi_drift_pass(p, q, s0, t0, steps: int, scale_caps: tuple):
         denom = np.maximum(1.0, np.abs(base))
         drifts = [np.zeros_like(base) for _ in scale_caps]
         for _ in range(steps):
-            ns = -s
-            t1 = np.where(s > zero, t + p * s, t)
-            s = np.where(t1 > zero, ns + q * t1, ns)
-            t = -t1
+            s, t = _pl_step(p, q, s, t)
             d = np.abs(_conserved(coefs, s, t) - base) / denom
             # a step adds nothing once d, and so the quadratic, is not finite
             d = np.where(np.isfinite(d), d, zero)

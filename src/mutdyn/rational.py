@@ -113,6 +113,13 @@ def _finite_point(x: float, y: float, where: str, point=PointPos):
     return point(x, y)
 
 
+def _finite_value(value: float, where: str) -> float:
+    # a valid input whose value overflows is a RangeError, as for the maps
+    if not math.isfinite(value):
+        raise RangeError(f"{where} left float range")
+    return value
+
+
 def mu1_x(params: Params, pt: PointPos) -> PointPos:
     """First reflection: x -> (1 + y^q)/x, an involution fixing x^2 = 1 + y^q."""
     return _finite_point((1.0 + fpow(pt.y, params.q)) / pt.x, pt.y, "mu1_x")
@@ -232,14 +239,15 @@ def H_dist(params: Params, v: float) -> float:
     dip first (p = 0.5, q = 9 shrinks until about v = 1.4).  At the
     critical product with p = q = 2 it degenerates to the constant 2.
     Lower-bounds the u-increment of any escape step crossing from
-    above the second curve to beyond the first at that height.
+    above the second curve to beyond the first at that height.  A gap
+    beyond float range raises RangeError.
     """
     if classify_regime(params) is Regime.SUBCRITICAL:
         raise RegimeError(f"curve gap needs pq >= 4, got pq={params.pq!r}")
     v = float(v)
     if not (math.isfinite(v) and v >= 1.0):
         raise DomainError(f"height must be >= 1, got {v!r}")
-    return _mu1_curve_u(params, v) - v + 1.0
+    return _finite_value(_mu1_curve_u(params, v) - v + 1.0, "H_dist")
 
 
 def V_dist(params: Params, u: float) -> float:
@@ -251,14 +259,15 @@ def V_dist(params: Params, u: float) -> float:
     2 just past the corner before growing (q here plays the role p
     plays for the horizontal gap, on the other side of 2 because this
     curve enters the formula through its inverse).  Constant 2 in the
-    degenerate critical case p = q = 2.
+    degenerate critical case p = q = 2.  A gap whose evaluation leaves
+    float range raises RangeError.
     """
     if classify_regime(params) is Regime.SUBCRITICAL:
         raise RegimeError(f"curve gap needs pq >= 4, got pq={params.pq!r}")
     u = float(u)
     if not (math.isfinite(u) and u >= 1.0):
         raise DomainError(f"position must be >= 1, got {u!r}")
-    return 1.0 + u - fpow(fpow(u, 2.0 / params.p) - 1.0, 2.0 / params.q)
+    return _finite_value(1.0 + u - fpow(fpow(u, 2.0 / params.p) - 1.0, 2.0 / params.q), "V_dist")
 
 
 def fixed_curves(params: Params, coord: float) -> tuple[float, float]:
@@ -267,11 +276,13 @@ def fixed_curves(params: Params, coord: float) -> tuple[float, float]:
     Returns (x_fix, y_fix) where x_fix = sqrt(1 + coord^q) is the x
     fixed by the first reflection at height y = coord and y_fix =
     sqrt(1 + coord^p) is the y fixed by the second at x = coord.
+    Either value beyond float range raises RangeError.
     """
     c = float(coord)
     if not (math.isfinite(c) and c > 0.0):
         raise DomainError(f"coordinate must be finite and positive, got {coord!r}")
-    return math.sqrt(1.0 + fpow(c, params.q)), math.sqrt(1.0 + fpow(c, params.p))
+    x_fix = _finite_value(math.sqrt(1.0 + fpow(c, params.q)), "fixed_curves")
+    return x_fix, _finite_value(math.sqrt(1.0 + fpow(c, params.p)), "fixed_curves")
 
 
 def _central_jacobian(fn, a: float, b: float, h: float):

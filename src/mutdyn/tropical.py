@@ -212,7 +212,21 @@ def tau(params: Params, pt: PointPL) -> PointPL:
     composition so that it agrees with mu_c bit for bit wherever the
     branch quantities are strictly positive.
     """
-    return tau2(params, tau1(params, pt))
+    return PointPL(*_tau_step(params.p, params.q, pt.s, pt.t))
+
+
+def _tau_step(p, q, s, t):
+    # tau2 after tau1 on floats or arrays alike, with their bits
+    t1 = t + p * s
+    return -s + q * t1, -t1
+
+
+def _pl_step(p, q, s, t):
+    # the composed step on arrays, the same arithmetic as _record_orbit's
+    # scalar loop; callers silence the overflow the unused branch can hit
+    ns = -s
+    t1 = np.where(s > 0.0, t + p * s, t)
+    return np.where(t1 > 0.0, ns + q * t1, ns), -t1
 
 
 def chebyshev_u(n: int, x: float) -> float:
@@ -224,16 +238,66 @@ def chebyshev_u(n: int, x: float) -> float:
     n = int(n)
     if n < -1:
         raise DomainError(f"index must be >= -1, got {n}")
-    return _cheb_table(x, n)[n + 2]
+    return float(_cheb_table(x, n)[n + 2])
 
 
-def _cheb_table(x: float, top: int) -> list[float]:
-    # values U_{-2}..U_{top} of the recurrence at x; index k lives at [k + 2].
+def _cheb_table(x, top: int) -> np.ndarray:
+    # values U_{-2}..U_{top} of the recurrence at x, U_k in row k + 2 and
+    # one column per entry of an array x; every row depends only on the
+    # rows above it, so a longer table keeps the bits of a shorter one.
     # U_0 is seeded rather than computed, since 2x * 0 is nan at infinite x
-    vals = [-1.0, 0.0, 1.0]
-    for _ in range(top):
-        vals.append(2.0 * x * vals[-1] - vals[-2])
+    x = np.asarray(x, dtype=float)
+    vals = np.empty((max(top, 0) + 3,) + x.shape)
+    vals[0], vals[1], vals[2] = -1.0, 0.0, 1.0
+    two_x = 2.0 * x
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(3, len(vals)):
+            vals[k] = two_x * vals[k - 1] - vals[k - 2]
     return vals
+
+
+def _iterate_count(n) -> int:
+    n = int(n)
+    if n < 0:
+        raise DomainError(f"iterate count must be >= 0, got {n}")
+    return n
+
+
+def _form_pair(forms, n: int) -> tuple[PointPL, PointPL]:
+    sn, tn, tn_t = (float(v[n]) for v in forms)
+    return PointPL(sn, tn), PointPL(-sn, tn_t)
+
+
+def _closed_forms(kappa, nu, top: int, s, t):
+    # tau^n (s, t) as (sn, tn), and tn_t, the second coordinate of tau1
+    # on top, for n = 0..top in rows; kappa, nu, s and t broadcast to
+    # the columns.  Row n reads U_{2n-2}..U_{2n+1} of one table, with
+    # the index -2 at n = 0 taking the standard extension's value -1
+    kappa, nu, s, t = np.broadcast_arrays(kappa, nu, s, t)
+    u = _cheb_table(kappa / 2.0, 2 * top + 1)
+    u_lo, u_odd, u_even, u_hi = u[0:-3:2], u[1:-2:2], u[2:-1:2], u[3::2]
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        sn = s * u_even + t * (u_odd / nu)
+        tn = -s * (nu * u_odd) - t * u_lo
+        tn_t = s * (nu * u_hi) + t * u_even
+    return sn, tn, tn_t
+
+
+def _trig_forms(theta, nu, top: int, s, t):
+    # the rows of _closed_forms through sines of multiples of theta, each
+    # math.sin of the product k * theta (U_k stands for sin((k + 1) theta),
+    # and the slices are named by that k)
+    th, nu, s, t = np.broadcast_arrays(np.asarray(theta, dtype=float), nu, s, t)
+    flat = th.ravel().tolist()
+    sines = np.array([[math.sin(k * x) for x in flat] for k in range(-1, 2 * top + 3)])
+    sines = sines.reshape((-1,) + th.shape)
+    sth = sines[2]
+    u_lo, u_odd, u_even, u_hi = sines[0:-3:2], sines[1:-2:2], sines[2:-1:2], sines[3::2]
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        sn = s * u_even / sth + t * u_odd / (nu * sth)
+        tn = -s * nu * u_odd / sth - t * u_lo / sth
+        tn_t = s * nu * u_hi / sth + t * u_even / sth
+    return sn, tn, tn_t
 
 
 def tau_closed_form(params: Params, n: int, pt: PointPL) -> tuple[PointPL, PointPL]:
@@ -244,35 +308,17 @@ def tau_closed_form(params: Params, n: int, pt: PointPL) -> tuple[PointPL, Point
     n = 0 uses the standard extension to the value -1.  Returns the
     pair (tau^n pt, tau1 tau^n pt).
     """
-    n = int(n)
-    if n < 0:
-        raise DomainError(f"iterate count must be >= 0, got {n}")
+    n = _iterate_count(n)
     kappa, nu = kappa_nu(params)
-    vals = _cheb_table(kappa / 2.0, 2 * n + 1)
-
-    def u(k: int) -> float:
-        return vals[k + 2]
-
-    s, t = pt.s, pt.t
-    sn = s * u(2 * n) + t * (u(2 * n - 1) / nu)
-    tn = -s * (nu * u(2 * n - 1)) - t * u(2 * n - 2)
-    tn_t = s * (nu * u(2 * n + 1)) + t * u(2 * n)
-    return PointPL(sn, tn), PointPL(-sn, tn_t)
+    return _form_pair(_closed_forms(kappa, nu, n, pt.s, pt.t), n)
 
 
 def tau_trig_form(params: Params, n: int, pt: PointPL) -> tuple[PointPL, PointPL]:
     """The same pair through sines of multiples of theta; pq < 4 only."""
-    n = int(n)
-    if n < 0:
-        raise DomainError(f"iterate count must be >= 0, got {n}")
+    n = _iterate_count(n)
     th = theta_of(params)
     _, nu = kappa_nu(params)
-    sth = math.sin(th)
-    s, t = pt.s, pt.t
-    sn = s * math.sin((2 * n + 1) * th) / sth + t * math.sin(2 * n * th) / (nu * sth)
-    tn = -s * nu * math.sin(2 * n * th) / sth - t * math.sin((2 * n - 1) * th) / sth
-    tn_t = s * nu * math.sin((2 * n + 2) * th) / sth + t * math.sin((2 * n + 1) * th) / sth
-    return PointPL(sn, tn), PointPL(-sn, tn_t)
+    return _form_pair(_trig_forms(th, nu, n, pt.s, pt.t), n)
 
 
 def polar_angle(params: Params, pt: PointPL) -> PolarAngle:
@@ -354,6 +400,25 @@ def _record_orbit(params: Params, s: float, t: float, steps: int):
     return ss, ts, trunc
 
 
+def _record_orbits(p, q, s0, t0, steps: int):
+    # _record_orbit for many starts at once, one column per start after
+    # p, q, s0 and t0 broadcast: (steps + 1)-row arrays of s and t, and
+    # per column the 1-based step that left float range (None if none
+    # did; rows from that step on hold no iterates)
+    p, q, s, t = np.broadcast_arrays(*(np.asarray(v, dtype=float) for v in (p, q, s0, t0)))
+    ss = np.empty((steps + 1,) + s.shape)
+    ts = np.empty_like(ss)
+    ss[0], ts[0] = s, t
+    with np.errstate(over="ignore", invalid="ignore"):
+        for i in range(1, steps + 1):
+            s, t = _pl_step(p, q, s, t)
+            ss[i], ts[i] = s, t
+    bad = ~(np.isfinite(ss) & np.isfinite(ts))
+    first = bad.argmax(axis=0)
+    trunc = [int(i) if b else None for i, b in zip(first.ravel(), bad.any(axis=0).ravel())]
+    return ss, ts, trunc
+
+
 def sign_pair(pt: PointPL, scale: float | None = None, tol: Tolerances = DEFAULT_TOL) -> SignPair:
     """Coordinate signs with a zero band of eq_tol times max(1, scale).
 
@@ -385,32 +450,39 @@ def first_sign_coherent_index(
     cap = int(cap)
     if cap < 0:
         raise DomainError(f"cap must be >= 0, got {cap}")
-    p, q = params.p, params.q
-    eq_tol = tol.eq_tol
-    s, t = pt.s, pt.t
-    # the infinity norm of the current iterate serves both the band and
-    # the renormalization, so it is taken once per step; the conditional
-    # below equals max() bit for bit
-    a, b = abs(s), abs(t)
-    norm = b if b > a else a
-    last_bad = -1
-    for n in range(cap + 1):
-        band = eq_tol * norm if norm > 1.0 else eq_tol
-        if not (s > band and t < -band):
-            last_bad = n
-        if n == cap:
-            break
-        t1 = t + p * s if s > 0.0 else t
-        s = -s + q * t1 if t1 > 0.0 else -s
-        t = -t1
-        a, b = abs(s), abs(t)
-        norm = b if b > a else a
-        if norm > 1e100:
-            s /= norm
-            t /= norm
-            # the larger coordinate is now exactly +-1
-            norm = 1.0
-    return last_bad + 1 if last_bad < cap else None
+    return _sign_coherent_indices(params.p, params.q, pt.s, pt.t, cap, tol.eq_tol)[0]
+
+
+def _infinity_norm(s, t):
+    # max(|s|, |t|) as the scalar conditional takes it, nan in t included
+    a, b = np.abs(s), np.abs(t)
+    return np.where(b > a, b, a)
+
+
+def _sign_coherent_indices(p, q, s0, t0, cap: int, eq_tol: float) -> list:
+    # first_sign_coherent_index for many starts at once, one column per
+    # start after p, q, s0 and t0 broadcast.  The infinity norm of the
+    # current iterates serves both the band and the renormalization;
+    # each column past 1e100 is divided by its own norm, after which its
+    # larger coordinate is exactly +-1.
+    p, q, s, t = np.broadcast_arrays(*(np.asarray(v, dtype=float) for v in (p, q, s0, t0)))
+    last_bad = np.full(s.shape, -1)
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        norm = _infinity_norm(s, t)
+        for n in range(cap + 1):
+            # eq_tol * norm above 1, else eq_tol; fmax gives eq_tol at a nan norm too
+            band = eq_tol * np.fmax(norm, 1.0)
+            last_bad[~((s > band) & (t < -band))] = n
+            if n == cap:
+                break
+            s, t = _pl_step(p, q, s, t)
+            norm = _infinity_norm(s, t)
+            big = norm > 1e100
+            if big.any():
+                s = np.where(big, s / norm, s)
+                t = np.where(big, t / norm, t)
+                norm = np.where(big, 1.0, norm)
+    return [int(b) + 1 if b < cap else None for b in last_bad.ravel()]
 
 
 def slope_angle_delta(params: Params, pt: PointPL, image: PointPL) -> float:

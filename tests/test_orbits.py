@@ -8,6 +8,7 @@ import pytest
 from mutdyn.errors import DomainError, RangeError
 from mutdyn.orbits import (
     _phi_drift_pass,
+    _tropical_orbits,
     MAX_ORBIT_POINTS,
     GrowthKind,
     GrowthVerdict,
@@ -77,6 +78,30 @@ def test_truncation_on_float_range_exit():
     assert orbit.points.shape == (1, 2)
     assert orbit.steps == 0
     assert orbit.requested_steps == 50
+
+
+def test_batched_tropical_orbits_equal_iterate_orbit_bit_for_bit():
+    # one array pass over many starts gives each start's iterate_orbit
+    # orbit: points (signed zeros included), truncation and horizon
+    rng = np.random.default_rng(78)
+    starts = [(1e300, -2e299), (2e299, 1e300), (-1e300, 5e299), (0.0, 0.0), (-0.0, 0.0)]
+    starts += [(0.0, -0.0), (-0.0, -0.0), (1.0, -0.0)]
+    starts += [tuple(float(v) for v in rng.uniform(-3.0, 3.0, 2)) for _ in range(40)]
+    s0, t0 = (np.array(v) for v in zip(*starts))
+    for params in (Params(3.0, 3.0), Params(1.0, 9.0), Params(1.0, 1.0), Params(0.7, 2.1)):
+        for steps in (0, 1, 120):
+            batched = _tropical_orbits(params, s0, t0, steps)
+            assert len(batched) == len(starts)
+            for start, got in zip(starts, batched):
+                want = iterate_orbit(params, OrbitKind.TROPICAL, start, steps)
+                assert got.points.tobytes() == want.points.tobytes()
+                assert got.points.shape == want.points.shape
+                assert got.truncated_at == want.truncated_at
+                assert got.requested_steps == want.requested_steps == steps
+                assert got.kind is OrbitKind.TROPICAL and got.params == params
+                assert np.array_equal(got.phi, want.phi, equal_nan=True)
+    # the near-range starts at pq = 9 do truncate
+    assert all(o.truncated for o in _tropical_orbits(Params(3.0, 3.0), s0[:3], t0[:3], 120))
 
 
 def test_rational_orbit_steps_mu_x_bit_for_bit():

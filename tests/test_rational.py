@@ -171,6 +171,24 @@ def test_uv_maps_report_range_exits_as_range_errors():
             fn(params, pt)
 
 
+def test_fixed_curve_helpers_report_range_exits_as_range_errors():
+    # valid inputs whose values leave float range; V_dist used to return
+    # -inf for a gap that is positive
+    cases = [
+        (fixed_curves, Params(2.0, 2.0), 1e200),
+        (fixed_curves, Params(0.5, 400.0), 1e2),
+        (H_dist, Params(3.0, 3.0), 1e200),
+        (V_dist, Params(1.0, 4.0), 1e200),
+    ]
+    for fn, params, arg in cases:
+        with pytest.raises(RangeError, match=f"{fn.__name__} left float range"):
+            fn(params, arg)
+    # in range, the values are those of the unchecked formulas
+    assert fixed_curves(Params(2.0, 2.0), 1e100) == (math.sqrt(1.0 + 1e200), math.sqrt(1.0 + 1e200))
+    assert H_dist(Params(3.0, 3.0), 1.0) == 2.0**1.5
+    assert V_dist(Params(1.0, 4.0), 3.0) == 1.0 + 3.0 - (3.0**2 - 1.0) ** 0.5
+
+
 def test_uv_change_of_coordinates_commutes():
     rng = np.random.default_rng(36)
     for _ in range(300):

@@ -33,6 +33,7 @@ from mutdyn.tropical import (
     slope_angle_delta,
     tau,
     tau1,
+    tau2,
     tau_closed_form,
     tau_trig_form,
 )
@@ -410,3 +411,235 @@ def test_branch_matrices_reproduce_the_map():
             img = mu_c(params, pt)
             assert close_rel(via_mat[0], img.s, 1e-12)
             assert close_rel(via_mat[1], img.t, 1e-12)
+
+
+# The array kernels against the scalar arithmetic they replace.  The
+# oracles below are the per-point loops and per-n formulas as they were
+# written before the kernels, kept here verbatim in their arithmetic.
+
+
+def _bits(values) -> bytes:
+    return np.asarray(values, dtype=float).tobytes()
+
+
+def _same_bits(a, b) -> bool:
+    # bit-equal, except that nans match nans (their payloads are not pinned)
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    nan = np.isnan(a)
+    return a.shape == b.shape and np.array_equal(nan, np.isnan(b)) and _bits(a[~nan]) == _bits(b[~nan])
+
+
+def _recorder_cases():
+    # (p, q, s0, t0) per column: mixed exponents, signed zeros, the
+    # origin, and starts near 1e300 at pq = 9 that leave float range
+    rng = np.random.default_rng(71)
+    cases = [
+        (3.0, 3.0, 1e300, -2e299),
+        (3.0, 3.0, 2e299, 1e300),
+        (1.0, 9.0, -1e300, 5e299),
+        (3.0, 3.0, 1.7e300, -1.7e300),
+        (2.0, 2.0, 0.0, 0.0),
+        (1.0, 1.0, -0.0, 0.0),
+        (1.0, 1.0, 0.0, -0.0),
+        (1.5, 0.5, -0.0, -0.0),
+        (1.0, 1.0, 1.0, -0.0),
+    ]
+    for _ in range(60):
+        p = float(rng.uniform(0.3, 3.0))
+        q = float(rng.uniform(0.2, 12.0)) / p
+        s0, t0 = (float(v) for v in rng.uniform(-3.0, 3.0, 2))
+        cases.append((p, q, s0, t0))
+    return cases
+
+
+def test_record_orbits_columns_equal_the_scalar_recorder_bit_for_bit():
+    cases = _recorder_cases()
+    p, q, s0, t0 = (np.array(v) for v in zip(*cases))
+    for steps in (0, 1, 150):
+        ss, ts, truncs = tropical._record_orbits(p, q, s0, t0, steps)
+        assert ss.shape == ts.shape == (steps + 1, len(cases))
+        for j, (pj, qj, sj, tj) in enumerate(cases):
+            want_s, want_t, want_trunc = tropical._record_orbit(Params(pj, qj), sj, tj, steps)
+            assert truncs[j] == want_trunc
+            end = len(want_s)
+            assert _bits(ss[:end, j]) == _bits(want_s)
+            assert _bits(ts[:end, j]) == _bits(want_t)
+    # the near-range starts truncate, at different steps
+    _, _, truncs = tropical._record_orbits(p, q, s0, t0, 150)
+    assert None not in truncs[:4] and len(set(truncs[:4])) > 1
+    # scalars broadcast against start arrays
+    ss, ts, _ = tropical._record_orbits(2.0, 3.0, s0, t0, 20)
+    for j, (_, _, sj, tj) in enumerate(cases):
+        want_s, want_t, trunc = tropical._record_orbit(Params(2.0, 3.0), sj, tj, 20)
+        assert _bits(ss[: len(want_s), j]) == _bits(want_s)
+
+
+def test_pl_step_equals_the_composed_map_bit_for_bit():
+    rng = np.random.default_rng(72)
+    for _ in range(200):
+        params = Params(float(rng.uniform(0.2, 3.0)), float(rng.uniform(0.2, 3.0)))
+        s, t = (float(v) for v in rng.choice([-1.0, -0.0, 0.0, 1.0], 2) * rng.uniform(0.0, 4.0, 2))
+        image = mu_c(params, PointPL(s, t))
+        got = tropical._pl_step(params.p, params.q, np.array(s), np.array(t))
+        assert _bits(got) == _bits(image.as_tuple())
+
+
+def _scalar_sign_coherent_index(params, pt, cap=500, tol=DEFAULT_TOL):
+    # first_sign_coherent_index's former per-point loop
+    p, q = params.p, params.q
+    eq_tol = tol.eq_tol
+    s, t = pt.s, pt.t
+    a, b = abs(s), abs(t)
+    norm = b if b > a else a
+    last_bad = -1
+    for n in range(cap + 1):
+        band = eq_tol * norm if norm > 1.0 else eq_tol
+        if not (s > band and t < -band):
+            last_bad = n
+        if n == cap:
+            break
+        t1 = t + p * s if s > 0.0 else t
+        s = -s + q * t1 if t1 > 0.0 else -s
+        t = -t1
+        a, b = abs(s), abs(t)
+        norm = b if b > a else a
+        if norm > 1e100:
+            s /= norm
+            t /= norm
+            norm = 1.0
+    return last_bad + 1 if last_bad < cap else None
+
+
+def test_sign_coherence_reduction_equals_the_scalar_loop():
+    rng = np.random.default_rng(73)
+    cases = []
+    for k in range(150):
+        p = float(rng.uniform(0.3, 3.0))
+        q = float(rng.uniform(0.2, 12.0)) / p
+        # a third of the starts sit near 1e99, so their orbits pass the
+        # renormalization threshold within a few steps
+        scale = 1e99 if k % 3 == 0 else 1.0
+        s0, t0 = (float(v) * scale for v in rng.uniform(-3.0, 3.0, 2))
+        cases.append((Params(p, q), PointPL(s0, t0)))
+    cases += [(Params(3.0, 3.0), PointPL(0.0, 0.0)), (Params(1.0, 5.0), PointPL(-0.0, 1.0))]
+    renormalized = sum(
+        1
+        for params, pt in cases
+        if np.max(np.abs(tropical._record_orbit(params, pt.s, pt.t, 500)[:2])) > 1e100
+    )
+    assert renormalized > 30
+    p, q, s0, t0 = (np.array(v) for v in zip(*((c.p, c.q, pt.s, pt.t) for c, pt in cases)))
+    for cap in (0, 1, 500):
+        got = tropical._sign_coherent_indices(p, q, s0, t0, cap, DEFAULT_TOL.eq_tol)
+        want = [_scalar_sign_coherent_index(params, pt, cap) for params, pt in cases]
+        assert got == want
+        # the public wrapper, one start at a time, on every fifth case
+        wrapped = [first_sign_coherent_index(params, pt, cap) for params, pt in cases[::5]]
+        assert wrapped == want[::5]
+    assert any(n is None for n in want) and any(n is not None and n > 0 for n in want)
+
+
+def _scalar_closed_form(params, n, pt):
+    # tau_closed_form's former per-n formula, from a table built up to 2n + 1
+    kappa, nu = tropical.kappa_nu(params)
+    x = kappa / 2.0
+    vals = [-1.0, 0.0, 1.0]
+    for _ in range(2 * n + 1):
+        vals.append(2.0 * x * vals[-1] - vals[-2])
+
+    def u(k):
+        return vals[k + 2]
+
+    s, t = pt.s, pt.t
+    sn = s * u(2 * n) + t * (u(2 * n - 1) / nu)
+    tn = -s * (nu * u(2 * n - 1)) - t * u(2 * n - 2)
+    tn_t = s * (nu * u(2 * n + 1)) + t * u(2 * n)
+    return sn, tn, tn_t
+
+
+def _scalar_trig_form(params, n, pt):
+    # tau_trig_form's former per-n formula
+    th = tropical.theta_of(params)
+    _, nu = tropical.kappa_nu(params)
+    sth = math.sin(th)
+    s, t = pt.s, pt.t
+    sn = s * math.sin((2 * n + 1) * th) / sth + t * math.sin(2 * n * th) / (nu * sth)
+    tn = -s * nu * math.sin(2 * n * th) / sth - t * math.sin((2 * n - 1) * th) / sth
+    tn_t = s * nu * math.sin((2 * n + 2) * th) / sth + t * math.sin((2 * n + 1) * th) / sth
+    return sn, tn, tn_t
+
+
+def test_array_closed_forms_equal_the_per_n_formulas():
+    rng = np.random.default_rng(74)
+    params_list = [Params(2.0, 2.0), Params(1.0, 4.0), Params(1e200, 1e200)]
+    for pq in list(rng.uniform(0.2, 3.9, 8)) + list(rng.uniform(4.0, 9.0, 8)):
+        p = float(rng.uniform(0.3, 2.5))
+        params_list.append(Params(p, float(pq) / p))
+    top = 40
+    for params in params_list:
+        starts = [PointPL(*(float(v) for v in rng.uniform(-3.0, 3.0, 2))), PointPL(-0.0, 1.0)]
+        kappa, nu = tropical.kappa_nu(params)
+        s0 = np.array([pt.s for pt in starts])
+        t0 = np.array([pt.t for pt in starts])
+        # one column per start, and a start on its own
+        columns = tropical._closed_forms(kappa, nu, top, s0, t0)
+        alone = tropical._closed_forms(kappa, nu, top, starts[0].s, starts[0].t)
+        trig = None
+        if params.pq < 4.0:
+            trig = tropical._trig_forms(tropical.theta_of(params), nu, top, s0, t0)
+        for n in range(top + 1):
+            for j, pt in enumerate(starts):
+                want = _scalar_closed_form(params, n, pt)
+                assert _same_bits([v[n, j] for v in columns], want)
+                if trig is not None:
+                    assert _same_bits([v[n, j] for v in trig], _scalar_trig_form(params, n, pt))
+            assert _same_bits([v[n] for v in alone], _scalar_closed_form(params, n, starts[0]))
+    # at infinite x the table runs into inf and nan, as the list recurrence did
+    assert math.isinf(tropical.kappa_nu(Params(1e200, 1e200))[0])
+    table = tropical._cheb_table(math.inf, 6)
+    assert _same_bits(table, [-1.0, 0.0, 1.0, math.inf, math.inf, math.nan, math.nan, math.nan, math.nan])
+
+
+def test_array_closed_forms_take_one_x_per_column():
+    # several parameter pairs side by side give each pair's own columns
+    rng = np.random.default_rng(75)
+    params_list = [Params(float(p), float(pq) / float(p)) for p, pq in zip(rng.uniform(0.3, 2.5, 12), rng.uniform(0.2, 3.9, 12))]
+    kappa, nu = (np.array(v) for v in zip(*(tropical.kappa_nu(prm) for prm in params_list)))
+    theta = [tropical.theta_of(prm) for prm in params_list]
+    s0, t0 = rng.uniform(-3.0, 3.0, (2, 12))
+    wide = tropical._closed_forms(kappa, nu, 30, s0, t0)
+    wide_trig = tropical._trig_forms(theta, nu, 30, s0, t0)
+    for j, params in enumerate(params_list):
+        narrow = tropical._closed_forms(kappa[j], nu[j], 30, s0[j], t0[j])
+        narrow_trig = tropical._trig_forms(theta[j], nu[j], 30, s0[j], t0[j])
+        for a, b in zip(wide + wide_trig, narrow + narrow_trig):
+            assert _bits(a[:, j]) == _bits(b)
+
+
+def test_public_closed_forms_wrap_the_array_forms():
+    rng = np.random.default_rng(76)
+    for _ in range(40):
+        p = float(rng.uniform(0.3, 2.5))
+        params = Params(p, float(rng.uniform(0.2, 3.9)) / p)
+        pt = PointPL(*(float(v) for v in rng.uniform(-3.0, 3.0, 2)))
+        n = int(rng.integers(0, 41))
+        for public, oracle in ((tau_closed_form, _scalar_closed_form), (tau_trig_form, _scalar_trig_form)):
+            a, a_t = public(params, n, pt)
+            sn, tn, tn_t = oracle(params, n, pt)
+            assert _bits(a.as_tuple() + a_t.as_tuple()) == _bits((sn, tn, -sn, tn_t))
+
+
+def test_tau_step_has_the_bits_of_the_two_stage_composition():
+    rng = np.random.default_rng(77)
+    ps, qs = rng.uniform(0.2, 3.0, (2, 300))
+    ss, ts = rng.uniform(-4.0, 4.0, (2, 300))
+    ss[:20] = 0.0
+    ss[20:40] = -0.0
+    got_s, got_t = tropical._tau_step(ps, qs, ss, ts)
+    for j in range(300):
+        params = Params(float(ps[j]), float(qs[j]))
+        pt = PointPL(float(ss[j]), float(ts[j]))
+        want = tau2(params, tau1(params, pt)).as_tuple()
+        assert _bits(tropical._tau_step(params.p, params.q, pt.s, pt.t)) == _bits(want)
+        assert _bits(tau(params, pt).as_tuple()) == _bits(want)
+        assert _bits((got_s[j], got_t[j])) == _bits(want)
