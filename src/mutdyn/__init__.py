@@ -7,10 +7,8 @@ tying them together and the mutation classes they come from.
 """
 from .errors import DomainError, MutdynError, RangeError, RegimeError
 from .params import (
-    DEFAULT_TOL,
     Params,
     Regime,
-    Tolerances,
     classify_regime,
     detect_m,
     kappa_nu,
@@ -86,6 +84,6 @@ from .orbits import (
 )
 from .export import export_csv, export_json, fmt_float, parse_scan_json
 from .levelset import levelset_points, levelset_residual
-from .svg import RenderSpec, render_svg
+from .svg import render_svg
 
 __version__ = "0.1.0"

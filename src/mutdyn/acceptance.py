@@ -37,7 +37,7 @@ from .orbits import (
     monotonic_angle_audit,
     scan_grid,
 )
-from .params import DEFAULT_TOL, Params, kappa_nu, theta_of
+from .params import Params, kappa_nu, theta_of
 from .rational import PointPos, mu_x_log, symplectic_residual
 from .tropical import (
     PointPL,
@@ -225,7 +225,7 @@ def _c7_angle_and_signs():
     # nothing below draws, so every start can be drawn first
     starts = [[PointPL(*_draw_start(rng)) for _ in range(100)] for _ in pairs]
     flat = [(p, q, start.s, start.t) for (p, q), row in zip(pairs, starts) for start in row]
-    coherent = iter(_sign_coherent_indices(*np.array(flat).T, 500, DEFAULT_TOL.eq_tol))
+    coherent = iter(_sign_coherent_indices(*np.array(flat).T, 500))
     worst_n = -1
     nonneg = negative = 0
     witness = None

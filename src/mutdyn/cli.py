@@ -17,7 +17,7 @@ from .export import _csv, _emit, export_csv, export_json
 from .levelset import levelset_points
 from .orbits import OrbitKind, StartPolicy, iterate_orbit, scan_grid
 from .params import Params
-from .svg import RenderSpec, render_svg
+from .svg import render_svg
 from .tropical import PointPL, detect_period
 
 __all__ = ["main"]
@@ -60,7 +60,7 @@ def _orbit_text(orbit, fmt: str) -> str:
         return export_csv(orbit)
     if fmt == "json":
         return export_json(orbit)
-    return render_svg(orbit, RenderSpec())
+    return render_svg(orbit)
 
 
 def _cmd_orbit(args) -> int:
@@ -170,7 +170,7 @@ def _cmd_levelset(args) -> int:
         _params_from(args), args.level, samples_per_piece=args.samples
     )
     if args.format == "svg":
-        text = render_svg(pieces, RenderSpec())
+        text = render_svg(pieces)
     elif args.format == "json":
         arrays = [np.array(piece, dtype=float).reshape(-1, 2) for piece in pieces]
         text = _emit({"level": float(args.level), "pieces": arrays}) + "\n"

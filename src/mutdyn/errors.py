@@ -16,11 +16,4 @@ class RegimeError(MutdynError, ValueError):
 
 
 class RangeError(MutdynError, OverflowError):
-    """Evaluation left the representable floating-point range.
-
-    ``step`` carries the iteration index at which it happened, when known.
-    """
-
-    def __init__(self, message, step=None):
-        super().__init__(message)
-        self.step = step
+    """Evaluation left the representable floating-point range."""

@@ -21,7 +21,7 @@ from collections import deque
 from dataclasses import dataclass
 
 from .errors import DomainError
-from .params import DEFAULT_TOL, Tolerances
+from .floatops import EQ_TOL, close_rel
 
 __all__ = [
     "ExtendedExchangeMatrix",
@@ -137,23 +137,21 @@ def _bucket_key(mat: ExtendedExchangeMatrix) -> tuple:
     return tuple(round(v * 1e6) for row in mat.entries for v in row)
 
 
-def _same(a: ExtendedExchangeMatrix, b: ExtendedExchangeMatrix, eq_tol: float) -> bool:
+def _same(a: ExtendedExchangeMatrix, b: ExtendedExchangeMatrix) -> bool:
     if len(a.entries) != len(b.entries):
         return False
     for ra, rb in zip(a.entries, b.entries):
         for va, vb in zip(ra, rb):
-            if abs(va - vb) > eq_tol * max(1.0, abs(va), abs(vb)):
+            if not close_rel(va, vb, EQ_TOL):
                 return False
     return True
 
 
-def mutation_class(
-    seed: ExtendedExchangeMatrix, cap: int = 10**5, tol: Tolerances = DEFAULT_TOL
-) -> MutationClassResult:
+def mutation_class(seed: ExtendedExchangeMatrix, cap: int = 10**5) -> MutationClassResult:
     """Breadth-first closure of a seed matrix under both mutation directions.
 
     Members reached along different mutation words can differ by a few
-    ulps, so membership is decided entrywise within eq_tol.  The walk
+    ulps, so membership is decided entrywise within EQ_TOL.  The walk
     stops once ``cap`` members are held, reporting an incomplete
     closure.
     """
@@ -165,7 +163,7 @@ def mutation_class(
 
     def seen(m: ExtendedExchangeMatrix) -> bool:
         for other in buckets.get(_bucket_key(m), ()):
-            if _same(m, other, tol.eq_tol):
+            if _same(m, other):
                 return True
         return False
 

@@ -1,9 +1,12 @@
-"""Small floating-point helpers used across the package.
+"""Small floating-point helpers and the package's numeric constants.
 
 Everything is plain 64-bit arithmetic; no extended or arbitrary
 precision is used anywhere.  That is a deliberate policy: the maps are
 iterated millions of times and the tests pin down exactly what double
-precision can and cannot deliver.
+precision can and cannot deliver.  The tolerances are fixed in the
+same spirit: ``EQ_TOL`` is the relative band of every equality, sign
+and regime decision, ``PERIOD_TOL`` that of orbit return detection and
+``JAC_STEP`` the step of the Jacobian probe.
 """
 from __future__ import annotations
 
@@ -21,8 +24,8 @@ __all__ = [
     "det2",
 ]
 
-# Package-wide defaults.  Relative tolerances are always applied as
-# tol * max(1, magnitudes), so they act absolutely near the origin.
+# Relative tolerances are applied as tol * max(1, magnitudes), so they
+# act absolutely near the origin.
 EQ_TOL = 1e-12
 PERIOD_TOL = 1e-9
 JAC_STEP = 1e-6

@@ -9,7 +9,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import DomainError
-from .params import DEFAULT_TOL, Params, Regime, classify_regime
+from .params import Params, Regime, classify_regime
 from .rational import PointPos
 from .tropical import (
     PointPL,
@@ -113,7 +113,7 @@ class Orbit:
         if self.kind is not OrbitKind.TROPICAL:
             return None
         S, T = self.points[:, 0], self.points[:, 1]
-        signs = _banded_signs(S, T, np.maximum(np.abs(S), np.abs(T)), DEFAULT_TOL.eq_tol)
+        signs = _banded_signs(S, T, np.maximum(np.abs(S), np.abs(T)))
         return np.column_stack(signs).astype(np.int8)
 
 

@@ -1,4 +1,4 @@
-"""Exponent parameters, tolerance bundle and regime classification.
+"""Exponent parameters and regime classification.
 
 The planar maps implemented by this package are parameterized by two
 strictly positive real exponents ``p`` and ``q``.  Everything
@@ -21,13 +21,11 @@ from dataclasses import dataclass
 from enum import Enum, auto
 
 from .errors import DomainError, RegimeError
-from .floatops import EQ_TOL, JAC_STEP, PERIOD_TOL
+from .floatops import EQ_TOL, close_rel
 
 __all__ = [
     "Params",
     "Regime",
-    "Tolerances",
-    "DEFAULT_TOL",
     "classify_regime",
     "theta_of",
     "kappa_nu",
@@ -63,44 +61,15 @@ class Regime(Enum):
     SUPERCRITICAL = auto()
 
 
-@dataclass(frozen=True)
-class Tolerances:
-    """Numeric tolerances shared by the whole package.
-
-    eq_tol
-        Relative tolerance for equality, boundary and sign-band tests.
-    period_tol
-        Relative tolerance for orbit return detection.
-    jac_step
-        Central-difference step for Jacobian probes.
-
-    Relative means scaled by max(1, magnitude of the operands), so the
-    tolerance never collapses to zero near the origin.
-    """
-
-    eq_tol: float = EQ_TOL
-    period_tol: float = PERIOD_TOL
-    jac_step: float = JAC_STEP
-
-    def __post_init__(self):
-        for name in ("eq_tol", "period_tol", "jac_step"):
-            v = getattr(self, name)
-            if not (isinstance(v, (int, float)) and math.isfinite(v) and v > 0.0):
-                raise DomainError(f"{name} must be finite and positive, got {v!r}")
-
-
-DEFAULT_TOL = Tolerances()
-
-
-def classify_regime(params: Params, tol: Tolerances = DEFAULT_TOL) -> Regime:
+def classify_regime(params: Params) -> Regime:
     """Split parameter space by the product pq.
 
-    The critical band is |pq - 4| <= eq_tol; subcritical and
+    The critical band is |pq - 4| <= EQ_TOL; subcritical and
     supercritical are strict beyond it, so the three cases partition
     every valid parameter pair.
     """
     gap = params.pq - 4.0
-    if abs(gap) <= tol.eq_tol:
+    if abs(gap) <= EQ_TOL:
         return Regime.CRITICAL
     return Regime.SUBCRITICAL if gap < 0.0 else Regime.SUPERCRITICAL
 
@@ -119,17 +88,23 @@ def theta_of(params: Params) -> float:
 
 
 def kappa_nu(params: Params) -> tuple[float, float]:
-    """Return (kappa, nu) = (sqrt(pq), sqrt(p/q))."""
-    return math.sqrt(params.p * params.q), math.sqrt(params.p / params.q)
+    """Return (kappa, nu) = (sqrt(pq), sqrt(p/q)).
+
+    kappa is sqrt(p) sqrt(q) only when the product pq overflows, so
+    every kappa of a finite product keeps the bits of sqrt(pq).
+    """
+    pq = params.p * params.q
+    kappa = math.sqrt(pq) if math.isfinite(pq) else math.sqrt(params.p) * math.sqrt(params.q)
+    return kappa, math.sqrt(params.p / params.q)
 
 
-def detect_m(params: Params, tol: Tolerances = DEFAULT_TOL, cap: int = 10**6):
+def detect_m(params: Params, cap: int = 10**6):
     """Find the integer m >= 3 with pq = 4 cos^2(pi/m), if any exists.
 
     The defining identity is inverted analytically and the rounded
-    candidate is verified against the product within eq_tol; the two
-    neighbouring integers are also tried to absorb rounding of the
-    inversion.  Returns None when no integer at or below ``cap``
+    candidate is verified against the product within EQ_TOL, relative;
+    the two neighbouring integers are also tried to absorb rounding of
+    the inversion.  Returns None when no integer at or below ``cap``
     matches, and always None at or above the critical product.
     """
     pq = params.pq
@@ -142,6 +117,6 @@ def detect_m(params: Params, tol: Tolerances = DEFAULT_TOL, cap: int = 10**6):
     for cand in (est, est - 1, est + 1):
         if 3 <= cand <= cap:
             ref = 4.0 * math.cos(math.pi / cand) ** 2
-            if abs(pq - ref) <= tol.eq_tol * max(1.0, pq, ref):
+            if close_rel(pq, ref, EQ_TOL):
                 return cand
     return None

@@ -21,8 +21,8 @@ from dataclasses import dataclass
 from enum import Enum, auto
 
 from .errors import DomainError, RangeError, RegimeError
-from .floatops import JAC_STEP, det2, fpow, softplus
-from .params import DEFAULT_TOL, Params, Regime, Tolerances, classify_regime
+from .floatops import EQ_TOL, JAC_STEP, close_rel, det2, fpow, softplus
+from .params import Params, Regime, classify_regime
 
 __all__ = [
     "PointPos",
@@ -204,24 +204,24 @@ def _mu1_curve_u(params: Params, v: float) -> float:
     return fpow(1.0 + fpow(v, params.q / 2.0), params.p / 2.0)
 
 
-def region_uv(params: Params, uv: UVPoint, tol: Tolerances = DEFAULT_TOL) -> UVRegion:
+def region_uv(params: Params, uv: UVPoint) -> UVRegion:
     """Locate a point relative to the two fixed curves; pq >= 4 only.
 
     Below the critical product the curves intersect and the
     decomposition does not exist, so that case raises RegimeError.
-    Boundary bands use the relative eq_tol; the second curve's band is
+    Boundary bands use the relative EQ_TOL; the second curve's band is
     tested first, so a point managing to sit in both bands reports it.
     """
-    if classify_regime(params, tol) is Regime.SUBCRITICAL:
+    if classify_regime(params) is Regime.SUBCRITICAL:
         raise RegimeError(
             f"region decomposition needs pq >= 4, got pq={params.pq!r}"
         )
     u, v = uv.u, uv.v
     c2 = 1.0 + u
-    if abs(v - c2) <= tol.eq_tol * max(1.0, abs(v), abs(c2)):
+    if close_rel(v, c2, EQ_TOL):
         return UVRegion.ON_MU2_CURVE
     c1 = _mu1_curve_u(params, v)
-    if abs(u - c1) <= tol.eq_tol * max(1.0, abs(u), abs(c1)):
+    if close_rel(u, c1, EQ_TOL):
         return UVRegion.ON_MU1_CURVE
     if v > c2:
         return UVRegion.ABOVE_MU2_CURVE
@@ -298,17 +298,15 @@ def _central_jacobian(fn, a: float, b: float, h: float):
     )
 
 
-def symplectic_residual(params: Params, pt: PointPos, jac_step: float = JAC_STEP) -> float:
+def symplectic_residual(params: Params, pt: PointPos) -> float:
     """|det J - 1| for the log-conjugated composed map at pt.
 
-    J is the central-difference Jacobian with the given step.  The map
+    J is the central-difference Jacobian with step JAC_STEP.  The map
     preserves d(log x) wedge d(log y), so the residual bundles the
-    conservation property with the differencing error; with the
-    default step it sits well below 1e-4 at moderate points.
+    conservation property with the differencing error; it sits well
+    below 1e-4 at moderate points.
     """
-    if not (math.isfinite(jac_step) and jac_step > 0.0):
-        raise DomainError(f"jac_step must be finite and positive, got {jac_step!r}")
     a = math.log(pt.x)
     b = math.log(pt.y)
-    jac = _central_jacobian(lambda ab: mu_x_log(params, ab), a, b, jac_step)
+    jac = _central_jacobian(lambda ab: mu_x_log(params, ab), a, b, JAC_STEP)
     return abs(det2(jac) - 1.0)

@@ -7,33 +7,20 @@ produce identical bytes.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from .errors import DomainError
 from .orbits import Orbit
 
-__all__ = ["RenderSpec", "render_svg"]
+__all__ = ["render_svg"]
 
-
-@dataclass(frozen=True)
-class RenderSpec:
-    """Canvas geometry and styling for :func:`render_svg`."""
-
-    width: int = 640
-    height: int = 480
-    margin_fraction: float = 0.08
-    point_radius: float = 2.0
-    stroke: str = "#1f4e79"
-    axis_stroke: str = "#999999"
-    background: str = "#ffffff"
-
-    def __post_init__(self):
-        if int(self.width) < 16 or int(self.height) < 16:
-            raise DomainError("canvas must be at least 16 x 16")
-        if not (0.0 <= self.margin_fraction < 0.5):
-            raise DomainError("margin_fraction must lie in [0, 0.5)")
-        if not self.point_radius > 0.0:
-            raise DomainError("point_radius must be positive")
+# canvas geometry and styling
+_WIDTH = 640
+_HEIGHT = 480
+_MARGIN_FRACTION = 0.08
+_POINT_RADIUS = 2.0
+_STROKE = "#1f4e79"
+_AXIS_STROKE = "#999999"
+_BACKGROUND = "#ffffff"
 
 
 def _gather_polylines(content):
@@ -50,11 +37,11 @@ def _gather_polylines(content):
     return polylines, False
 
 
-def render_svg(content, spec: RenderSpec = RenderSpec()) -> str:
+def render_svg(content) -> str:
     """Render an orbit (polyline plus point markers) or level-set pieces.
 
     content is either an Orbit or an iterable of point sequences.  The
-    data box is fitted into the canvas with the spec's margin, y axis
+    data box is fitted into a 640 x 480 canvas with an 8% margin, y axis
     pointing up, aspect ratio not preserved; coordinate axes are drawn
     where they cross the box.
     """
@@ -69,9 +56,9 @@ def render_svg(content, spec: RenderSpec = RenderSpec()) -> str:
         x_lo, x_hi = x_lo - 1.0, x_hi + 1.0
     if y_hi - y_lo <= 0.0:
         y_lo, y_hi = y_lo - 1.0, y_hi + 1.0
-    w, h = int(spec.width), int(spec.height)
-    mx = w * spec.margin_fraction
-    my = h * spec.margin_fraction
+    w, h = _WIDTH, _HEIGHT
+    mx = w * _MARGIN_FRACTION
+    my = h * _MARGIN_FRACTION
     sx = (w - 2.0 * mx) / (x_hi - x_lo)
     sy = (h - 2.0 * my) / (y_hi - y_lo)
 
@@ -84,19 +71,19 @@ def render_svg(content, spec: RenderSpec = RenderSpec()) -> str:
     out = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{w}" height="{h}" '
         f'viewBox="0 0 {w} {h}">',
-        f'<rect width="{w}" height="{h}" fill="{spec.background}"/>',
+        f'<rect width="{w}" height="{h}" fill="{_BACKGROUND}"/>',
     ]
     if x_lo < 0.0 < x_hi:
         out.append(
             f'<line x1="{px(0.0):.3f}" y1="{py(y_lo):.3f}" '
             f'x2="{px(0.0):.3f}" y2="{py(y_hi):.3f}" '
-            f'stroke="{spec.axis_stroke}" stroke-width="1"/>'
+            f'stroke="{_AXIS_STROKE}" stroke-width="1"/>'
         )
     if y_lo < 0.0 < y_hi:
         out.append(
             f'<line x1="{px(x_lo):.3f}" y1="{py(0.0):.3f}" '
             f'x2="{px(x_hi):.3f}" y2="{py(0.0):.3f}" '
-            f'stroke="{spec.axis_stroke}" stroke-width="1"/>'
+            f'stroke="{_AXIS_STROKE}" stroke-width="1"/>'
         )
     for line in polylines:
         if len(line) > 1:
@@ -105,13 +92,13 @@ def render_svg(content, spec: RenderSpec = RenderSpec()) -> str:
                 for i, (x, y) in enumerate(line)
             )
             out.append(
-                f'<path d="{path}" fill="none" stroke="{spec.stroke}" stroke-width="1.5"/>'
+                f'<path d="{path}" fill="none" stroke="{_STROKE}" stroke-width="1.5"/>'
             )
     if is_orbit:
         for x, y in polylines[0]:
             out.append(
-                f'<circle cx="{px(x):.3f}" cy="{py(y):.3f}" r="{spec.point_radius}" '
-                f'fill="{spec.stroke}"/>'
+                f'<circle cx="{px(x):.3f}" cy="{py(y):.3f}" r="{_POINT_RADIUS}" '
+                f'fill="{_STROKE}"/>'
             )
     out.append("</svg>")
     return "\n".join(out) + "\n"

@@ -11,7 +11,8 @@ linear escape, larger products give hyperbolic escape.
 
 Sign conventions.  The composed map is the second factor after the
 first.  Where a branch test lands exactly on zero the negative branch
-is taken; the positive-part function carries no tolerance.
+is taken; the positive-part function carries no tolerance.  An image
+that leaves float range raises RangeError, as for the birational map.
 """
 from __future__ import annotations
 
@@ -21,8 +22,9 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import DomainError
-from .params import DEFAULT_TOL, Params, Tolerances, kappa_nu, theta_of
+from .errors import DomainError, RangeError
+from .floatops import EQ_TOL, PERIOD_TOL
+from .params import Params, kappa_nu, theta_of
 
 __all__ = [
     "PointPL",
@@ -90,6 +92,13 @@ class PolarAngle:
     cut: float
 
 
+def _finite_point(s: float, t: float, where: str) -> PointPL:
+    # an image out of float range is a RangeError, not PointPL's DomainError
+    if not (math.isfinite(s) and math.isfinite(t)):
+        raise RangeError(f"{where} left float range")
+    return PointPL(s, t)
+
+
 def mu1_c(params: Params, pt: PointPL) -> PointPL:
     """First factor: (s, t) -> (-s, t + p[s]+).
 
@@ -98,13 +107,13 @@ def mu1_c(params: Params, pt: PointPL) -> PointPL:
     application acts through the sign-flipped exchange block.
     """
     t1 = pt.t + params.p * pt.s if pt.s > 0.0 else pt.t
-    return PointPL(-pt.s, t1)
+    return _finite_point(-pt.s, t1, "mu1_c")
 
 
 def mu2_c(params: Params, pt: PointPL) -> PointPL:
     """Second factor: (s, t) -> (s + q[t]+, -t)."""
     s1 = pt.s + params.q * pt.t if pt.t > 0.0 else pt.s
-    return PointPL(s1, -pt.t)
+    return _finite_point(s1, -pt.t, "mu2_c")
 
 
 def mu_c(params: Params, pt: PointPL) -> PointPL:
@@ -118,7 +127,7 @@ def mu_c_inv(params: Params, pt: PointPL) -> PointPL:
     s1 = pt.s - params.q * -pt.t if -pt.t > 0.0 else pt.s
     t1 = -pt.t
     t2 = t1 - params.p * -s1 if -s1 > 0.0 else t1
-    return PointPL(-s1, t2)
+    return _finite_point(-s1, t2, "mu_c_inv")
 
 
 def hat_mu1(params: Params, pt: PointPL) -> PointPL:
@@ -128,13 +137,13 @@ def hat_mu1(params: Params, pt: PointPL) -> PointPL:
     turns the pair of these into the factors above.
     """
     s1 = params.q * pt.t - pt.s if pt.t > 0.0 else -pt.s
-    return PointPL(s1, pt.t)
+    return _finite_point(s1, pt.t, "hat_mu1")
 
 
 def hat_mu2(params: Params, pt: PointPL) -> PointPL:
     """Plain tropicalization of the second reflection: (s, t) -> (s, p[s]+ - t)."""
     t1 = params.p * pt.s - pt.t if pt.s > 0.0 else -pt.t
-    return PointPL(pt.s, t1)
+    return _finite_point(pt.s, t1, "hat_mu2")
 
 
 def reflect_x(pt: PointPL) -> PointPL:
@@ -197,12 +206,12 @@ def phi(params: Params, pt: PointPL) -> float:
 
 def tau1(params: Params, pt: PointPL) -> PointPL:
     """Growth branch of the first factor: (s, t) -> (-s, t + ps)."""
-    return PointPL(-pt.s, pt.t + params.p * pt.s)
+    return _finite_point(-pt.s, pt.t + params.p * pt.s, "tau1")
 
 
 def tau2(params: Params, pt: PointPL) -> PointPL:
     """Growth branch of the second factor: (s, t) -> (s + qt, -t)."""
-    return PointPL(pt.s + params.q * pt.t, -pt.t)
+    return _finite_point(pt.s + params.q * pt.t, -pt.t, "tau2")
 
 
 def tau(params: Params, pt: PointPL) -> PointPL:
@@ -212,7 +221,7 @@ def tau(params: Params, pt: PointPL) -> PointPL:
     composition so that it agrees with mu_c bit for bit wherever the
     branch quantities are strictly positive.
     """
-    return PointPL(*_tau_step(params.p, params.q, pt.s, pt.t))
+    return _finite_point(*_tau_step(params.p, params.q, pt.s, pt.t), "tau")
 
 
 def _tau_step(p, q, s, t):
@@ -265,7 +274,7 @@ def _iterate_count(n) -> int:
 
 def _form_pair(forms, n: int) -> tuple[PointPL, PointPL]:
     sn, tn, tn_t = (float(v[n]) for v in forms)
-    return PointPL(sn, tn), PointPL(-sn, tn_t)
+    return _finite_point(sn, tn, "closed form"), _finite_point(-sn, tn_t, "closed form")
 
 
 def _closed_forms(kappa, nu, top: int, s, t):
@@ -353,10 +362,10 @@ def _lift(params: Params, s, t):
 _PERIOD_BLOCK = 4096
 
 
-def detect_period(params: Params, pt: PointPL, max_steps: int, tol: Tolerances = DEFAULT_TOL):
+def detect_period(params: Params, pt: PointPL, max_steps: int):
     """Smallest k <= max_steps with the k-th iterate back at the start.
 
-    Return is detected within period_tol scaled by max(1, start norm).
+    Return is detected within PERIOD_TOL scaled by max(1, start norm).
     None when no return occurs within the horizon; iterates leaving
     float range also end the search with None.
     """
@@ -364,7 +373,7 @@ def detect_period(params: Params, pt: PointPL, max_steps: int, tol: Tolerances =
     if max_steps < 1:
         raise DomainError(f"max_steps must be >= 1, got {max_steps}")
     s0, t0 = pt.s, pt.t
-    bound = tol.period_tol * max(1.0, abs(s0), abs(t0))
+    bound = PERIOD_TOL * max(1.0, abs(s0), abs(t0))
     # recorded block by block, so a long horizon holds one block at a time
     s, t, done = s0, t0, 0
     while done < max_steps:
@@ -419,27 +428,25 @@ def _record_orbits(p, q, s0, t0, steps: int):
     return ss, ts, trunc
 
 
-def sign_pair(pt: PointPL, scale: float | None = None, tol: Tolerances = DEFAULT_TOL) -> SignPair:
-    """Coordinate signs with a zero band of eq_tol times max(1, scale).
+def sign_pair(pt: PointPL, scale: float | None = None) -> SignPair:
+    """Coordinate signs with a zero band of EQ_TOL times max(1, scale).
 
     The scale defaults to the point's own infinity norm; pass an
     orbit-wide scale to keep the band consistent along a trajectory.
     """
     ref = max(abs(pt.s), abs(pt.t)) if scale is None else float(scale)
-    first, second = _banded_signs(pt.s, pt.t, ref, tol.eq_tol)
+    first, second = _banded_signs(pt.s, pt.t, ref)
     return SignPair(int(first), int(second))
 
 
-def _banded_signs(s, t, scale, eq_tol: float):
-    # signs in {-1, 0, 1} with a zero band of eq_tol max(1, scale); fmax
-    # keeps the band at eq_tol for a nan scale
-    band = eq_tol * np.fmax(1.0, scale)
+def _banded_signs(s, t, scale):
+    # signs in {-1, 0, 1} with a zero band of EQ_TOL max(1, scale); fmax
+    # keeps the band at EQ_TOL for a nan scale
+    band = EQ_TOL * np.fmax(1.0, scale)
     return tuple(np.where(np.abs(v) <= band, 0, np.where(v > 0.0, 1, -1)) for v in (s, t))
 
 
-def first_sign_coherent_index(
-    params: Params, pt: PointPL, cap: int = 500, tol: Tolerances = DEFAULT_TOL
-):
+def first_sign_coherent_index(params: Params, pt: PointPL, cap: int = 500):
     """Least N with signs (+, -) for every iterate from N through cap.
 
     None when no such N exists within the horizon.  The map commutes
@@ -450,7 +457,7 @@ def first_sign_coherent_index(
     cap = int(cap)
     if cap < 0:
         raise DomainError(f"cap must be >= 0, got {cap}")
-    return _sign_coherent_indices(params.p, params.q, pt.s, pt.t, cap, tol.eq_tol)[0]
+    return _sign_coherent_indices(params.p, params.q, pt.s, pt.t, cap)[0]
 
 
 def _infinity_norm(s, t):
@@ -459,7 +466,7 @@ def _infinity_norm(s, t):
     return np.where(b > a, b, a)
 
 
-def _sign_coherent_indices(p, q, s0, t0, cap: int, eq_tol: float) -> list:
+def _sign_coherent_indices(p, q, s0, t0, cap: int) -> list:
     # first_sign_coherent_index for many starts at once, one column per
     # start after p, q, s0 and t0 broadcast.  The infinity norm of the
     # current iterates serves both the band and the renormalization;
@@ -470,8 +477,8 @@ def _sign_coherent_indices(p, q, s0, t0, cap: int, eq_tol: float) -> list:
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         norm = _infinity_norm(s, t)
         for n in range(cap + 1):
-            # eq_tol * norm above 1, else eq_tol; fmax gives eq_tol at a nan norm too
-            band = eq_tol * np.fmax(norm, 1.0)
+            # EQ_TOL * norm above 1, else EQ_TOL; fmax gives EQ_TOL at a nan norm too
+            band = EQ_TOL * np.fmax(norm, 1.0)
             last_bad[~((s > band) & (t < -band))] = n
             if n == cap:
                 break

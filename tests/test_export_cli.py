@@ -1,4 +1,5 @@
 """Serialization formats and the command-line front end."""
+import hashlib
 import json
 import math
 import random
@@ -222,6 +223,21 @@ def test_cli_svg_output_is_deterministic(capsys):
     assert first.startswith("<svg xmlns=")
     code, second, _ = _run(capsys, argv)
     assert first == second
+
+
+SVG_SHA256 = {
+    ("trop-orbit", "--p", "1", "--q", "1", "--s0", "1", "--t0", "0", "--steps", "3"):
+        "2e717128c884f3e46a715f1f5235100d96a8374dd7cd3952e7322643052b2f40",
+    ("levelset", "--p", "3", "--q", "3", "--level", "3"):
+        "c3b2d14ce62e677416fa293a9733fe58cf882fc88c18da0540481842ed4a32bb",
+}
+
+
+@pytest.mark.parametrize("argv", list(SVG_SHA256), ids=lambda argv: argv[0])
+def test_cli_svg_golden_digest(capsys, argv):
+    code, out, _ = _run(capsys, [*argv, "--format", "svg"])
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == SVG_SHA256[argv]
 
 
 def test_cli_out_writes_file(capsys, tmp_path):

@@ -4,11 +4,10 @@ import numpy as np
 import pytest
 
 from mutdyn.errors import DomainError, RegimeError
+from mutdyn.floatops import EQ_TOL
 from mutdyn.params import (
-    DEFAULT_TOL,
     Params,
     Regime,
-    Tolerances,
     classify_regime,
     detect_m,
     kappa_nu,
@@ -29,21 +28,11 @@ def test_params_coerces_to_float():
     assert pr.pq == 2.0
 
 
-def test_tolerances_validation():
-    Tolerances(1e-9, 1e-9, 1e-5)
-    with pytest.raises(DomainError):
-        Tolerances(eq_tol=0.0)
-    with pytest.raises(DomainError):
-        Tolerances(period_tol=-1e-9)
-    with pytest.raises(DomainError):
-        Tolerances(jac_step=math.inf)
-
-
 def test_classify_regime_partition():
     assert classify_regime(Params(1.0, 3.9)) is Regime.SUBCRITICAL
     assert classify_regime(Params(2.0, 2.0)) is Regime.CRITICAL
     assert classify_regime(Params(3.0, 3.0)) is Regime.SUPERCRITICAL
-    # the band is relative to eq_tol, products a hair off 4 still critical
+    # the band is EQ_TOL wide, products a hair off 4 still critical
     assert classify_regime(Params(2.0, 2.0 + 1e-13)) is Regime.CRITICAL
     assert classify_regime(Params(2.0, 2.0 + 1e-11)) is Regime.SUPERCRITICAL
 
@@ -81,6 +70,10 @@ def test_kappa_nu_values():
     kappa, nu = kappa_nu(Params(3.0, 3.0))
     assert kappa == 3.0
     assert nu == 1.0
+    # the product overflows, kappa does not
+    kappa, nu = kappa_nu(Params(1e200, 1e200))
+    assert kappa == 1e200
+    assert nu == 1.0
 
 
 def test_detect_m_table():
@@ -107,7 +100,7 @@ def test_detect_m_brute_force_oracle():
         pq = float(rng.uniform(0.1, 3.999))
         params = Params(1.0, pq)
         hits = np.nonzero(
-            np.abs(pq - refs) <= DEFAULT_TOL.eq_tol * np.maximum(1.0, np.maximum(pq, refs))
+            np.abs(pq - refs) <= EQ_TOL * np.maximum(1.0, np.maximum(pq, refs))
         )[0]
         expect = int(cand_m[hits[0]]) if len(hits) else None
         assert detect_m(params, cap=2000) == expect

@@ -3,11 +3,11 @@ import math
 import numpy as np
 import pytest
 
-from mutdyn.errors import DomainError, RegimeError
-from mutdyn.floatops import close_rel, det2
+from mutdyn.errors import DomainError, RangeError, RegimeError
+from mutdyn.floatops import EQ_TOL, close_rel, det2
 from mutdyn import tropical
 from mutdyn.orbits import OrbitKind, iterate_orbit
-from mutdyn.params import DEFAULT_TOL, Params
+from mutdyn.params import Params
 from mutdyn.tropical import (
     PointPL,
     SignPair,
@@ -234,6 +234,9 @@ def test_closed_form_matches_iterated_linearization():
             cur = tau(params, cur)
     with pytest.raises(DomainError):
         tau_closed_form(Params(1.0, 1.0), -1, PointPL(1.0, 1.0))
+    # pq overflows while kappa = 1e200 does not
+    pair = tau_closed_form(Params(1e200, 1e200), 0, PointPL(1.0, 1.0))
+    assert tuple(pt.as_tuple() for pt in pair) == ((1.0, 1.0), (-1.0, 1e200))
 
 
 def test_trig_form_matches_chebyshev_form():
@@ -474,6 +477,47 @@ def test_record_orbits_columns_equal_the_scalar_recorder_bit_for_bit():
         assert _bits(ss[: len(want_s), j]) == _bits(want_s)
 
 
+def test_mu_c_leaves_float_range_at_the_orbit_truncation_step():
+    truncated = 0
+    for p, q, s0, t0 in _recorder_cases():
+        params = Params(p, q)
+        orbit = iterate_orbit(params, OrbitKind.TROPICAL, (s0, t0), 150)
+        pt = PointPL(s0, t0)
+        points = [pt.as_tuple()]
+        trunc = None
+        for i in range(1, 151):
+            try:
+                pt = mu_c(params, pt)
+            except RangeError:
+                trunc = i
+                break
+            points.append(pt.as_tuple())
+        assert orbit.truncated_at == trunc, (p, q, s0, t0)
+        assert orbit.points.tobytes() == np.array(points, dtype=float).tobytes(), (p, q, s0, t0)
+        truncated += trunc is not None
+    assert truncated == 4
+
+
+def test_pl_images_out_of_float_range_raise_range_error():
+    # valid inputs whose images overflow
+    params = Params(1e300, 1e300)
+    cases = [
+        (mu1_c, (1e10, 1.0)),
+        (mu2_c, (1.0, 1e10)),
+        (mu_c, (1e10, 1.0)),
+        (mu_c_inv, (1.0, -1e10)),
+        (hat_mu1, (1.0, 1e10)),
+        (hat_mu2, (1e10, 1.0)),
+        (tau1, (1e10, 1.0)),
+        (tau2, (1.0, 1e10)),
+        (tau, (1e10, 1.0)),
+        (lambda prm, pt: tau_closed_form(prm, 1, pt), (1.0, 1.0)),
+    ]
+    for fn, start in cases:
+        with pytest.raises(RangeError):
+            fn(params, PointPL(*start))
+
+
 def test_pl_step_equals_the_composed_map_bit_for_bit():
     rng = np.random.default_rng(72)
     for _ in range(200):
@@ -484,16 +528,15 @@ def test_pl_step_equals_the_composed_map_bit_for_bit():
         assert _bits(got) == _bits(image.as_tuple())
 
 
-def _scalar_sign_coherent_index(params, pt, cap=500, tol=DEFAULT_TOL):
+def _scalar_sign_coherent_index(params, pt, cap=500):
     # first_sign_coherent_index's former per-point loop
     p, q = params.p, params.q
-    eq_tol = tol.eq_tol
     s, t = pt.s, pt.t
     a, b = abs(s), abs(t)
     norm = b if b > a else a
     last_bad = -1
     for n in range(cap + 1):
-        band = eq_tol * norm if norm > 1.0 else eq_tol
+        band = EQ_TOL * norm if norm > 1.0 else EQ_TOL
         if not (s > band and t < -band):
             last_bad = n
         if n == cap:
@@ -530,7 +573,7 @@ def test_sign_coherence_reduction_equals_the_scalar_loop():
     assert renormalized > 30
     p, q, s0, t0 = (np.array(v) for v in zip(*((c.p, c.q, pt.s, pt.t) for c, pt in cases)))
     for cap in (0, 1, 500):
-        got = tropical._sign_coherent_indices(p, q, s0, t0, cap, DEFAULT_TOL.eq_tol)
+        got = tropical._sign_coherent_indices(p, q, s0, t0, cap)
         want = [_scalar_sign_coherent_index(params, pt, cap) for params, pt in cases]
         assert got == want
         # the public wrapper, one start at a time, on every fifth case
@@ -594,8 +637,10 @@ def test_array_closed_forms_equal_the_per_n_formulas():
                 if trig is not None:
                     assert _same_bits([v[n, j] for v in trig], _scalar_trig_form(params, n, pt))
             assert _same_bits([v[n] for v in alone], _scalar_closed_form(params, n, starts[0]))
+    # kappa = 1e200 is finite, its table leaves float range from U_2 on;
     # at infinite x the table runs into inf and nan, as the list recurrence did
-    assert math.isinf(tropical.kappa_nu(Params(1e200, 1e200))[0])
+    kappa = tropical.kappa_nu(Params(1e200, 1e200))[0]
+    assert kappa == 1e200 and math.isinf(tropical._cheb_table(kappa / 2.0, 2)[4])
     table = tropical._cheb_table(math.inf, 6)
     assert _same_bits(table, [-1.0, 0.0, 1.0, math.inf, math.inf, math.nan, math.nan, math.nan, math.nan])
 
