@@ -37,7 +37,7 @@ from .orbits import (
     monotonic_angle_audit,
     scan_grid,
 )
-from .params import Params, kappa_nu, theta_of
+from .params import Params, _kappa, _nu, kappa_nu, theta_of
 from .rational import PointPos, mu_x_log, symplectic_residual
 from .tropical import (
     PointPL,
@@ -164,8 +164,7 @@ def _c5_escape():
                     break
             else:
                 return False, f"p={p} q={q} never passed 1e6 within 200 steps"
-        kappa = math.sqrt(params.pq)
-        floor = kappa - 1.0 - 1e-6
+        floor = kappa_nu(params)[0] - 1.0 - 1e-6
         for _ in range(20):
             ss, ts, _ = _record_orbit(params, *_draw_start(rng), 299)
             for s, t in zip(ss, ts):
@@ -174,9 +173,7 @@ def _c5_escape():
             else:
                 return False, f"p={p} q={q} start never reached the coherent cone"
             for _ in range(100):
-                t1 = t + p * s
-                s2 = -s + q * t1
-                t2 = -t1
+                s2, t2 = _tau_step(p, q, s, t)
                 if abs(t2) < (floor * abs(t)):
                     return False, f"p={p} q={q}: growth ratio {abs(t2)/abs(t):.6f} < {floor:.6f}"
                 s, t = s2, t2
@@ -277,7 +274,7 @@ def _c8_closed_forms():
         starts.append(PointPL(*rng.uniform(-3.0, 3.0, 2)).as_tuple())
     # one column per trial, one row per n = 0..30
     p, q = np.array([(prm.p, prm.q) for prm in params]).T
-    kappa, nu = np.array([kappa_nu(prm) for prm in params]).T
+    kappa, nu = _kappa(p, q), _nu(p, q)
     s0, t0 = np.array(starts).T
     cur_s, cur_t = np.empty((2, 31, len(params)))
     cur_s[0], cur_t[0] = s0, t0

@@ -84,21 +84,10 @@ def _cmd_period(args) -> int:
     return 0
 
 
-_SCAN_KEYS = {
-    "p-min": float,
-    "p-max": float,
-    "q-min": float,
-    "q-max": float,
-    "resolution": int,
-    "steps": int,
-    "kind": str,
-    "seed": int,
-    "count": int,
-}
-
-
-def _read_scan_config(path) -> dict:
-    values = {}
+def _apply_scan_config(path, flags):
+    # a key=value file naming scan flags without their dashes; each value
+    # is checked as its flag checks it and becomes that flag's default
+    by_key = {action.option_strings[0][2:]: action for action in flags}
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, 1):
             line = raw.split("#", 1)[0].strip()
@@ -107,58 +96,26 @@ def _read_scan_config(path) -> dict:
             if "=" not in line:
                 raise DomainError(f"{path}:{lineno}: expected key=value, got {raw.strip()!r}")
             key, _, val = (x.strip() for x in line.partition("="))
-            if key not in _SCAN_KEYS:
+            if key not in by_key:
                 raise DomainError(f"{path}:{lineno}: unknown key {key!r}")
+            action = by_key[key]
             try:
-                values[key] = _SCAN_KEYS[key](val)
+                value = (action.type or str)(val)
+                if action.choices is not None and value not in action.choices:
+                    raise ValueError(val)
             except ValueError:
                 raise DomainError(f"{path}:{lineno}: bad value for {key}: {val!r}") from None
-    return values
+            action.default = value
 
 
 def _cmd_scan(args) -> int:
-    cfg = {
-        "p-min": 0.5,
-        "p-max": 2.0,
-        "q-min": 0.5,
-        "q-max": 2.0,
-        "resolution": 5,
-        "steps": 1000,
-        "kind": "rational",
-        "seed": None,
-        "count": 1,
-    }
-    if args.config is not None:
-        cfg.update(_read_scan_config(args.config))
-    # explicit flags win over the config file
-    for flag, key in (
-        ("p_min", "p-min"),
-        ("p_max", "p-max"),
-        ("q_min", "q-min"),
-        ("q_max", "q-max"),
-        ("resolution", "resolution"),
-        ("steps", "steps"),
-        ("kind", "kind"),
-        ("seed", "seed"),
-        ("count", "count"),
-    ):
-        v = getattr(args, flag)
-        if v is not None:
-            cfg[key] = v
-    try:
-        kind = OrbitKind(cfg["kind"])
-    except ValueError:
-        raise DomainError(f"kind must be rational or tropical, got {cfg['kind']!r}") from None
-    if cfg["seed"] is None:
-        policy = StartPolicy(points=((1.0, 1.0),))
-    else:
-        policy = StartPolicy(seed=int(cfg["seed"]), count=int(cfg["count"]))
+    policy = None if args.seed is None else StartPolicy(seed=args.seed, count=args.count)
     table = scan_grid(
-        (cfg["p-min"], cfg["p-max"]),
-        (cfg["q-min"], cfg["q-max"]),
-        int(cfg["resolution"]),
-        kind,
-        int(cfg["steps"]),
+        (args.p_min, args.p_max),
+        (args.q_min, args.q_max),
+        args.resolution,
+        OrbitKind(args.kind),
+        args.steps,
         policy,
     )
     _write_out(export_json(table), args.out)
@@ -244,18 +201,24 @@ def _build_parser() -> _Parser:
     sp.set_defaults(func=_cmd_period)
 
     sp = sub.add_parser("scan", help="growth verdicts over a parameter grid")
-    sp.add_argument("--config", default=None, help="key=value file; flags override it")
-    sp.add_argument("--p-min", dest="p_min", type=float, default=None)
-    sp.add_argument("--p-max", dest="p_max", type=float, default=None)
-    sp.add_argument("--q-min", dest="q_min", type=float, default=None)
-    sp.add_argument("--q-max", dest="q_max", type=float, default=None)
-    sp.add_argument("--resolution", type=int, default=None)
-    sp.add_argument("--steps", type=int, default=None)
-    sp.add_argument("--kind", choices=("rational", "tropical"), default=None)
-    sp.add_argument("--seed", type=int, default=None)
-    sp.add_argument("--count", type=int, default=None)
+    sp.add_argument(
+        "--config",
+        default=None,
+        help="key=value file of the flags below, named without dashes; flags override it",
+    )
+    flags = (
+        sp.add_argument("--p-min", type=float, default=0.5),
+        sp.add_argument("--p-max", type=float, default=2.0),
+        sp.add_argument("--q-min", type=float, default=0.5),
+        sp.add_argument("--q-max", type=float, default=2.0),
+        sp.add_argument("--resolution", type=int, default=5),
+        sp.add_argument("--steps", type=int, default=1000),
+        sp.add_argument("--kind", choices=("rational", "tropical"), default="rational"),
+        sp.add_argument("--seed", type=int, default=None),
+        sp.add_argument("--count", type=int, default=1),
+    )
     sp.add_argument("--out", default=None)
-    sp.set_defaults(func=_cmd_scan)
+    sp.set_defaults(func=_cmd_scan, config_flags=flags)
 
     sp = sub.add_parser("levelset", help="sample a level set of the conserved function")
     _add_params_args(sp)
@@ -280,13 +243,17 @@ def _build_parser() -> _Parser:
 
 
 def main(argv=None) -> int:
+    parser = _build_parser()
     try:
-        args = _build_parser().parse_args(argv)
+        args = parser.parse_args(argv)
+        if getattr(args, "config", None) is not None:
+            # the file's values become defaults, so flags given as well win
+            _apply_scan_config(args.config, args.config_flags)
+            args = parser.parse_args(argv)
+        return args.func(args)
     except _UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1
-    try:
-        return args.func(args)
     except (DomainError, RegimeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -14,12 +14,14 @@ from .rational import PointPos
 from .tropical import (
     PointPL,
     _banded_signs,
+    _columns,
     _conserved,
     _lift,
     _pl_step,
     _quad_coefs,
     _record_orbit,
     _record_orbits,
+    _sup_norm,
 )
 from .floatops import _power
 
@@ -91,7 +93,7 @@ class Orbit:
     def log_radius(self) -> np.ndarray:
         # a tropical orbit through the origin has log radius -inf there
         with np.errstate(divide="ignore"):
-            return np.log(_max_norms(self.points))
+            return np.log(_sup_norm(*self.points.T))
 
     @cached_property
     def phi(self) -> np.ndarray | None:
@@ -105,15 +107,15 @@ class Orbit:
     def polar(self) -> np.ndarray | None:
         if self.kind is not OrbitKind.TROPICAL:
             return None
-        S, T = self.points[:, 0], self.points[:, 1]
+        S, T = self.points.T
         return np.where((S == 0.0) & (T == 0.0), math.nan, _lift(self.params, S, T)[0])
 
     @cached_property
     def signs(self) -> np.ndarray | None:
         if self.kind is not OrbitKind.TROPICAL:
             return None
-        S, T = self.points[:, 0], self.points[:, 1]
-        signs = _banded_signs(S, T, np.maximum(np.abs(S), np.abs(T)))
+        S, T = self.points.T
+        signs = _banded_signs(S, T, _sup_norm(S, T))
         return np.column_stack(signs).astype(np.int8)
 
 
@@ -147,13 +149,6 @@ class GrowthVerdict:
             ok = self.max_log_radius is not None
         if not ok:
             raise DomainError(f"inconsistent growth verdict {self!r}")
-
-
-def _max_norms(points: np.ndarray) -> np.ndarray:
-    # the same values as np.max(np.abs(points), axis=1), without numpy's
-    # slow reduction over rows two wide
-    a = np.abs(points)
-    return np.maximum(a[:, 0], a[:, 1])
 
 
 def _iterate_rational(params: Params, start: PointPos, steps: int):
@@ -249,7 +244,7 @@ def growth_classification(orbit: Orbit, delta: float = 0.01) -> GrowthVerdict:
     sigma = float(np.polyfit(idx, lr, 1)[0])
     if sigma > math.log1p(delta):
         return GrowthVerdict(GrowthKind.EXPONENTIAL, ratio=math.exp(sigma))
-    radius = _max_norms(orbit.points[half:])
+    radius = _sup_norm(*orbit.points[half:].T)
     rho = float(np.polyfit(idx, radius, 1)[0])
     if rho > 0.0 and rho * (n - half) > 0.25 * max(1.0, float(np.max(radius))):
         return GrowthVerdict(GrowthKind.LINEAR, rate=rho)
@@ -260,10 +255,11 @@ def growth_classification(orbit: Orbit, delta: float = 0.01) -> GrowthVerdict:
 def conserved_drift(orbit: Orbit) -> float:
     """Maximum relative wander of the conserved quadratic along an orbit.
 
-    Tropical orbits only.  Steps where the quadratic itself leaves
-    float range are skipped: a 64-bit evaluation carries no
-    information there.  The reference is the start value, the scale
-    max(1, |reference|).
+    Tropical orbits only.  Steps where the quadratic, or its distance
+    from the reference, leaves float range are skipped: a 64-bit
+    evaluation carries no information there.  The reference is the
+    start value, the scale max(1, |reference|).  Each step's figure is
+    the one phi_drift_batch takes, so the two agree bit for bit.
     """
     if orbit.kind is not OrbitKind.TROPICAL:
         raise DomainError("the conserved quadratic belongs to tropical orbits")
@@ -271,8 +267,16 @@ def conserved_drift(orbit: Orbit) -> float:
     base = float(ph[0])
     if not math.isfinite(base):
         raise DomainError("conserved quantity already out of float range at the start")
-    good = np.isfinite(ph)
-    return float(np.max(np.abs(ph[good] - base)) / max(1.0, abs(base)))
+    with np.errstate(over="ignore"):
+        return float(np.max(_drift(ph, base, max(1.0, abs(base)))))
+
+
+def _drift(value, base, denom):
+    # the relative wander |value - base| / denom of the conserved
+    # quadratic from its start value base, denom = max(1, |base|); a
+    # value that is not finite, or a wander that overflows, adds nothing
+    d = np.abs(value - base) / denom
+    return np.where(np.isfinite(d), d, 0.0)
 
 
 def monotonic_angle_audit(orbit: Orbit, slack: float = 1e-12):
@@ -323,12 +327,7 @@ def _phi_drift_pass(p, q, s0, t0, steps: int, scale_caps: tuple):
     steps = int(steps)
     if steps < 0:
         raise DomainError(f"steps must be >= 0, got {steps}")
-    p, q, s, t = np.broadcast_arrays(
-        np.asarray(p, dtype=float),
-        np.asarray(q, dtype=float),
-        np.asarray(s0, dtype=float),
-        np.asarray(t0, dtype=float),
-    )
+    p, q, s, t = _columns(p, q, s0, t0)
     if not (np.isfinite(p).all() and (p > 0.0).all() and np.isfinite(q).all() and (q > 0.0).all()):
         raise DomainError("exponents must be finite and positive")
     if not (np.isfinite(s).all() and np.isfinite(t).all()):
@@ -336,7 +335,6 @@ def _phi_drift_pass(p, q, s0, t0, steps: int, scale_caps: tuple):
     # norm <= nan never holds, so a nan cap would sample nothing and read as zero drift
     if any(cap is not None and math.isnan(cap) for cap in scale_caps):
         raise DomainError("scale_cap must not be nan")
-    zero = np.zeros_like(s)
     capped = any(cap is not None for cap in scale_caps)
     with np.errstate(over="ignore", invalid="ignore"):
         coefs = _quad_coefs(p, q)
@@ -348,13 +346,11 @@ def _phi_drift_pass(p, q, s0, t0, steps: int, scale_caps: tuple):
         drifts = [np.zeros_like(base) for _ in scale_caps]
         for _ in range(steps):
             s, t = _pl_step(p, q, s, t)
-            d = np.abs(_conserved(coefs, s, t) - base) / denom
-            # a step adds nothing once d, and so the quadratic, is not finite
-            d = np.where(np.isfinite(d), d, zero)
+            d = _drift(_conserved(coefs, s, t), base, denom)
             if capped:
-                norm = np.maximum(np.abs(s), np.abs(t))
+                norm = _sup_norm(s, t)
             for i, cap in enumerate(scale_caps):
-                sample = d if cap is None else np.where(norm <= cap, d, zero)
+                sample = d if cap is None else np.where(norm <= cap, d, 0.0)
                 drifts[i] = np.maximum(drifts[i], sample)
     return drifts
 

@@ -17,8 +17,11 @@ map is globally periodic.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from enum import Enum, auto
+
+import numpy as np
 
 from .errors import DomainError, RegimeError
 from .floatops import EQ_TOL, close_rel
@@ -84,18 +87,35 @@ def theta_of(params: Params) -> float:
     """
     if not params.pq < 4.0:
         raise RegimeError(f"theta is defined for pq < 4 only, got pq={params.pq!r}")
-    return math.acos(math.sqrt(params.pq) / 2.0)
+    return math.acos(float(_kappa(params.p, params.q)) / 2.0)
 
 
 def kappa_nu(params: Params) -> tuple[float, float]:
     """Return (kappa, nu) = (sqrt(pq), sqrt(p/q)).
 
-    kappa is sqrt(p) sqrt(q) only when the product pq overflows, so
-    every kappa of a finite product keeps the bits of sqrt(pq).
+    Each is the root of the rounded product or quotient, and so keeps
+    its bits, while that is a normal float; otherwise it is sqrt(p)
+    times or over sqrt(q), which stays in range for every valid pair.
     """
-    pq = params.p * params.q
-    kappa = math.sqrt(pq) if math.isfinite(pq) else math.sqrt(params.p) * math.sqrt(params.q)
-    return kappa, math.sqrt(params.p / params.q)
+    return float(_kappa(params.p, params.q)), float(_nu(params.p, params.q))
+
+
+def _kappa(p, q):
+    # kappa_nu's kappa for floats or arrays alike; callers silence the
+    # overflow of an array product
+    return _root(p * q, np.sqrt(p) * np.sqrt(q))
+
+
+def _nu(p, q):
+    # kappa_nu's nu, the same way
+    return _root(p / q, np.sqrt(p) / np.sqrt(q))
+
+
+def _root(value, fallback):
+    # sqrt(value) where value is a normal float, fallback elsewhere; [()]
+    # turns the 0-d array of a scalar value into a numpy scalar
+    normal = (value >= sys.float_info.min) & (value <= sys.float_info.max)
+    return np.where(normal, np.sqrt(value), fallback)[()]
 
 
 def detect_m(params: Params, cap: int = 10**6):
@@ -110,7 +130,7 @@ def detect_m(params: Params, cap: int = 10**6):
     pq = params.pq
     if pq >= 4.0:
         return None
-    theta = math.acos(math.sqrt(pq) / 2.0)
+    theta = theta_of(params)
     if theta <= 0.0:
         return None
     est = round(math.pi / theta)

@@ -24,7 +24,7 @@ import numpy as np
 
 from .errors import DomainError, RangeError
 from .floatops import EQ_TOL, PERIOD_TOL
-from .params import Params, kappa_nu, theta_of
+from .params import Params, _kappa, _nu, kappa_nu, theta_of
 
 __all__ = [
     "PointPL",
@@ -162,7 +162,7 @@ def _quad_coefs(p, q):
     # coefficient kills the catastrophic cancellation the monomial sum
     # suffers near pq = 4 once orbits grow; pq - 4 is exact there.
     # np.sqrt rounds as math.sqrt does and takes floats and arrays alike.
-    kappa = np.sqrt(p * q)
+    kappa = _kappa(p, q)
     return np.sqrt(p), np.sqrt(q), kappa * (p * q - 4.0) / (kappa + 2.0)
 
 
@@ -230,6 +230,11 @@ def _tau_step(p, q, s, t):
     return -s + q * t1, -t1
 
 
+def _columns(*values):
+    # float arrays broadcast together, one column per orbit of an array pass
+    return np.broadcast_arrays(*(np.asarray(v, dtype=float) for v in values))
+
+
 def _pl_step(p, q, s, t):
     # the composed step on arrays, the same arithmetic as _record_orbit's
     # scalar loop; callers silence the overflow the unused branch can hit
@@ -282,7 +287,7 @@ def _closed_forms(kappa, nu, top: int, s, t):
     # on top, for n = 0..top in rows; kappa, nu, s and t broadcast to
     # the columns.  Row n reads U_{2n-2}..U_{2n+1} of one table, with
     # the index -2 at n = 0 taking the standard extension's value -1
-    kappa, nu, s, t = np.broadcast_arrays(kappa, nu, s, t)
+    kappa, nu, s, t = _columns(kappa, nu, s, t)
     u = _cheb_table(kappa / 2.0, 2 * top + 1)
     u_lo, u_odd, u_even, u_hi = u[0:-3:2], u[1:-2:2], u[2:-1:2], u[3::2]
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
@@ -296,7 +301,7 @@ def _trig_forms(theta, nu, top: int, s, t):
     # the rows of _closed_forms through sines of multiples of theta, each
     # math.sin of the product k * theta (U_k stands for sin((k + 1) theta),
     # and the slices are named by that k)
-    th, nu, s, t = np.broadcast_arrays(np.asarray(theta, dtype=float), nu, s, t)
+    th, nu, s, t = _columns(theta, nu, s, t)
     flat = th.ravel().tolist()
     sines = np.array([[math.sin(k * x) for x in flat] for k in range(-1, 2 * top + 3)])
     sines = sines.reshape((-1,) + th.shape)
@@ -353,7 +358,7 @@ def polar_angle(params: Params, pt: PointPL) -> PolarAngle:
 def _lift(params: Params, s, t):
     # atan2 lifted over the cut; np.arctan2 serves floats and arrays
     # alike, so a single point and a whole orbit get the same bits
-    cut = math.atan(-kappa_nu(params)[1])
+    cut = math.atan(-float(_nu(params.p, params.q)))
     raw = np.arctan2(t, s)
     return np.where(raw > cut, raw, raw + 2.0 * math.pi), cut
 
@@ -414,7 +419,7 @@ def _record_orbits(p, q, s0, t0, steps: int):
     # p, q, s0 and t0 broadcast: (steps + 1)-row arrays of s and t, and
     # per column the 1-based step that left float range (None if none
     # did; rows from that step on hold no iterates)
-    p, q, s, t = np.broadcast_arrays(*(np.asarray(v, dtype=float) for v in (p, q, s0, t0)))
+    p, q, s, t = _columns(p, q, s0, t0)
     ss = np.empty((steps + 1,) + s.shape)
     ts = np.empty_like(ss)
     ss[0], ts[0] = s, t
@@ -434,15 +439,25 @@ def sign_pair(pt: PointPL, scale: float | None = None) -> SignPair:
     The scale defaults to the point's own infinity norm; pass an
     orbit-wide scale to keep the band consistent along a trajectory.
     """
-    ref = max(abs(pt.s), abs(pt.t)) if scale is None else float(scale)
+    ref = _sup_norm(pt.s, pt.t) if scale is None else float(scale)
     first, second = _banded_signs(pt.s, pt.t, ref)
     return SignPair(int(first), int(second))
 
 
+def _sup_norm(s, t):
+    # max(|s|, |t|) per point, nan where either is nan
+    return np.maximum(np.abs(s), np.abs(t))
+
+
+def _band(scale):
+    # the zero band EQ_TOL max(1, scale); fmax keeps it at EQ_TOL for a
+    # nan scale
+    return EQ_TOL * np.fmax(1.0, scale)
+
+
 def _banded_signs(s, t, scale):
-    # signs in {-1, 0, 1} with a zero band of EQ_TOL max(1, scale); fmax
-    # keeps the band at EQ_TOL for a nan scale
-    band = EQ_TOL * np.fmax(1.0, scale)
+    # signs in {-1, 0, 1}, zero inside the band of scale
+    band = _band(scale)
     return tuple(np.where(np.abs(v) <= band, 0, np.where(v > 0.0, 1, -1)) for v in (s, t))
 
 
@@ -460,30 +475,23 @@ def first_sign_coherent_index(params: Params, pt: PointPL, cap: int = 500):
     return _sign_coherent_indices(params.p, params.q, pt.s, pt.t, cap)[0]
 
 
-def _infinity_norm(s, t):
-    # max(|s|, |t|) as the scalar conditional takes it, nan in t included
-    a, b = np.abs(s), np.abs(t)
-    return np.where(b > a, b, a)
-
-
 def _sign_coherent_indices(p, q, s0, t0, cap: int) -> list:
     # first_sign_coherent_index for many starts at once, one column per
     # start after p, q, s0 and t0 broadcast.  The infinity norm of the
     # current iterates serves both the band and the renormalization;
     # each column past 1e100 is divided by its own norm, after which its
     # larger coordinate is exactly +-1.
-    p, q, s, t = np.broadcast_arrays(*(np.asarray(v, dtype=float) for v in (p, q, s0, t0)))
+    p, q, s, t = _columns(p, q, s0, t0)
     last_bad = np.full(s.shape, -1)
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        norm = _infinity_norm(s, t)
+        norm = _sup_norm(s, t)
         for n in range(cap + 1):
-            # EQ_TOL * norm above 1, else EQ_TOL; fmax gives EQ_TOL at a nan norm too
-            band = EQ_TOL * np.fmax(norm, 1.0)
+            band = _band(norm)
             last_bad[~((s > band) & (t < -band))] = n
             if n == cap:
                 break
             s, t = _pl_step(p, q, s, t)
-            norm = _infinity_norm(s, t)
+            norm = _sup_norm(s, t)
             big = norm > 1e100
             if big.any():
                 s = np.where(big, s / norm, s)

@@ -23,14 +23,21 @@ def test_criterion(verdicts, cid):
     assert ok, f"{crit.title}: {detail}"
 
 
-# What C3, C7 and C8 report, without the timing suffix, pinned as the
-# per-point implementations produced it: a refactor of their kernels
-# must not change a single printed figure.
+# What C1-C10 report, without the timing suffix: a refactor of their
+# kernels must not change a single printed figure.  C3, C7 and C8 were
+# pinned as the per-point implementations produced them.
 PINNED_DETAILS = {
+    "C1": "2800 orbits across m=3..30 all at the predicted period",
+    "C2": "m=7 gives 9 (want 9), m=10 gives 6 (want 6)",
     "C3": (
         "max drift 1e4 steps: rotation 5.49e-14 (full horizon), critical 1.08e-10 and "
         "hyperbolic 9.82e-11 (inside the measurable window; raw full-horizon 4.17e-08 "
         "and 9.98e+292, see module note)"
+    ),
+    "C4": "five-cycle error 0.0e+00, three-cycle error 0.0e+00, no early return",
+    "C5": "all escapes within 4 steps; tropical ratios held",
+    "C6": (
+        "worst |det J - 1| = 2.35e-09 over 1000 points x 10 params; branch dets exact"
     ),
     "C7": (
         "872 orbits with conserved value >= 0, lifted angle never rose; 128 with value < 0 "
@@ -42,6 +49,11 @@ PINNED_DETAILS = {
         "closed forms within 1.9e-13 relative for n <= 30; "
         "300 first-quadrant runs matched the linearization bit for bit"
     ),
+    "C9": (
+        "classes closed (m=3:10, m=4:6, m=5:14, m=6:8, m=7:18, m=8:10); "
+        "cap exhausts at 10^4 for pq=5; row actions exact"
+    ),
+    "C10": "all 100 rotation-regime cells bounded-like over 1e4 steps, peak log radius 3.12",
 }
 
 

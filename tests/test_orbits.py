@@ -279,11 +279,22 @@ def test_angle_audit_domain_errors():
 
 def test_batch_drift_matches_scalar_path_exactly():
     rng = np.random.default_rng(71)
+    cases = []
     for _ in range(10):
         p, q = rng.uniform(0.4, 1.8, size=2)
-        s, t = rng.uniform(-2.0, 2.0, size=2)
+        cases.append((p, q, *rng.uniform(-2.0, 2.0, size=2)))
+    # starts near 1e150 at pq > 4: the quadratic overflows while the
+    # points stay finite, and most of these orbits are truncated later
+    for _ in range(10):
+        p, q = rng.uniform(3.0, 8.0, size=2)
+        cases.append((p, q, *rng.uniform(-1e150, 1e150, size=2)))
+    overflowing = truncated = 0
+    for p, q, s, t in cases:
         orbit = iterate_orbit(Params(p, q), OrbitKind.TROPICAL, (s, t), 150)
+        overflowing += not np.isfinite(orbit.phi).all()
+        truncated += orbit.truncated
         assert float(phi_drift_batch(p, q, s, t, 150)) == conserved_drift(orbit)
+    assert overflowing >= 5 and truncated >= 5
 
 
 def test_batch_drift_scale_cap_bounds_the_window():

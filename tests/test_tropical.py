@@ -168,6 +168,14 @@ def test_quadratic_stable_form_matches_monomials():
         assert abs(got - naive) <= 1e-13 * scale
 
 
+def test_phi_keeps_its_sign_past_an_overflowing_product():
+    # pq overflows, kappa = 1e200 does not, so the cross coefficient is
+    # inf rather than inf / inf = nan
+    params = Params(1e200, 1e200)
+    assert phi(params, PointPL(1.0, 1.0)) == math.inf
+    assert phi(params, PointPL(1.0, -1.0)) == -math.inf
+
+
 def test_phi_uses_mirror_on_open_second_quadrant():
     params = Params(1.0, 2.0)
     inside = PointPL(-1.0, 2.0)
@@ -237,6 +245,20 @@ def test_closed_form_matches_iterated_linearization():
     # pq overflows while kappa = 1e200 does not
     pair = tau_closed_form(Params(1e200, 1e200), 0, PointPL(1.0, 1.0))
     assert tuple(pt.as_tuple() for pt in pair) == ((1.0, 1.0), (-1.0, 1e200))
+
+
+def test_closed_form_survives_a_quotient_that_overflows():
+    # p/q overflows while nu = sqrt(p)/sqrt(q) does not; nu U_1 = p
+    first, second = tau_closed_form(Params(1e300, 1e-300), 0, PointPL(1.0, 1.0))
+    assert first.as_tuple() == (1.0, 1.0)
+    assert second.s == -1.0 and second.t == pytest.approx(1e300, rel=1e-15)
+
+
+def test_closed_form_survives_a_quotient_that_underflows():
+    # p/q underflows to 0 while nu = 1e-300 does not
+    first, second = tau_closed_form(Params(1e-300, 1e300), 1, PointPL(1.0, 1.0))
+    assert first.s == pytest.approx(1e300, rel=1e-15) and first.t == -1.0
+    assert all(math.isfinite(v) for v in first.as_tuple() + second.as_tuple())
 
 
 def test_trig_form_matches_chebyshev_form():
@@ -565,6 +587,10 @@ def test_sign_coherence_reduction_equals_the_scalar_loop():
         s0, t0 = (float(v) * scale for v in rng.uniform(-3.0, 3.0, 2))
         cases.append((Params(p, q), PointPL(s0, t0)))
     cases += [(Params(3.0, 3.0), PointPL(0.0, 0.0)), (Params(1.0, 5.0), PointPL(-0.0, 1.0))]
+    # p and q near 1e200: these orbits leave float range within two steps
+    for _ in range(12):
+        s0, t0 = (float(v) for v in rng.uniform(-3.0, 3.0, 2))
+        cases.append((Params(*(float(v) for v in rng.uniform(0.5, 5.0, 2) * 1e200)), PointPL(s0, t0)))
     renormalized = sum(
         1
         for params, pt in cases
