@@ -88,24 +88,28 @@ def _apply_scan_config(path, flags):
     # a key=value file naming scan flags without their dashes; each value
     # is checked as its flag checks it and becomes that flag's default
     by_key = {action.option_strings[0][2:]: action for action in flags}
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, 1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise DomainError(f"{path}:{lineno}: expected key=value, got {raw.strip()!r}")
-            key, _, val = (x.strip() for x in line.partition("="))
-            if key not in by_key:
-                raise DomainError(f"{path}:{lineno}: unknown key {key!r}")
-            action = by_key[key]
-            try:
-                value = (action.type or str)(val)
-                if action.choices is not None and value not in action.choices:
-                    raise ValueError(val)
-            except ValueError:
-                raise DomainError(f"{path}:{lineno}: bad value for {key}: {val!r}") from None
-            action.default = value
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            lines = fh.readlines()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise DomainError(f"cannot read config: {exc}") from None
+    for lineno, raw in enumerate(lines, 1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if "=" not in line:
+            raise DomainError(f"{path}:{lineno}: expected key=value, got {raw.strip()!r}")
+        key, _, val = (x.strip() for x in line.partition("="))
+        if key not in by_key:
+            raise DomainError(f"{path}:{lineno}: unknown key {key!r}")
+        action = by_key[key]
+        try:
+            value = (action.type or str)(val)
+            if action.choices is not None and value not in action.choices:
+                raise ValueError(val)
+        except ValueError:
+            raise DomainError(f"{path}:{lineno}: bad value for {key}: {val!r}") from None
+        action.default = value
 
 
 def _cmd_scan(args) -> int:

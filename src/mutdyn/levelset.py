@@ -1,13 +1,15 @@
 """Sampling the level sets of the conserved piecewise-quadratic.
 
-The conserved function equals one quadratic on the closed complement
-of the open second quadrant and its mirror on the open second
-quadrant, so a level set is assembled from conic pieces: each conic is
-parameterized in closed form (ellipse below the critical product, a
-degenerate pair of lines at it, hyperbola branches above) and clipped
-to the region where its quadratic is the active one.  Piece endpoints
-on the axes are refined by bisection, so adjacent pieces meet to high
-accuracy.
+The conserved function phi is positively homogeneous of degree 2, so
+the level set {phi = c} is the radial graph r(w) = sqrt(c / phi(w)),
+with phi(w) = phi(cos w, sin w), over the directions w where phi has
+the sign of c.  The plain quadratic rules w in [-pi, pi/2], the closed
+complement of the open second quadrant; its mirror (t -> -t) rules
+w in [pi/2, pi].  Each region is cut at the directions where the
+radius reaches the truncation radius R, roots of a trigonometric
+quadratic solved in closed form, and every stretch with
+phi(w) / c >= 1 / R^2 is one piece.  Axis ends are set exactly, so
+adjacent pieces meet without refinement.
 """
 from __future__ import annotations
 
@@ -17,86 +19,26 @@ import numpy as np
 
 from .errors import DomainError
 from .params import Params, Regime, classify_regime
-from .tropical import _conserved, _quad_coefs
+from .tropical import _conserved, _quad, _quad_coefs
 
 __all__ = ["levelset_points", "levelset_residual"]
 
-# f pieces live everywhere except the open second quadrant; g pieces
-# live on the closed second quadrant.  Predicates are exact sign tests.
+# (first direction, last direction, sign applied to t): the plain
+# quadratic is walked clockwise from the top axis, the mirror
+# anticlockwise, so both start at the top and end on the left axis
+_REGIONS = ((0.5 * math.pi, -math.pi, 1.0), (0.5 * math.pi, math.pi, -1.0))
 
 
-def _keep_f(s: float, t: float) -> bool:
-    return not (s < 0.0 and t > 0.0)
-
-
-def _keep_g(s: float, t: float) -> bool:
-    return s <= 0.0 and t >= 0.0
-
-
-def _refine(point_fn, keep, sig_in: float, sig_out: float) -> float:
-    # shrink toward the transition, returning a parameter on the kept side
-    for _ in range(80):
-        mid = 0.5 * (sig_in + sig_out)
-        if mid == sig_in or mid == sig_out:
-            break
-        if keep(*point_fn(mid)):
-            sig_in = mid
-        else:
-            sig_out = mid
-        if abs(sig_out - sig_in) <= 1e-13 * (1.0 + abs(sig_in)):
-            break
-    return sig_in
-
-
-def _clip_curve(point_fn, keep, grid: np.ndarray, circular: bool, samples: int):
-    """Maximal kept runs of a parameterized curve, endpoints refined."""
-    mask = np.array([keep(*point_fn(g)) for g in grid], dtype=bool)
-    m = len(grid)
-    if not mask.any():
-        return []
-    if circular:
-        span = (grid[1] - grid[0]) * m
-        if mask.all():
-            pts = [point_fn(g) for g in grid]
-            pts.append(pts[0])
-            return [pts]
-        # unroll one period starting from a rejected probe, so every
-        # kept run is interior to the window and has rejected neighbours
-        off = int(np.argmin(mask))
-        big_grid = np.concatenate([grid, grid + span])
-        big_mask = np.concatenate([mask, mask])
-        lo, hi = off, off + m
-    else:
-        big_grid, big_mask = grid, mask
-        lo, hi = 0, m
-    pieces = []
-    i = lo
-    while i < hi:
-        if not big_mask[i]:
-            i += 1
-            continue
-        j = i
-        while j + 1 < hi and big_mask[j + 1]:
-            j += 1
-        sig_a = big_grid[i]
-        if i > 0 and not big_mask[i - 1]:
-            sig_a = _refine(point_fn, keep, big_grid[i], big_grid[i - 1])
-        sig_b = big_grid[j]
-        if j + 1 < len(big_mask) and not big_mask[j + 1]:
-            sig_b = _refine(point_fn, keep, big_grid[j], big_grid[j + 1])
-        pieces.append([point_fn(s) for s in np.linspace(sig_a, sig_b, samples)])
-        i = j + 1
-    return pieces
-
-
-def _form_matrix(p: float, q: float) -> np.ndarray:
-    h = 0.5 * p * q
-    return np.array([[p, h], [h, q]], dtype=float)
+def _check_level(level) -> float:
+    level = float(level)
+    if not (math.isfinite(level) and level != 0.0):
+        raise DomainError(f"level must be finite and non-zero, got {level!r}")
+    return level
 
 
 def _char_radius(params: Params, level: float) -> float:
     # geometric scale of the level curve: the larger axis intercept
-    return math.sqrt(level * max(1.0 / params.p, 1.0 / params.q))
+    return math.sqrt(abs(level) * max(1.0 / params.p, 1.0 / params.q))
 
 
 def _accuracy_radius(params: Params, level: float) -> float:
@@ -104,68 +46,23 @@ def _accuracy_radius(params: Params, level: float) -> float:
     # pin the level to the advertised relative accuracy
     eps = 2.220446049250313e-16
     weight = params.p + params.q + params.pq
-    return math.sqrt(1e-9 * level / (8.0 * eps * weight))
+    return math.sqrt(1e-9 * abs(level) / (8.0 * eps * weight))
 
 
-def _conic_pieces(params: Params, level: float, mirrored: bool, samples: int, extent: float):
+def _cuts(params: Params, k: float, first: float, last: float, flip: float):
+    # region ends plus the directions inside where phi(w) = k, in walking
+    # order; phi(w) - k = a + rho cos(2w - delta) with the harmonic
+    # coefficients of p cos^2 + flip pq cos sin + q sin^2
     p, q = params.p, params.q
-    keep = _keep_g if mirrored else _keep_f
-    # the mirrored quadratic is the plain one at (s, -t); parameterize
-    # the plain conic and flip the sample, so both share one code path
-    a_mat = _form_matrix(p, q)
-    vals, vecs = np.linalg.eigh(a_mat)
-    regime = classify_regime(params)
-    r_cap = min(extent * _char_radius(params, level), _accuracy_radius(params, level))
-
-    def through(xi: float, eta: float):
-        s = vecs[0, 0] * xi + vecs[0, 1] * eta
-        t = vecs[1, 0] * xi + vecs[1, 1] * eta
-        return (s, -t) if mirrored else (s, t)
-
-    if regime is Regime.SUBCRITICAL:
-        ra = math.sqrt(level / vals[0])
-        rb = math.sqrt(level / vals[1])
-
-        def pt(alpha: float):
-            return through(ra * math.cos(alpha), rb * math.sin(alpha))
-
-        grid = np.linspace(0.0, 2.0 * math.pi, 4 * max(samples, 64), endpoint=False)
-        return _clip_curve(pt, keep, grid, circular=True, samples=samples)
-
-    if regime is Regime.CRITICAL:
-        rp = math.sqrt(p)
-        rq = math.sqrt(q)
-        root = math.sqrt(level)
-        den = p + q
-        pieces = []
-        for r in (root, -root):
-            base = (r * rp / den, r * rq / den)
-            dvec = (rq / math.sqrt(den), -rp / math.sqrt(den))
-
-            def pt(sig: float, base=base, dvec=dvec):
-                s = base[0] + sig * dvec[0]
-                t = base[1] + sig * dvec[1]
-                return (s, -t) if mirrored else (s, t)
-
-            grid = np.linspace(-r_cap, r_cap, 4 * max(samples, 64))
-            pieces.extend(_clip_curve(pt, keep, grid, circular=False, samples=samples))
-        return pieces
-
-    # supercritical: vals[0] < 0 < vals[1]; the two branches sit at
-    # positive and negative coefficient along the positive eigenvector
-    ra = math.sqrt(level / vals[1])
-    rb = math.sqrt(level / -vals[0])
-    reach = max(ra, rb)
-    sig_max = math.acosh(max(2.0, r_cap / reach))
-    pieces = []
-    for branch in (1.0, -1.0):
-
-        def pt(sig: float, branch=branch):
-            return through(rb * math.sinh(sig), branch * ra * math.cosh(sig))
-
-        grid = np.linspace(-sig_max, sig_max, 4 * max(samples, 64))
-        pieces.extend(_clip_curve(pt, keep, grid, circular=False, samples=samples))
-    return pieces
+    a = 0.5 * (p + q) - k
+    rho = math.hypot(0.5 * (p - q), 0.5 * params.pq)
+    cuts = {first, last}
+    if abs(a) <= rho:
+        delta = math.atan2(flip * 0.5 * params.pq, 0.5 * (p - q))
+        half = math.acos(-a / rho)
+        roots = [0.5 * (delta + sign * half) + n * math.pi for sign in (-1, 1) for n in (-1, 0, 1)]
+        cuts.update(w for w in roots if min(first, last) < w < max(first, last))
+    return sorted(cuts, reverse=last < first)
 
 
 def levelset_points(
@@ -174,34 +71,56 @@ def levelset_points(
     samples_per_piece: int = 256,
     extent: float = 8.0,
 ):
-    """Polylines tracing the level set of the conserved function.
+    """Polylines tracing the level set {phi = level} of the conserved function.
 
-    Returns a tuple of pieces, each a tuple of (s, t) pairs: the
-    plain-quadratic pieces first, then the mirrored ones on the closed
-    second quadrant.  Unbounded pieces are truncated at ``extent``
-    times the curve's axis scale, tightened where needed so every
-    emitted point evaluates back to the level within 1e-9 relative.
+    Returns a tuple of pieces, each a tuple of ``samples_per_piece``
+    (s, t) pairs at directions evenly spaced in w: the plain-quadratic
+    pieces first, walked clockwise from the top axis, then the mirrored
+    ones on the closed second quadrant.  A negative level is drawn too;
+    above the critical product it is one piece in the open fourth
+    quadrant.  Below the critical product the curve is an ellipse and
+    is drawn whole.  Otherwise pieces stop at radius ``extent`` times
+    the curve's axis scale, tightened where needed so every emitted
+    point evaluates back to the level within 1e-9 relative.  A level
+    with no point inside that radius raises ``DomainError``, so does a
+    negative level below the critical product, whose set is empty.
     """
-    level = float(level)
-    if not (math.isfinite(level) and level > 0.0):
-        raise DomainError(f"level must be finite and positive, got {level!r}")
+    level = _check_level(level)
     samples_per_piece = int(samples_per_piece)
     if samples_per_piece < 2:
         raise DomainError(f"samples_per_piece must be >= 2, got {samples_per_piece}")
     extent = float(extent)
     if not (math.isfinite(extent) and extent >= 2.0):
         raise DomainError(f"extent must be >= 2, got {extent!r}")
+    r_cap = min(extent * _char_radius(params, level), _accuracy_radius(params, level))
+    if classify_regime(params) is Regime.SUBCRITICAL:
+        r_cap = math.inf  # the ellipse is drawn whole
+    coefs = _quad_coefs(params.p, params.q)
     pieces = []
-    for mirrored in (False, True):
-        for piece in _conic_pieces(params, level, mirrored, samples_per_piece, extent):
-            pieces.append(tuple((float(s), float(t)) for s, t in piece))
+    for first, last, flip in _REGIONS:
+        cuts = _cuts(params, level / r_cap**2, first, last, flip)
+        for a, b in zip(cuts, cuts[1:]):
+            mid = 0.5 * (a + b)
+            if _quad(coefs, math.cos(mid), flip * math.sin(mid)) / level < r_cap**-2:
+                continue
+            w = np.linspace(a, b, samples_per_piece)
+            r = np.sqrt(level / _quad(coefs, np.cos(w), flip * np.sin(w)))
+            s, t = r * np.cos(w), r * np.sin(w)
+            if a == first:  # only a positive level reaches the axis ends
+                s[0], t[0] = 0.0, math.sqrt(level / params.q)
+            if b == last:
+                s[-1], t[-1] = -math.sqrt(level / params.p), 0.0
+            pieces.append(tuple(zip(s.tolist(), t.tolist())))
+    if not pieces:
+        raise DomainError(f"level {level!r} has no point within radius {r_cap!r}")
     return tuple(pieces)
 
 
 def levelset_residual(params: Params, pieces, level: float) -> float:
-    """Largest relative deviation of sampled points from the level."""
+    """Largest deviation of sampled points from the level, relative to |level|."""
+    level = _check_level(level)
     pts = np.array([pt for piece in pieces for pt in piece], dtype=float).reshape(-1, 2)
     if not np.isfinite(pts).all():
         raise DomainError("coordinates must be finite")
     vals = _conserved(_quad_coefs(params.p, params.q), pts[:, 0], pts[:, 1])
-    return float(np.max(np.abs(vals - level), initial=0.0)) / level
+    return float(np.max(np.abs(vals - level), initial=0.0)) / abs(level)

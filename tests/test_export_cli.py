@@ -229,7 +229,7 @@ SVG_SHA256 = {
     ("trop-orbit", "--p", "1", "--q", "1", "--s0", "1", "--t0", "0", "--steps", "3"):
         "2e717128c884f3e46a715f1f5235100d96a8374dd7cd3952e7322643052b2f40",
     ("levelset", "--p", "3", "--q", "3", "--level", "3"):
-        "c3b2d14ce62e677416fa293a9733fe58cf882fc88c18da0540481842ed4a32bb",
+        "8cd2e2cb5ebda69fdefd6047550f86d15ebea314ef762c73c35f960913168c93",
 }
 
 
@@ -313,6 +313,11 @@ def test_cli_scan_config_errors(capsys, tmp_path):
     no_eq.write_text("resolution\n")
     code, _, err = _run(capsys, ["scan", "--config", str(no_eq)])
     assert code == 1 and "key=value" in err
+    not_utf8 = tmp_path / "d.cfg"
+    not_utf8.write_bytes(b"resolution = \xff\n")
+    for unreadable in (tmp_path / "absent.cfg", not_utf8):
+        code, _, err = _run(capsys, ["scan", "--config", str(unreadable)])
+        assert code == 1 and err.startswith("error: cannot read config")
 
 
 def test_cli_levelset_formats(capsys):
@@ -338,38 +343,38 @@ def test_cli_levelset_formats(capsys):
 
 LEVELSET_CSV = """\
 piece,index,s,t
-0,0,1.3705703238997557e-13,0.9999999999999314
-0,1,0.31827860315943635,0.8021223943585721
-0,2,0.6118980597077037,0.5420990663025278
-0,3,0.8581097300725571,0.24007574132252646
-0,4,1.037837969153742,-0.08054783778784341
-0,5,1.1371580426032655,-0.39493084363474157
-0,6,1.148374968011696,-0.6787159472735256
-0,7,1.0706196960448153,-0.9099164414383276
-0,8,0.9099164414383268,-1.0706196960448158
-0,9,0.6787159472735245,-1.1483749680116961
-0,10,0.39493084363474096,-1.1371580426032655
-0,11,0.08054783778784269,-1.0378379691537418
-0,12,-0.24007574132252768,-0.8581097300725564
-0,13,-0.542099066302528,-0.6118980597077035
-0,14,-0.8021223943585726,-0.3182786031594359
-0,15,-0.9999999999999318,-1.3627987627273797e-13
-1,0,-1.3578027591165664e-13,0.9999999999999319
-1,1,-0.08054783778789676,0.9572901313658686
-1,2,-0.16070325460659574,0.9099164414382604
-1,3,-0.24007574132268722,0.8581097300724472
-1,4,-0.3182786031593832,0.802122394358612
-1,5,-0.3949308436347409,0.7422271989685245
-1,6,-0.46965902073822036,0.6787159472734812
-1,7,-0.542099066302624,0.6118980597076115
-1,8,-0.611898059707611,0.5420990663026245
-1,9,-0.6787159472734808,0.46965902073822086
-1,10,-0.7422271989685242,0.3949308436347413
-1,11,-0.8021223943586117,0.3182786031593837
-1,12,-0.858109730072447,0.24007574132268766
-1,13,-0.9099164414382603,0.16070325460659612
-1,14,-0.9572901313658684,0.0805478377878972
-1,15,-0.9999999999999318,1.3627987627273797e-13
+0,0,0,1
+0,1,0.2716647219739424,0.8360980424504947
+0,2,0.48388807530528793,0.6660147983817921
+0,3,0.6660147983817921,0.48388807530528793
+0,4,0.8360980424504948,0.27166472197394237
+0,5,1,0
+0,6,1.1318032902298174,-0.36774518125687616
+0,7,1.1171116931719378,-0.8116291536214888
+0,8,0.8116291536214888,-1.1171116931719378
+0,9,0.3677451812568763,-1.1318032902298176
+0,10,6.123233995736766e-17,-1
+0,11,-0.27166472197394226,-0.8360980424504947
+0,12,-0.48388807530528793,-0.6660147983817922
+0,13,-0.666014798381792,-0.48388807530528805
+0,14,-0.8360980424504947,-0.2716647219739424
+0,15,-1,0
+1,0,0,1
+1,1,-0.09948525419205205,0.9465389662041598
+1,2,-0.18953072460722659,0.8916719536584272
+1,3,-0.27166472197394226,0.8360980424504947
+1,4,-0.34729931704908723,0.7800470376440698
+1,5,-0.417681254292085,0.7234451538029878
+1,6,-0.48388807530528793,0.6660147983817922
+1,7,-0.5468423570267072,0.6073299653525551
+1,8,-0.6073299653525548,0.5468423570267076
+1,9,-0.666014798381792,0.48388807530528805
+1,10,-0.7234451538029874,0.4176812542920853
+1,11,-0.7800470376440695,0.3472993170490875
+1,12,-0.8360980424504947,0.2716647219739424
+1,13,-0.891671953658427,0.18953072460722692
+1,14,-0.9465389662041597,0.09948525419205244
+1,15,-1,0
 """
 
 

@@ -7,6 +7,7 @@ import pytest
 from mutdyn.errors import DomainError
 from mutdyn.levelset import levelset_points, levelset_residual
 from mutdyn.params import Params
+from mutdyn.tropical import PointPL, mu_c
 
 
 def _endpoints(pieces):
@@ -31,7 +32,8 @@ def test_piece_lengths_match_samples():
 
 def test_residual_within_advertised_accuracy():
     rng = np.random.default_rng(81)
-    configs = [(1, 1, 1.0), (2, 2, 4.0), (3, 3, 3.0), (1, 2, 0.7), (0.5, 0.5, 2.0)]
+    configs = [(1, 1, 1.0), (2, 2, 4.0), (3, 3, 3.0), (1, 2, 0.7), (0.5, 0.5, 2.0),
+               (3, 3, -3.0), (2, 3, -2.0)]
     for _ in range(10):
         p, q = rng.uniform(0.3, 3.0, size=2)
         configs.append((float(p), float(q), float(rng.uniform(0.2, 5.0))))
@@ -46,6 +48,41 @@ def test_residual_detects_wrong_level():
     params = Params(1, 1)
     pieces = levelset_points(params, 1.0, 32)
     assert levelset_residual(params, pieces, 2.0) > 0.4
+
+
+def test_residual_is_relative_to_the_level_size():
+    params = Params(1, 1)
+    pieces = levelset_points(params, 1.0, 32)
+    assert levelset_residual(params, pieces, -5.0) == pytest.approx(1.2)
+    for bad in (0.0, math.nan, math.inf):
+        with pytest.raises(DomainError):
+            levelset_residual(params, pieces, bad)
+
+
+def test_near_critical_pieces_stay_within_truncation():
+    # just above the critical product the second-quadrant arc is kept and
+    # the unbounded branches stop at extent times the axis scale
+    for params in (Params(1, 4.0001), Params(2, 2.0001), Params(1, 4.1)):
+        for level in (1.0, 4.0):
+            pieces = levelset_points(params, level, 64)
+            assert len(pieces) == 3
+            second = [pc for pc in pieces if all(s <= 0.0 and t >= 0.0 for s, t in pc)]
+            assert len(second) == 1
+            cap = 8.0 * math.sqrt(level * max(1.0 / params.p, 1.0 / params.q))
+            reach = max(math.hypot(s, t) for pc in pieces for s, t in pc)
+            assert reach <= cap * (1.0 + 1e-9)
+            assert levelset_residual(params, pieces, level) < 1e-9
+
+
+def test_levels_are_invariant_and_negative_levels_sit_in_fourth_quadrant():
+    for p, q, c in ((3, 3, 3.0), (3, 3, -3.0), (2, 3, -2.0), (1, 2, 0.7), (2.6, 1.9, 1.3)):
+        params = Params(p, q)
+        pieces = levelset_points(params, c, 64)
+        images = [[mu_c(params, PointPL(s, t)).as_tuple() for s, t in pc] for pc in pieces]
+        assert levelset_residual(params, images, c) < 1e-9
+        if c < 0.0:
+            assert len(pieces) == 1
+            assert all(s > 0.0 and t < 0.0 for s, t in pieces[0])
 
 
 def test_adjacent_pieces_share_axis_endpoints():
