@@ -37,15 +37,25 @@ def _check_level(level) -> float:
 
 
 def _char_radius(params: Params, level: float) -> float:
-    # geometric scale of the level curve: the larger axis intercept
-    return math.sqrt(abs(level) * max(1.0 / params.p, 1.0 / params.q))
+    # geometric scale of the level curve: the larger axis intercept of a
+    # positive level; a negative one never meets the axes, and its
+    # nearest radius sqrt(c / m) stands in, m = (p + q)/2 - hypot((p - q)/2,
+    # pq/2) the minimum of phi on the unit circle.  Up to pq = 4, m >= 0
+    # and a negative level has no points
+    p, q = params.p, params.q
+    if level > 0.0:
+        return math.sqrt(level * max(1.0 / p, 1.0 / q))
+    m = 0.5 * (p + q) - math.hypot(0.5 * (p - q), 0.5 * params.pq)
+    return math.sqrt(level / m) if m < 0.0 else math.inf
 
 
 def _accuracy_radius(params: Params, level: float) -> float:
     # beyond this radius a 64-bit evaluation of the quadratic cannot
-    # pin the level to the advertised relative accuracy
+    # pin the level to the advertised relative accuracy: its terms weigh
+    # up to (p + q + pq) r^2.  Where phi < 0, ps^2 + qt^2 < pq |st| and
+    # |st| <= r^2 / 2, so a negative level's terms weigh under pq r^2
     eps = 2.220446049250313e-16
-    weight = params.p + params.q + params.pq
+    weight = params.p + params.q + params.pq if level > 0.0 else params.pq
     return math.sqrt(1e-9 * abs(level) / (8.0 * eps * weight))
 
 

@@ -167,9 +167,13 @@ def _quad_coefs(p, q):
 
 
 def _quad(coefs, s, t):
+    # the cross term is dropped where s t is 0: an overflowing product pq
+    # makes the coefficient inf, and inf * 0 would read nan.  Wherever the
+    # coefficient is finite the bits are kept, since lin^2 + (+-0) = lin^2
     rp, rq, coef = coefs
     lin = rp * s + rq * t
-    return lin * lin + coef * (s * t)
+    st = s * t
+    return lin * lin + np.where(st == 0.0, 0.0, coef) * st
 
 
 def _conserved(coefs, s, t):
@@ -241,6 +245,29 @@ def _pl_step(p, q, s, t):
     ns = -s
     t1 = np.where(s > 0.0, t + p * s, t)
     return np.where(t1 > 0.0, ns + q * t1, ns), -t1
+
+
+# iterates _pl_blocks hands over at a time
+_STEP_BLOCK = 64
+
+
+def _pl_blocks(p, q, s, t, steps: int):
+    # iterates 1..steps of _pl_step from the columns s, t, handed over
+    # as (first step, s rows, t rows) in blocks of _STEP_BLOCK rows, the
+    # last one shorter.  The block buffers are reused, so a consumer
+    # reads each block before asking for the next; callers silence the
+    # overflow as for _pl_step.  A pass that reduces per block makes its
+    # numpy calls once per block instead of once per step
+    bs = np.empty((min(_STEP_BLOCK, steps),) + np.shape(s))
+    bt = np.empty_like(bs)
+    first = 1
+    while first <= steps:
+        n = min(len(bs), steps + 1 - first)
+        for i in range(n):
+            s, t = _pl_step(p, q, s, t)
+            bs[i], bt[i] = s, t
+        yield first, bs[:n], bt[:n]
+        first += n
 
 
 def chebyshev_u(n: int, x: float) -> float:
@@ -424,9 +451,8 @@ def _record_orbits(p, q, s0, t0, steps: int):
     ts = np.empty_like(ss)
     ss[0], ts[0] = s, t
     with np.errstate(over="ignore", invalid="ignore"):
-        for i in range(1, steps + 1):
-            s, t = _pl_step(p, q, s, t)
-            ss[i], ts[i] = s, t
+        for row, bs, bt in _pl_blocks(p, q, s, t, steps):
+            ss[row : row + len(bs)], ts[row : row + len(bt)] = bs, bt
     bad = ~(np.isfinite(ss) & np.isfinite(ts))
     first = bad.argmax(axis=0)
     trunc = [int(i) if b else None for i, b in zip(first.ravel(), bad.any(axis=0).ravel())]

@@ -85,6 +85,18 @@ def test_levels_are_invariant_and_negative_levels_sit_in_fourth_quadrant():
             assert all(s > 0.0 and t < 0.0 for s, t in pieces[0])
 
 
+def test_far_negative_level_is_drawn_from_its_nearest_radius():
+    # phi is barely negative on the unit circle (its minimum m is about
+    # -2.5e-4), so the branch stays beyond radius sqrt(2 / |m|) ~ 89,
+    # far from any axis intercept; its truncation scale is that radius
+    params = Params(0.001, 5000)
+    pieces = levelset_points(params, -2.0, 8, extent=2.0)
+    assert len(pieces) == 1
+    assert all(s > 0.0 and t < 0.0 for s, t in pieces[0])
+    assert min(math.hypot(s, t) for s, t in pieces[0]) > 89.0
+    assert levelset_residual(params, pieces, -2.0) < 1e-9
+
+
 def test_adjacent_pieces_share_axis_endpoints():
     # each axis crossing is hit by exactly two pieces; truncation ends of
     # unbounded branches stay unpaired

@@ -5,10 +5,12 @@ import warnings
 import numpy as np
 import pytest
 
+from mutdyn import orbits, tropical
 from mutdyn.errors import DomainError, RangeError
 from mutdyn.orbits import (
     _phi_drift_pass,
     _tropical_orbits,
+    _tropical_verdicts,
     MAX_ORBIT_POINTS,
     GrowthKind,
     GrowthVerdict,
@@ -395,3 +397,145 @@ def test_scan_grid_validation():
         scan_grid((2.0, 1.0), (1.0, 2.0), 2, OrbitKind.RATIONAL, 40)
     with pytest.raises(DomainError):
         scan_grid((0.0, 1.0), (1.0, 2.0), 2, OrbitKind.RATIONAL, 40)
+
+
+def _verdict_bits(verdict):
+    # kind plus the exact bits of every payload field
+    fields = (verdict.ratio, verdict.rate, verdict.max_log_radius)
+    return (verdict.kind,) + tuple(None if v is None else float(v).hex() for v in fields)
+
+
+def _verdict_columns():
+    # per column (p, q, s, t): random exponents over [0.05, 8], the
+    # critical products (2, 2) and (1, 4), signed zeros and the origin,
+    # starts at the 1e150 scale, and starts that leave float range at
+    # step 1
+    rng = np.random.default_rng(412)
+    cols = [(2.0, 2.0, 1.0, 1.0), (1.0, 4.0, -0.5, 1.5), (2.0, 2.0, 0.0, 0.0),
+            (1.0, 4.0, -0.0, 0.0), (0.7, 1.3, 0.0, -0.0), (3.0, 3.0, -0.0, -0.0),
+            (2.0, 2.0, 1.0, -0.0), (0.5, 3.0, -0.0, 2.0),
+            (3.0, 3.0, 1e308, 1e308), (5.0, 2.0, 1.5e308, 1e308)]
+    for k in range(70):
+        p, q = (float(v) for v in rng.uniform(0.05, 8.0, 2))
+        s, t = (float(v) for v in rng.uniform(-2.0, 2.0, 2))
+        if k % 4 == 0:
+            s, t = s * 1e150, t * 1e150
+        cols.append((p, q, s, t))
+    return cols
+
+
+def test_batched_tropical_verdicts_equal_growth_classification_bit_for_bit():
+    cols = _verdict_columns()
+    p, q, s0, t0 = (np.array(v) for v in zip(*cols))
+    block = tropical._STEP_BLOCK
+    kinds = set()
+    for steps in (15, 16, block - 1, block, block + 1, 2000):
+        got = _tropical_verdicts(p, q, s0, t0, steps)
+        assert len(got) == len(cols)
+        for (pj, qj, sj, tj), verdict in zip(cols, got):
+            orbit = iterate_orbit(Params(pj, qj), OrbitKind.TROPICAL, (sj, tj), steps)
+            assert _verdict_bits(verdict) == _verdict_bits(growth_classification(orbit))
+            kinds.add(verdict.kind)
+            if orbit.truncated_at == 1:
+                assert verdict.ratio == math.exp(700.0)
+    assert kinds == set(GrowthKind)
+    # the starts at 1e308 leave float range at step 1, the origin never moves
+    assert iterate_orbit(Params(3.0, 3.0), OrbitKind.TROPICAL, cols[8][2:], 20).truncated_at == 1
+    assert _tropical_verdicts(p[2:3], q[2:3], s0[2:3], t0[2:3], 20)[0].max_log_radius == -math.inf
+
+
+def test_batched_tropical_verdicts_refuse_a_short_horizon_as_the_classifier_does():
+    for steps in (0, 5, 14):
+        with pytest.raises(DomainError) as want:
+            growth_classification(iterate_orbit(Params(1.0, 1.0), OrbitKind.TROPICAL, (1, 1), steps))
+        with pytest.raises(DomainError) as got:
+            scan_grid((1.0, 1.0), (1.0, 1.0), 1, OrbitKind.TROPICAL, steps)
+        assert str(got.value) == str(want.value)
+    # a truncated orbit needs no length, batched or not
+    verdict = _tropical_verdicts(np.array([3.0]), np.array([3.0]), np.array([1e308]),
+                                 np.array([1e308]), 5)[0]
+    assert verdict.kind is GrowthKind.EXPONENTIAL
+    with pytest.raises(DomainError):
+        scan_grid((1.0, 1.0), (1.0, 1.0), 1, OrbitKind.TROPICAL, -1)
+    with pytest.raises(DomainError):
+        scan_grid((1.0, 1.0), (1.0, 1.0), 1, OrbitKind.TROPICAL, 40,
+                  StartPolicy(points=((math.inf, 1.0),)))
+
+
+def test_batched_tropical_verdicts_do_not_depend_on_block_or_chunk_size(monkeypatch):
+    cols = _verdict_columns()
+    p, q, s0, t0 = (np.array(v) for v in zip(*cols))
+    want = {steps: [_verdict_bits(v) for v in _tropical_verdicts(p, q, s0, t0, steps)]
+            for steps in (16, 130)}
+    table = scan_grid((0.5, 3.0), (0.5, 3.0), 3, OrbitKind.TROPICAL, 130, StartPolicy(seed=2, count=3))
+    monkeypatch.setattr(tropical, "_STEP_BLOCK", 3)
+    monkeypatch.setattr(orbits, "_SCAN_WINDOW_BYTES", 8 * 66 * 7)  # 7 columns at 130 steps
+    for steps, bits in want.items():
+        assert [_verdict_bits(v) for v in _tropical_verdicts(p, q, s0, t0, steps)] == bits
+    again = scan_grid((0.5, 3.0), (0.5, 3.0), 3, OrbitKind.TROPICAL, 130, StartPolicy(seed=2, count=3))
+    assert [_verdict_bits(c.verdict) for c in again.cells] == [
+        _verdict_bits(c.verdict) for c in table.cells
+    ]
+    # one column per chunk
+    monkeypatch.setattr(orbits, "_SCAN_WINDOW_BYTES", 1)
+    assert [_verdict_bits(v) for v in _tropical_verdicts(p, q, s0, t0, 16)] == want[16]
+
+
+def test_scan_grid_tropical_cells_keep_the_most_severe_classified_start():
+    policy = StartPolicy(seed=8, count=3)
+    table = scan_grid((0.5, 3.0), (0.5, 3.0), 3, OrbitKind.TROPICAL, 300, policy)
+    severity = [GrowthKind.BOUNDED_LIKE, GrowthKind.LINEAR, GrowthKind.EXPONENTIAL]
+    for i, p in enumerate(table.p_values):
+        for j, q in enumerate(table.q_values):
+            best = None
+            for start in policy.starts_for(OrbitKind.TROPICAL, i, j):
+                orbit = iterate_orbit(Params(p, q), OrbitKind.TROPICAL, start, 300)
+                verdict = growth_classification(orbit)
+                if best is None or severity.index(verdict.kind) > severity.index(best.kind):
+                    best = verdict
+            assert _verdict_bits(table.cell(i, j).verdict) == _verdict_bits(best)
+
+
+def _frozen_drift_pass(p, q, s, t, steps, scale_caps):
+    # the per-step loop the blocked drift pass replaced, kept as its oracle
+    p, q, s, t = tropical._columns(p, q, s, t)
+    with np.errstate(over="ignore", invalid="ignore"):
+        coefs = tropical._quad_coefs(p, q)
+        base = tropical._conserved(coefs, s, t)
+        denom = np.maximum(1.0, np.abs(base))
+        drifts = [np.zeros_like(base) for _ in scale_caps]
+        for _ in range(steps):
+            s, t = tropical._pl_step(p, q, s, t)
+            d = orbits._drift(tropical._conserved(coefs, s, t), base, denom)
+            norm = tropical._sup_norm(s, t)
+            for i, cap in enumerate(scale_caps):
+                sample = d if cap is None else np.where(norm <= cap, d, 0.0)
+                drifts[i] = np.maximum(drifts[i], sample)
+    return drifts
+
+
+def test_blocked_drift_pass_equals_the_per_step_loop_bit_for_bit():
+    rng = np.random.default_rng(303)
+    p = rng.uniform(0.3, 6.0, 120)
+    q = rng.uniform(0.3, 6.0, 120)
+    s = rng.uniform(-2.0, 2.0, 120)
+    t = rng.uniform(-2.0, 2.0, 120)
+    s[:15] *= 1e150  # quadratics that overflow, orbits that truncate
+    block = tropical._STEP_BLOCK
+    for steps in (0, 1, block - 1, block, block + 1, 3 * block + 5):
+        got = _phi_drift_pass(p, q, s, t, steps, (1e3, None))
+        want = _frozen_drift_pass(p, q, s, t, steps, (1e3, None))
+        for a, b in zip(got, want):
+            assert a.tobytes() == b.tobytes()
+    # broadcast shapes fold per block as well
+    got = _phi_drift_pass(p[:6, None], 1.5, s[None, :5], -0.5, block + 1, (None,))[0]
+    want = _frozen_drift_pass(p[:6, None], 1.5, s[None, :5], -0.5, block + 1, (None,))[0]
+    assert got.shape == (6, 5) and got.tobytes() == want.tobytes()
+
+
+def test_drift_pass_starts_where_the_cross_term_meets_an_overflowing_product():
+    # s t = 0 at pq = 1e400: the start's quadratic is 1e200, not nan
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        drift = phi_drift_batch(1e200, 1e200, 1.0, 0.0, 3)
+    assert float(drift) == 0.0

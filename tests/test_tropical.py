@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -174,6 +175,20 @@ def test_phi_keeps_its_sign_past_an_overflowing_product():
     params = Params(1e200, 1e200)
     assert phi(params, PointPL(1.0, 1.0)) == math.inf
     assert phi(params, PointPL(1.0, -1.0)) == -math.inf
+
+
+def test_quadratic_drops_the_cross_term_where_st_is_zero():
+    # pq overflows and the cross coefficient is inf; where s t = 0 the
+    # term is 0, not inf * 0 = nan
+    params = Params(1e200, 1e200)
+    assert phi(params, PointPL(1.0, 0.0)) == 1e200
+    assert f_quad(params, PointPL(1e-300, 0.0)) == 0.0
+    assert g_quad(params, PointPL(0.0, 2.0)) == 4e200
+    assert phi(params, PointPL(-0.0, -0.0)) == 0.0
+    # a finite coefficient keeps its bits: lin^2 + (+-0) = lin^2
+    for pt in (PointPL(1.5, 0.0), PointPL(0.0, -2.5), PointPL(-0.0, 3.0)):
+        lin = math.sqrt(2.0) * pt.s + math.sqrt(3.0) * pt.t
+        assert f_quad(Params(2.0, 3.0), pt) == lin * lin
 
 
 def test_phi_uses_mirror_on_open_second_quadrant():
@@ -714,3 +729,41 @@ def test_tau_step_has_the_bits_of_the_two_stage_composition():
         assert _bits(tropical._tau_step(params.p, params.q, pt.s, pt.t)) == _bits(want)
         assert _bits(tau(params, pt).as_tuple()) == _bits(want)
         assert _bits((got_s[j], got_t[j])) == _bits(want)
+
+
+def test_subcritical_rotation_number_bounds_every_orbit():
+    # for pq < 4 the map commutes with positive dilations, so it acts on
+    # the circle of rays with one rotation number rho whatever the start:
+    # the clockwise angle swept in N steps stays within one turn of
+    # N rho (Poincare).  rho = 2 theta / (pi + 2 theta), theta =
+    # arccos(sqrt(pq) / 2).  Each step's turn is taken in [0, 2 pi): at
+    # small pq it nears pi, where a wrapped difference would misread it
+    rng = np.random.default_rng(605)
+    n, steps = 500, 2000
+    pq = rng.uniform(0.001, 3.999, n)
+    split = np.exp(rng.uniform(-2.0, 2.0, n))
+    p, q = np.sqrt(pq) * split, np.sqrt(pq) / split
+    theta = np.arccos(np.sqrt(p * q) / 2.0)
+    rho = 2.0 * theta / (math.pi + 2.0 * theta)
+    s, t = rng.uniform(-2.0, 2.0, (2, n))
+    angle = np.arctan2(t, s)
+    swept = np.zeros(n)
+    for _ in range(steps):
+        s, t = tropical._pl_step(p, q, s, t)
+        nxt = np.arctan2(t, s)
+        swept += np.mod(angle - nxt, 2.0 * math.pi)
+        angle = nxt
+    assert np.abs(swept / (2.0 * math.pi) - steps * rho).max() < 1.0
+
+
+def test_detect_period_is_the_rotation_number_denominator():
+    # at theta = pi / m, rho = 2 / (m + 2) = a / b in lowest terms and
+    # every orbit returns after b steps
+    rng = np.random.default_rng(606)
+    for m in range(3, 9):
+        period = Fraction(2, m + 2).denominator
+        pq = 4.0 * math.cos(math.pi / m) ** 2
+        for p in (1.0, 0.3, 2.5):
+            for _ in range(4):
+                start = PointPL(*rng.uniform(-2.0, 2.0, 2))
+                assert detect_period(Params(p, pq / p), start, 40) == period
