@@ -1,7 +1,6 @@
 """Orbit iteration, growth classification and parameter scans."""
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -13,6 +12,7 @@ from .errors import DomainError
 from .params import Params, Regime, classify_regime
 from .rational import PointPos
 from .tropical import (
+    _STEP_BLOCK,
     PointPL,
     _banded_signs,
     _columns,
@@ -153,34 +153,30 @@ class GrowthVerdict:
 
 
 def _iterate_rational(params: Params, start: PointPos, steps: int):
-    # fpow's branch for p and q is chosen once for the whole orbit
+    # fpow's branch for p and q is chosen once for the whole orbit, and
+    # range is checked once per _STEP_BLOCK steps: a step divides a sum
+    # of at least 1 by a positive float, so a coordinate leaves (0, inf)
+    # only for inf or nan, and from there the pair reaches nan and stays
     pow_p, pow_q = _power(params.p), _power(params.q)
     x, y = start.x, start.y
     xs = [x]
     ys = [y]
-    trunc = None
-    for i in range(1, steps + 1):
-        x = (1.0 + pow_q(y)) / x
-        y = (1.0 + pow_p(x)) / y
-        if not (math.isfinite(x) and math.isfinite(y) and x > 0.0 and y > 0.0):
-            trunc = i
-            break
-        xs.append(x)
-        ys.append(y)
-    return xs, ys, trunc
-
-
-def _horizon(steps) -> int:
-    # the step count of an orbit iterate_orbit would store
-    steps = int(steps)
-    if steps < 0:
-        raise DomainError(f"steps must be >= 0, got {steps}")
-    if steps + 1 > MAX_ORBIT_POINTS:
-        raise DomainError(
-            f"horizon stores {steps + 1} points, over the cap {MAX_ORBIT_POINTS}; "
-            "use phi_drift_batch or a manual loop for long horizons"
-        )
-    return steps
+    done = 0
+    while done < steps:
+        n = min(_STEP_BLOCK, steps - done)
+        for _ in range(n):
+            x = (1.0 + pow_q(y)) / x
+            y = (1.0 + pow_p(x)) / y
+            xs.append(x)
+            ys.append(y)
+        done += n
+        if not (0.0 < x < math.inf and 0.0 < y < math.inf):
+            i = done - n + 1
+            while 0.0 < xs[i] < math.inf and 0.0 < ys[i] < math.inf:
+                i += 1
+            del xs[i:], ys[i:]
+            return xs, ys, i
+    return xs, ys, None
 
 
 def iterate_orbit(params: Params, kind: OrbitKind, start, steps: int) -> Orbit:
@@ -191,7 +187,14 @@ def iterate_orbit(params: Params, kind: OrbitKind, start, steps: int) -> Orbit:
     would store more than MAX_ORBIT_POINTS are refused, the streaming
     helpers exist for those.
     """
-    steps = _horizon(steps)
+    steps = int(steps)
+    if steps < 0:
+        raise DomainError(f"steps must be >= 0, got {steps}")
+    if steps + 1 > MAX_ORBIT_POINTS:
+        raise DomainError(
+            f"horizon stores {steps + 1} points, over the cap {MAX_ORBIT_POINTS}; "
+            "use phi_drift_batch or a manual loop for long horizons"
+        )
     if kind is OrbitKind.RATIONAL:
         pt = start if isinstance(start, PointPos) else PointPos(*start)
         xs, ys, trunc = _iterate_rational(params, pt, steps)
@@ -218,11 +221,7 @@ def _tropical_orbits(params: Params, s0, t0, steps: int) -> list:
     return orbits
 
 
-# growth_classification's default delta; its exponential threshold is log(1 + delta)
-_DELTA = 0.01
-
-
-def growth_classification(orbit: Orbit, delta: float = _DELTA) -> GrowthVerdict:
+def growth_classification(orbit: Orbit, delta: float = 0.01) -> GrowthVerdict:
     """Classify tail growth of the radius over the final half of an orbit.
 
     Exponential when the least-squares slope of log-radius against
@@ -239,101 +238,28 @@ def growth_classification(orbit: Orbit, delta: float = _DELTA) -> GrowthVerdict:
     """
     if not (math.isfinite(delta) and delta > 0.0):
         raise DomainError(f"delta must be finite and positive, got {delta!r}")
-    lr = orbit.log_radius
-    jump = None
     if orbit.truncated:
-        finite_lr = lr[np.isfinite(lr)]
-        if len(finite_lr) >= 2:
-            jump = float(np.max(np.diff(finite_lr)))
-    window = _sup_norm(*orbit.points[_window_start(orbit.steps) :].T)
-    return _verdict(orbit.steps, orbit.truncated_at, window, float(np.max(lr)), jump, delta)
-
-
-def _window_start(steps: int) -> int:
-    # the first row of the final half that growth classification fits
-    return (steps + 1) // 2
-
-
-def _verdict(steps: int, truncated_at, window, max_lr: float, jump, delta: float):
-    # growth_classification's rule, read from the reductions it needs:
-    # the orbit's steps and truncation step, the radii of its rows from
-    # _window_start(steps) on, its largest log radius, and for a
-    # truncated orbit the largest one-step log jump (None when fewer
-    # than two points were kept)
-    if truncated_at is not None:
-        jump = 700.0 if jump is None else jump
+        finite_lr = orbit.log_radius[np.isfinite(orbit.log_radius)]
+        jump = float(np.max(np.diff(finite_lr))) if len(finite_lr) >= 2 else 700.0
         return GrowthVerdict(GrowthKind.EXPONENTIAL, ratio=math.exp(min(max(jump, 1.0), 700.0)))
-    if steps + 1 < 16:
-        raise DomainError(f"growth classification needs at least 16 points, got {steps + 1}")
-    half = _window_start(steps)
-    idx = np.arange(half, steps + 1, dtype=float)
-    with np.errstate(divide="ignore"):
-        lr = np.log(window)
+    n = orbit.steps
+    if n + 1 < 16:
+        raise DomainError(f"growth classification needs at least 16 points, got {n + 1}")
+    half = (n + 1) // 2
+    idx = np.arange(half, n + 1, dtype=float)
+    lr = orbit.log_radius[half:]
     # an orbit through the exact origin has log radius -inf there; any
     # finite stand-in far below the data keeps the fit meaningful
     lr = np.where(np.isfinite(lr), lr, -745.0)
     sigma = float(np.polyfit(idx, lr, 1)[0])
     if sigma > math.log1p(delta):
         return GrowthVerdict(GrowthKind.EXPONENTIAL, ratio=math.exp(sigma))
-    rho = float(np.polyfit(idx, window, 1)[0])
-    if rho > 0.0 and rho * (steps - half) > 0.25 * max(1.0, float(np.max(window))):
+    radius = _sup_norm(*orbit.points[half:].T)
+    rho = float(np.polyfit(idx, radius, 1)[0])
+    if rho > 0.0 and rho * (n - half) > 0.25 * max(1.0, float(np.max(radius))):
         return GrowthVerdict(GrowthKind.LINEAR, rate=rho)
+    max_lr = float(np.max(orbit.log_radius))
     return GrowthVerdict(GrowthKind.BOUNDED_LIKE, max_log_radius=max_lr)
-
-
-# bytes of window radii a batched tropical scan holds at a time
-_SCAN_WINDOW_BYTES = 1 << 20
-
-
-def _tropical_verdicts(p, q, s0, t0, steps: int) -> list:
-    # growth_classification of iterate_orbit's tropical orbit for each
-    # column, in column chunks whose window radii fit _SCAN_WINDOW_BYTES
-    rows = steps + 1 - _window_start(steps)
-    width = max(1, _SCAN_WINDOW_BYTES // (8 * rows))
-    verdicts = []
-    for lo in range(0, len(s0), width):
-        cols = slice(lo, lo + width)
-        verdicts += _chunk_verdicts(p[cols], q[cols], s0[cols], t0[cols], steps)
-    return verdicts
-
-
-def _chunk_verdicts(p, q, s, t, steps: int) -> list:
-    # one blocked pass over the columns keeps no points, only what the
-    # verdict reads: the truncation step, the largest log radius, the
-    # largest one-step log jump over the kept rows and the window radii.
-    # Each log is taken per step, as log_radius takes it.  The map sends
-    # only the origin to the origin, so a log radius is -inf on a whole
-    # orbit or nowhere, and a truncated orbit's jumps are all finite
-    half = _window_start(steps)
-    window = np.empty((len(s), steps + 1 - half))
-    trunc = np.full(len(s), steps + 1)
-    jump = np.full(len(s), -math.inf)
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        norm = _sup_norm(s, t)
-        top = last = np.log(norm)
-        for first, bs, bt in _pl_blocks(p, q, s, t, steps):
-            norm = _sup_norm(bs, bt)
-            end = first + len(norm)
-            rows = np.arange(first, end)
-            bad = ~np.isfinite(norm)
-            trunc = np.where((trunc > steps) & bad.any(axis=0), rows[bad.argmax(axis=0)], trunc)
-            kept = rows[:, None] < trunc
-            lr = np.log(norm)
-            top = np.maximum(top, np.where(kept, lr, -math.inf).max(axis=0))
-            rise = np.diff(lr, axis=0, prepend=last[None])
-            jump = np.maximum(jump, np.where(kept, rise, -math.inf).max(axis=0))
-            last = lr[-1]
-            lo = max(first, half)
-            if lo < end:
-                window[:, lo - half : end - half] = norm[lo - first :].T
-    verdicts = []
-    for j, at in enumerate(trunc.tolist()):
-        if at > steps:
-            verdicts.append(_verdict(steps, None, window[j], float(top[j]), None, _DELTA))
-        else:
-            rise = float(jump[j]) if at >= 2 else None
-            verdicts.append(_verdict(at - 1, at, None, float(top[j]), rise, _DELTA))
-    return verdicts
 
 
 def conserved_drift(orbit: Orbit) -> float:
@@ -508,21 +434,6 @@ _SEVERITY = {
 }
 
 
-def _scan_verdicts(kind: OrbitKind, columns: list, steps: int) -> list:
-    # growth_classification(iterate_orbit(...)) for each (p, q, start);
-    # the tropical orbits go through one batched pass instead
-    if kind is not OrbitKind.TROPICAL:
-        return [
-            growth_classification(iterate_orbit(Params(p, q), kind, start, steps))
-            for p, q, start in columns
-        ]
-    steps = _horizon(steps)
-    p, q, starts = zip(*columns)
-    pts = [st if isinstance(st, PointPL) else PointPL(*st) for st in starts]
-    s0, t0 = zip(*(pt.as_tuple() for pt in pts))
-    return _tropical_verdicts(*(np.array(v) for v in (p, q, s0, t0)), steps)
-
-
 def scan_grid(
     p_range: tuple,
     q_range: tuple,
@@ -548,19 +459,17 @@ def scan_grid(
         start_policy = StartPolicy(points=((1.0, 1.0),))
     p_values = tuple(float(v) for v in np.linspace(lo_p, hi_p, resolution))
     q_values = tuple(float(v) for v in np.linspace(lo_q, hi_q, resolution))
-    grid = [
-        (p, q, start_policy.starts_for(kind, i, j))
-        for i, p in enumerate(p_values)
-        for j, q in enumerate(q_values)
-    ]
-    verdicts = iter(_scan_verdicts(kind, [(p, q, st) for p, q, sts in grid for st in sts], steps))
     cells = []
-    for p, q, starts in grid:
-        best = None
-        for verdict in itertools.islice(verdicts, len(starts)):
-            if best is None or _SEVERITY[verdict.kind] > _SEVERITY[best.kind]:
-                best = verdict
-        cells.append(ScanCell(p=p, q=q, verdict=best))
+    for i, p in enumerate(p_values):
+        for j, q in enumerate(q_values):
+            params = Params(p, q)
+            best = None
+            for start in start_policy.starts_for(kind, i, j):
+                orbit = iterate_orbit(params, kind, start, steps)
+                verdict = growth_classification(orbit)
+                if best is None or _SEVERITY[verdict.kind] > _SEVERITY[best.kind]:
+                    best = verdict
+            cells.append(ScanCell(p=p, q=q, verdict=best))
     return ScanTable(
         p_values=p_values,
         q_values=q_values,

@@ -247,7 +247,9 @@ def _pl_step(p, q, s, t):
     return np.where(t1 > 0.0, ns + q * t1, ns), -t1
 
 
-# iterates _pl_blocks hands over at a time
+# iterates _pl_blocks hands over at a time, and steps the scalar
+# recorders (_record_orbit, the rational one in orbits) take between
+# two range checks
 _STEP_BLOCK = 64
 
 
@@ -424,21 +426,31 @@ def _record_orbit(params: Params, s: float, t: float, steps: int):
     # the composed step with every iterate kept: lists of s and t from
     # the start on, and the 1-based step that left float range (None if
     # none did; the lists end before it).  The step is written out here
-    # because a call per step costs measurably in long loops.
+    # because a call per step costs measurably in long loops, and range
+    # is checked once per _STEP_BLOCK steps: once a coordinate is not
+    # finite, one of the two stays so at every later step, so a block
+    # that ends finite never left float range.
     p, q = params.p, params.q
     ss = [s]
     ts = [t]
-    trunc = None
-    for i in range(1, steps + 1):
-        t1 = t + p * s if s > 0.0 else t
-        s = -s + q * t1 if t1 > 0.0 else -s
-        t = -t1
+    done = 0
+    while done < steps:
+        n = min(_STEP_BLOCK, steps - done)
+        for _ in range(n):
+            if s > 0.0:
+                t += p * s
+            s = -s + q * t if t > 0.0 else -s
+            t = -t
+            ss.append(s)
+            ts.append(t)
+        done += n
         if not (math.isfinite(s) and math.isfinite(t)):
-            trunc = i
-            break
-        ss.append(s)
-        ts.append(t)
-    return ss, ts, trunc
+            i = done - n + 1
+            while math.isfinite(ss[i]) and math.isfinite(ts[i]):
+                i += 1
+            del ss[i:], ts[i:]
+            return ss, ts, i
+    return ss, ts, None
 
 
 def _record_orbits(p, q, s0, t0, steps: int):

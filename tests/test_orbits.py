@@ -10,7 +10,6 @@ from mutdyn.errors import DomainError, RangeError
 from mutdyn.orbits import (
     _phi_drift_pass,
     _tropical_orbits,
-    _tropical_verdicts,
     MAX_ORBIT_POINTS,
     GrowthKind,
     GrowthVerdict,
@@ -106,6 +105,22 @@ def test_batched_tropical_orbits_equal_iterate_orbit_bit_for_bit():
     assert all(o.truncated for o in _tropical_orbits(Params(3.0, 3.0), s0[:3], t0[:3], 120))
 
 
+def _mu_x_orbit(params, start, steps):
+    # mu_x step by step until it leaves float range: the points, and the
+    # step that left (None if none did)
+    pt = PointPos(*start)
+    points = [pt.as_tuple()]
+    trunc = None
+    for i in range(1, steps + 1):
+        try:
+            pt = mu_x(params, pt)
+        except RangeError:
+            trunc = i
+            break
+        points.append(pt.as_tuple())
+    return np.array(points, dtype=float), trunc
+
+
 def test_rational_orbit_steps_mu_x_bit_for_bit():
     below, above = math.nextafter(2.0, 0.0), math.nextafter(2.0, 3.0)
     cases = [
@@ -127,20 +142,38 @@ def test_rational_orbit_steps_mu_x_bit_for_bit():
     for (p, q), start in cases:
         params = Params(p, q)
         orbit = iterate_orbit(params, OrbitKind.RATIONAL, start, 300)
-        pt = PointPos(*start)
-        points = [pt.as_tuple()]
-        trunc = None
-        for i in range(1, 301):
-            try:
-                pt = mu_x(params, pt)
-            except RangeError:
-                trunc = i
-                break
-            points.append(pt.as_tuple())
+        points, trunc = _mu_x_orbit(params, start, 300)
         assert orbit.truncated_at == trunc, (p, q, start)
-        assert orbit.points.tobytes() == np.array(points, dtype=float).tobytes(), (p, q, start)
+        assert orbit.points.tobytes() == points.tobytes(), (p, q, start)
         truncated += trunc is not None
     assert 0 < truncated < len(cases)
+
+
+@pytest.mark.parametrize("block", [1, 3, 64])
+def test_rational_truncation_step_does_not_depend_on_the_range_check_block(monkeypatch, block):
+    # range is checked once per block; starts from 1 to 1e300 at the
+    # critical product leave float range at steps from 2 to about 200,
+    # on both sides of several block ends, and each orbit is still mu_x's
+    # up to the step that left
+    monkeypatch.setattr(orbits, "_STEP_BLOCK", block)
+    params = Params(2.0, 2.0)
+    seen = set()
+    for e in np.arange(0.0, 300.0, 0.25):
+        for start in ((float(10.0**e), 1.0), (float(10.0**e), 1e-100)):
+            orbit = iterate_orbit(params, OrbitKind.RATIONAL, start, 250)
+            points, trunc = _mu_x_orbit(params, start, 250)
+            assert orbit.truncated_at == trunc, start
+            assert orbit.points.tobytes() == points.tobytes(), start
+            seen.add(trunc)
+    assert set(range(2, 22)) <= seen
+    assert len({(k - 1) // block for k in seen}) >= 3
+    # horizons that end inside a block, at its end and just past it
+    for steps in (0, 1, block - 1, block, block + 1, 2 * block + 1):
+        for start in ((1.3, 0.4), (1e10, 1e-5), (1e150, 1e150)):
+            points, trunc = _mu_x_orbit(Params(1.0, 3.0), start, steps)
+            orbit = iterate_orbit(Params(1.0, 3.0), OrbitKind.RATIONAL, start, steps)
+            assert orbit.truncated_at == trunc
+            assert orbit.points.tobytes() == points.tobytes()
 
 
 def test_log_radius_is_the_log_of_each_points_max_norm():
@@ -399,105 +432,8 @@ def test_scan_grid_validation():
         scan_grid((0.0, 1.0), (1.0, 2.0), 2, OrbitKind.RATIONAL, 40)
 
 
-def _verdict_bits(verdict):
-    # kind plus the exact bits of every payload field
-    fields = (verdict.ratio, verdict.rate, verdict.max_log_radius)
-    return (verdict.kind,) + tuple(None if v is None else float(v).hex() for v in fields)
-
-
-def _verdict_columns():
-    # per column (p, q, s, t): random exponents over [0.05, 8], the
-    # critical products (2, 2) and (1, 4), signed zeros and the origin,
-    # starts at the 1e150 scale, and starts that leave float range at
-    # step 1
-    rng = np.random.default_rng(412)
-    cols = [(2.0, 2.0, 1.0, 1.0), (1.0, 4.0, -0.5, 1.5), (2.0, 2.0, 0.0, 0.0),
-            (1.0, 4.0, -0.0, 0.0), (0.7, 1.3, 0.0, -0.0), (3.0, 3.0, -0.0, -0.0),
-            (2.0, 2.0, 1.0, -0.0), (0.5, 3.0, -0.0, 2.0),
-            (3.0, 3.0, 1e308, 1e308), (5.0, 2.0, 1.5e308, 1e308)]
-    for k in range(70):
-        p, q = (float(v) for v in rng.uniform(0.05, 8.0, 2))
-        s, t = (float(v) for v in rng.uniform(-2.0, 2.0, 2))
-        if k % 4 == 0:
-            s, t = s * 1e150, t * 1e150
-        cols.append((p, q, s, t))
-    return cols
-
-
-def test_batched_tropical_verdicts_equal_growth_classification_bit_for_bit():
-    cols = _verdict_columns()
-    p, q, s0, t0 = (np.array(v) for v in zip(*cols))
-    block = tropical._STEP_BLOCK
-    kinds = set()
-    for steps in (15, 16, block - 1, block, block + 1, 2000):
-        got = _tropical_verdicts(p, q, s0, t0, steps)
-        assert len(got) == len(cols)
-        for (pj, qj, sj, tj), verdict in zip(cols, got):
-            orbit = iterate_orbit(Params(pj, qj), OrbitKind.TROPICAL, (sj, tj), steps)
-            assert _verdict_bits(verdict) == _verdict_bits(growth_classification(orbit))
-            kinds.add(verdict.kind)
-            if orbit.truncated_at == 1:
-                assert verdict.ratio == math.exp(700.0)
-    assert kinds == set(GrowthKind)
-    # the starts at 1e308 leave float range at step 1, the origin never moves
-    assert iterate_orbit(Params(3.0, 3.0), OrbitKind.TROPICAL, cols[8][2:], 20).truncated_at == 1
-    assert _tropical_verdicts(p[2:3], q[2:3], s0[2:3], t0[2:3], 20)[0].max_log_radius == -math.inf
-
-
-def test_batched_tropical_verdicts_refuse_a_short_horizon_as_the_classifier_does():
-    for steps in (0, 5, 14):
-        with pytest.raises(DomainError) as want:
-            growth_classification(iterate_orbit(Params(1.0, 1.0), OrbitKind.TROPICAL, (1, 1), steps))
-        with pytest.raises(DomainError) as got:
-            scan_grid((1.0, 1.0), (1.0, 1.0), 1, OrbitKind.TROPICAL, steps)
-        assert str(got.value) == str(want.value)
-    # a truncated orbit needs no length, batched or not
-    verdict = _tropical_verdicts(np.array([3.0]), np.array([3.0]), np.array([1e308]),
-                                 np.array([1e308]), 5)[0]
-    assert verdict.kind is GrowthKind.EXPONENTIAL
-    with pytest.raises(DomainError):
-        scan_grid((1.0, 1.0), (1.0, 1.0), 1, OrbitKind.TROPICAL, -1)
-    with pytest.raises(DomainError):
-        scan_grid((1.0, 1.0), (1.0, 1.0), 1, OrbitKind.TROPICAL, 40,
-                  StartPolicy(points=((math.inf, 1.0),)))
-
-
-def test_batched_tropical_verdicts_do_not_depend_on_block_or_chunk_size(monkeypatch):
-    cols = _verdict_columns()
-    p, q, s0, t0 = (np.array(v) for v in zip(*cols))
-    want = {steps: [_verdict_bits(v) for v in _tropical_verdicts(p, q, s0, t0, steps)]
-            for steps in (16, 130)}
-    table = scan_grid((0.5, 3.0), (0.5, 3.0), 3, OrbitKind.TROPICAL, 130, StartPolicy(seed=2, count=3))
-    monkeypatch.setattr(tropical, "_STEP_BLOCK", 3)
-    monkeypatch.setattr(orbits, "_SCAN_WINDOW_BYTES", 8 * 66 * 7)  # 7 columns at 130 steps
-    for steps, bits in want.items():
-        assert [_verdict_bits(v) for v in _tropical_verdicts(p, q, s0, t0, steps)] == bits
-    again = scan_grid((0.5, 3.0), (0.5, 3.0), 3, OrbitKind.TROPICAL, 130, StartPolicy(seed=2, count=3))
-    assert [_verdict_bits(c.verdict) for c in again.cells] == [
-        _verdict_bits(c.verdict) for c in table.cells
-    ]
-    # one column per chunk
-    monkeypatch.setattr(orbits, "_SCAN_WINDOW_BYTES", 1)
-    assert [_verdict_bits(v) for v in _tropical_verdicts(p, q, s0, t0, 16)] == want[16]
-
-
-def test_scan_grid_tropical_cells_keep_the_most_severe_classified_start():
-    policy = StartPolicy(seed=8, count=3)
-    table = scan_grid((0.5, 3.0), (0.5, 3.0), 3, OrbitKind.TROPICAL, 300, policy)
-    severity = [GrowthKind.BOUNDED_LIKE, GrowthKind.LINEAR, GrowthKind.EXPONENTIAL]
-    for i, p in enumerate(table.p_values):
-        for j, q in enumerate(table.q_values):
-            best = None
-            for start in policy.starts_for(OrbitKind.TROPICAL, i, j):
-                orbit = iterate_orbit(Params(p, q), OrbitKind.TROPICAL, start, 300)
-                verdict = growth_classification(orbit)
-                if best is None or severity.index(verdict.kind) > severity.index(best.kind):
-                    best = verdict
-            assert _verdict_bits(table.cell(i, j).verdict) == _verdict_bits(best)
-
-
 def _frozen_drift_pass(p, q, s, t, steps, scale_caps):
-    # the per-step loop the blocked drift pass replaced, kept as its oracle
+    # the drift pass one step at a time: the oracle for the blocked pass
     p, q, s, t = tropical._columns(p, q, s, t)
     with np.errstate(over="ignore", invalid="ignore"):
         coefs = tropical._quad_coefs(p, q)

@@ -514,6 +514,46 @@ def test_record_orbits_columns_equal_the_scalar_recorder_bit_for_bit():
         assert _bits(ss[: len(want_s), j]) == _bits(want_s)
 
 
+def _per_step_record(params, s, t, steps):
+    # the scalar recorder with a range check after every step: the
+    # oracle for the check once per block
+    p, q = params.p, params.q
+    ss, ts = [s], [t]
+    for i in range(1, steps + 1):
+        t1 = t + p * s if s > 0.0 else t
+        s = -s + q * t1 if t1 > 0.0 else -s
+        t = -t1
+        if not (math.isfinite(s) and math.isfinite(t)):
+            return ss, ts, i
+        ss.append(s)
+        ts.append(t)
+    return ss, ts, None
+
+
+@pytest.mark.parametrize("block", [1, 3, 64])
+def test_scalar_recorder_checked_per_block_has_the_per_step_bits(monkeypatch, block):
+    # starts from 1 to 1e308 at pq = 9 leave float range at every step
+    # from 1 to about 340, so at every place in a block
+    monkeypatch.setattr(tropical, "_STEP_BLOCK", block)
+    params = Params(3.0, 3.0)
+    seen = set()
+    for e in np.arange(0.0, 308.0, 0.5):
+        for s0, t0 in ((float(10.0**e), 1.0), (-1.0, -float(10.0**e))):
+            got = tropical._record_orbit(params, s0, t0, 400)
+            want = _per_step_record(params, s0, t0, 400)
+            assert got[2] == want[2], (s0, t0)
+            assert _bits(got[0]) == _bits(want[0]) and _bits(got[1]) == _bits(want[1])
+            seen.add(got[2])
+    assert set(range(1, 300)) <= seen
+    # horizons that end inside a block, at its end and just past it
+    for steps in (0, 1, block - 1, block, block + 1, 2 * block + 1):
+        for p, q, s0, t0 in _recorder_cases():
+            got = tropical._record_orbit(Params(p, q), s0, t0, steps)
+            want = _per_step_record(Params(p, q), s0, t0, steps)
+            assert got[2] == want[2]
+            assert _bits(got[0]) == _bits(want[0]) and _bits(got[1]) == _bits(want[1])
+
+
 def test_mu_c_leaves_float_range_at_the_orbit_truncation_step():
     truncated = 0
     for p, q, s0, t0 in _recorder_cases():
