@@ -113,7 +113,13 @@ def _apply_scan_config(path, flags):
 
 
 def _cmd_scan(args) -> int:
-    policy = None if args.seed is None else StartPolicy(seed=args.seed, count=args.count)
+    if args.seed is None:
+        if args.count is not None:
+            # without a seed every cell starts from (1, 1) alone
+            raise _UsageError("--count needs --seed")
+        policy = None
+    else:
+        policy = StartPolicy(seed=args.seed, count=1 if args.count is None else args.count)
     table = scan_grid(
         (args.p_min, args.p_max),
         (args.q_min, args.q_max),
@@ -219,7 +225,7 @@ def _build_parser() -> _Parser:
         sp.add_argument("--steps", type=int, default=1000),
         sp.add_argument("--kind", choices=("rational", "tropical"), default="rational"),
         sp.add_argument("--seed", type=int, default=None),
-        sp.add_argument("--count", type=int, default=1),
+        sp.add_argument("--count", type=int, default=None, help="starts per cell, needs --seed"),
     )
     sp.add_argument("--out", default=None)
     sp.set_defaults(func=_cmd_scan, config_flags=flags)

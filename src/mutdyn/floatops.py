@@ -66,6 +66,12 @@ _INT_POWERS = (
 )
 
 
+def _int_exponent(expo: float):
+    """n when fpow raises to expo by repeated multiplication, else None."""
+    n = int(expo) if -4.0 <= expo <= 4.0 else None
+    return n if n is not None and expo == n else None
+
+
 @lru_cache(maxsize=256, typed=True)
 def _power(expo: float):
     """The callable base -> fpow(base, expo), its branch chosen once.
@@ -78,8 +84,8 @@ def _power(expo: float):
     are kept, so a scalar fpow call does not build one each time;
     typed keys keep an exponent's type, and so the result's.
     """
-    n = int(expo) if -4.0 <= expo <= 4.0 else None
-    if n is not None and expo == n:
+    n = _int_exponent(expo)
+    if n is not None:
         if n < 0:
             product = _INT_POWERS[-n]
             return lambda base: product(1.0 / base)

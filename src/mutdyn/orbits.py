@@ -24,7 +24,7 @@ from .tropical import (
     _record_orbits,
     _sup_norm,
 )
-from .floatops import _power
+from .floatops import _int_exponent, _power
 
 __all__ = [
     "MAX_ORBIT_POINTS",
@@ -45,6 +45,13 @@ __all__ = [
 
 # storage cap; longer horizons belong to the streaming helpers
 MAX_ORBIT_POINTS = 10**6
+# points growth classification needs from an orbit that did not truncate,
+# and its default threshold: exponential beyond a log1p(delta) log slope
+_MIN_POINTS = 16
+_DELTA = 0.01
+# bytes of the one window-norm buffer the rational scan pass reuses for
+# every chunk of columns; a column that alone needs more gets it alone
+_WINDOW_BYTES = 2**20
 
 
 class OrbitKind(Enum):
@@ -179,14 +186,44 @@ def _iterate_rational(params: Params, start: PointPos, steps: int):
     return xs, ys, None
 
 
-def iterate_orbit(params: Params, kind: OrbitKind, start, steps: int) -> Orbit:
-    """Iterate the chosen map from start, recording every point.
+def _column_power(expo):
+    # fpow on arrays for a column of exponents that share _power's
+    # branch: its product for an integer exponent, which takes arrays as
+    # it is, and for any other the libm pow that np.float_power calls
+    # (np.power and ** on arrays may run SIMD loops that differ from
+    # libm in the last bits)
+    if _int_exponent(expo[0]) is None:
+        return lambda base: np.float_power(base, expo)
+    return _power(float(expo[0]))
 
-    start may be the matching point type or a plain pair.  An iterate
-    leaving float range truncates the orbit (see Orbit); horizons that
-    would store more than MAX_ORBIT_POINTS are refused, the streaming
-    helpers exist for those.
-    """
+
+def _rational_blocks(p, q, x, y, steps: int):
+    # iterates 1..steps of _iterate_rational's step from the columns x,
+    # y, handed over as (first step, x rows, y rows) in blocks of
+    # _STEP_BLOCK rows, the last one shorter, as tropical._pl_blocks
+    # does for the PL map.  The exponent columns p and q each share one
+    # branch of _power.  The block buffers are reused, so a consumer
+    # reads each block before asking for the next; callers silence the
+    # overflow and the nan of an orbit that left float range
+    pow_p, pow_q = _column_power(p), _column_power(q)
+    bx = np.empty((min(_STEP_BLOCK, steps),) + np.shape(x))
+    by = np.empty_like(bx)
+    first = 1
+    while first <= steps:
+        n = min(len(bx), steps + 1 - first)
+        for i in range(n):
+            num = pow_q(y)
+            num += 1.0
+            x = np.divide(num, x, out=bx[i])
+            num = pow_p(x)
+            num += 1.0
+            y = np.divide(num, y, out=by[i])
+        yield first, bx[:n], by[:n]
+        first += n
+
+
+def _horizon(steps) -> int:
+    # iterate_orbit's check of a horizon: a step count it can store
     steps = int(steps)
     if steps < 0:
         raise DomainError(f"steps must be >= 0, got {steps}")
@@ -195,6 +232,18 @@ def iterate_orbit(params: Params, kind: OrbitKind, start, steps: int) -> Orbit:
             f"horizon stores {steps + 1} points, over the cap {MAX_ORBIT_POINTS}; "
             "use phi_drift_batch or a manual loop for long horizons"
         )
+    return steps
+
+
+def iterate_orbit(params: Params, kind: OrbitKind, start, steps: int) -> Orbit:
+    """Iterate the chosen map from start, recording every point.
+
+    start may be the matching point type or a plain pair.  An iterate
+    leaving float range truncates the orbit (see Orbit); horizons that
+    would store more than MAX_ORBIT_POINTS are refused, the streaming
+    helpers exist for those.
+    """
+    steps = _horizon(steps)
     if kind is OrbitKind.RATIONAL:
         pt = start if isinstance(start, PointPos) else PointPos(*start)
         xs, ys, trunc = _iterate_rational(params, pt, steps)
@@ -221,7 +270,7 @@ def _tropical_orbits(params: Params, s0, t0, steps: int) -> list:
     return orbits
 
 
-def growth_classification(orbit: Orbit, delta: float = 0.01) -> GrowthVerdict:
+def growth_classification(orbit: Orbit, delta: float = _DELTA) -> GrowthVerdict:
     """Classify tail growth of the radius over the final half of an orbit.
 
     Exponential when the least-squares slope of log-radius against
@@ -238,28 +287,100 @@ def growth_classification(orbit: Orbit, delta: float = 0.01) -> GrowthVerdict:
     """
     if not (math.isfinite(delta) and delta > 0.0):
         raise DomainError(f"delta must be finite and positive, got {delta!r}")
-    if orbit.truncated:
-        finite_lr = orbit.log_radius[np.isfinite(orbit.log_radius)]
-        jump = float(np.max(np.diff(finite_lr))) if len(finite_lr) >= 2 else 700.0
+    lr = orbit.log_radius
+    jump = np.max(np.diff(lr[np.isfinite(lr)]), initial=-math.inf)
+    half = (orbit.steps + 1) // 2
+    window = _sup_norm(*orbit.points[half:].T)
+    return _growth_verdict(orbit.steps, orbit.truncated, np.max(lr), jump, window, delta)
+
+
+def _growth_verdict(steps, truncated, max_lr, jump, window, delta) -> GrowthVerdict:
+    # growth_classification's rule on the reductions of an orbit of
+    # steps steps: whether it truncated, its largest log radius, its
+    # largest one-step jump between finite log radii (-inf for none)
+    # and the radii of its rows (steps + 1) // 2 .. steps
+    if truncated:
+        jump = 700.0 if jump == -math.inf else float(jump)
         return GrowthVerdict(GrowthKind.EXPONENTIAL, ratio=math.exp(min(max(jump, 1.0), 700.0)))
-    n = orbit.steps
-    if n + 1 < 16:
-        raise DomainError(f"growth classification needs at least 16 points, got {n + 1}")
-    half = (n + 1) // 2
-    idx = np.arange(half, n + 1, dtype=float)
-    lr = orbit.log_radius[half:]
+    if steps + 1 < _MIN_POINTS:
+        raise DomainError(
+            f"growth classification needs at least {_MIN_POINTS} points, got {steps + 1}"
+        )
+    half = (steps + 1) // 2
+    idx = np.arange(half, steps + 1, dtype=float)
+    radius = np.ascontiguousarray(window)
     # an orbit through the exact origin has log radius -inf there; any
     # finite stand-in far below the data keeps the fit meaningful
+    with np.errstate(divide="ignore"):
+        lr = np.log(radius)
     lr = np.where(np.isfinite(lr), lr, -745.0)
     sigma = float(np.polyfit(idx, lr, 1)[0])
     if sigma > math.log1p(delta):
         return GrowthVerdict(GrowthKind.EXPONENTIAL, ratio=math.exp(sigma))
-    radius = _sup_norm(*orbit.points[half:].T)
     rho = float(np.polyfit(idx, radius, 1)[0])
-    if rho > 0.0 and rho * (n - half) > 0.25 * max(1.0, float(np.max(radius))):
+    if rho > 0.0 and rho * (steps - half) > 0.25 * max(1.0, float(np.max(radius))):
         return GrowthVerdict(GrowthKind.LINEAR, rate=rho)
-    max_lr = float(np.max(orbit.log_radius))
-    return GrowthVerdict(GrowthKind.BOUNDED_LIKE, max_log_radius=max_lr)
+    return GrowthVerdict(GrowthKind.BOUNDED_LIKE, max_log_radius=float(max_lr))
+
+
+def _rational_pass(p, q, x, y, steps: int, window):
+    # one blocked pass of the birational map over the columns of one
+    # power-branch group, reduced as growth classification reads an
+    # orbit: per column whether it stayed in (0, inf) to the horizon,
+    # the largest log radius and the largest one-step log jump over the
+    # points before it left (-inf for no jump), and the radii of rows
+    # (steps + 1) // 2 .. steps written into window.  A chunk whose
+    # columns have all left range stops early
+    half = steps + 1 - len(window)
+    alive = np.ones(len(x), dtype=bool)
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        prev = np.log(_sup_norm(x, y))
+        max_lr = prev
+        jump = np.full(len(x), -math.inf)
+        for first, bx, by in _rational_blocks(p, q, x, y, steps):
+            radius = _sup_norm(bx, by)
+            lr = np.log(radius)
+            inside = (bx > 0.0) & (bx < math.inf) & (by > 0.0) & (by < math.inf)
+            kept = np.logical_and.accumulate(inside, axis=0) & alive
+            max_lr = np.maximum(max_lr, np.where(kept, lr, -math.inf).max(axis=0))
+            step_jump = np.diff(lr, axis=0, prepend=prev[None])
+            jump = np.maximum(jump, np.where(kept, step_jump, -math.inf).max(axis=0))
+            alive &= kept[-1]
+            prev = lr[-1]
+            end = first + len(bx)
+            if end > half:
+                lo = max(first, half)
+                window[lo - half : end - half] = radius[lo - first :]
+            if not alive.any():
+                break
+    return alive, max_lr, jump
+
+
+def _rational_verdicts(p, q, x, y, steps: int) -> list:
+    # growth_classification(iterate_orbit(...)) of the birational map
+    # for the columns of exponents p, q and starts x, y (1-D arrays) at
+    # one horizon of at least _MIN_POINTS points, storing no orbit.
+    # Columns are grouped by their pair of power branches, so that a
+    # step makes one power call per coordinate, and each group is
+    # stepped in chunks as wide as the one window buffer holds
+    half = (steps + 1) // 2
+    rows = steps + 1 - half
+    window = np.empty((rows, max(1, _WINDOW_BYTES // (8 * rows))))
+    width = window.shape[1]
+    groups = {}
+    for j, key in enumerate(zip(map(_int_exponent, p.tolist()), map(_int_exponent, q.tolist()))):
+        groups.setdefault(key, []).append(j)
+    verdicts = [None] * len(p)
+    for cols in groups.values():
+        for lo in range(0, len(cols), width):
+            idx = cols[lo : lo + width]
+            win = window[:, : len(idx)]
+            alive, max_lr, jump = _rational_pass(p[idx], q[idx], x[idx], y[idx], steps, win)
+            for k, j in enumerate(idx):
+                verdicts[j] = _growth_verdict(
+                    steps, not alive[k], max_lr[k], jump[k], win[:, k], _DELTA
+                )
+    return verdicts
 
 
 def conserved_drift(orbit: Orbit) -> float:
@@ -434,6 +555,33 @@ _SEVERITY = {
 }
 
 
+def _more_severe(best, verdict):
+    # a cell's verdict so far, updated by its next start's: the first of
+    # the most severe kind stays
+    if best is None or _SEVERITY[verdict.kind] > _SEVERITY[best.kind]:
+        return verdict
+    return best
+
+
+def _rational_scan(p_values, q_values, start_policy, steps: int) -> list:
+    # scan_grid's cells of the birational map from one batched pass over
+    # every (cell, start) column.  Exponents, horizon and starts are
+    # checked cell by cell in the order iterate_orbit would check them
+    grid = [(i, j, p, q) for i, p in enumerate(p_values) for j, q in enumerate(q_values)]
+    columns = []
+    for cell, (i, j, p, q) in enumerate(grid):
+        Params(p, q)
+        _horizon(steps)
+        for start in start_policy.starts_for(OrbitKind.RATIONAL, i, j):
+            pt = PointPos(*start)
+            columns.append((cell, p, q, pt.x, pt.y))
+    cell_of, *values = zip(*columns)
+    best = [None] * len(grid)
+    for cell, verdict in zip(cell_of, _rational_verdicts(*map(np.array, values), steps)):
+        best[cell] = _more_severe(best[cell], verdict)
+    return [ScanCell(p=p, q=q, verdict=v) for (_, _, p, q), v in zip(grid, best)]
+
+
 def scan_grid(
     p_range: tuple,
     q_range: tuple,
@@ -446,7 +594,11 @@ def scan_grid(
 
     Each cell iterates the requested map from its starts and keeps the
     most severe verdict (exponential over linear over bounded-like).
-    Cells are visited row-major in p then q, deterministically.
+    Cells are visited row-major in p then q, deterministically.  The
+    verdicts are growth_classification's of iterate_orbit's orbits; at
+    16 points or more the birational map's orbits are stepped together
+    in one batched pass, and a cell of the piecewise-linear map stops
+    at its first exponential start, which no later start can outrank.
     """
     resolution = int(resolution)
     if resolution < 1:
@@ -459,17 +611,27 @@ def scan_grid(
         start_policy = StartPolicy(points=((1.0, 1.0),))
     p_values = tuple(float(v) for v in np.linspace(lo_p, hi_p, resolution))
     q_values = tuple(float(v) for v in np.linspace(lo_q, hi_q, resolution))
-    cells = []
-    for i, p in enumerate(p_values):
-        for j, q in enumerate(q_values):
-            params = Params(p, q)
-            best = None
-            for start in start_policy.starts_for(kind, i, j):
-                orbit = iterate_orbit(params, kind, start, steps)
-                verdict = growth_classification(orbit)
-                if best is None or _SEVERITY[verdict.kind] > _SEVERITY[best.kind]:
-                    best = verdict
-            cells.append(ScanCell(p=p, q=q, verdict=best))
+    long = int(steps) + 1 >= _MIN_POINTS
+    if kind is OrbitKind.RATIONAL and long:
+        cells = _rational_scan(p_values, q_values, start_policy, int(steps))
+    else:
+        early = kind is OrbitKind.TROPICAL and long
+        cells = []
+        for i, p in enumerate(p_values):
+            for j, q in enumerate(q_values):
+                params = Params(p, q)
+                starts = start_policy.starts_for(kind, i, j)
+                if early:
+                    # a start the loop may skip is checked as iterating it would
+                    _horizon(steps)
+                    starts = [PointPL(*start) for start in starts]
+                best = None
+                for start in starts:
+                    orbit = iterate_orbit(params, kind, start, steps)
+                    best = _more_severe(best, growth_classification(orbit))
+                    if early and best.kind is GrowthKind.EXPONENTIAL:
+                        break
+                cells.append(ScanCell(p=p, q=q, verdict=best))
     return ScanTable(
         p_values=p_values,
         q_values=q_values,

@@ -320,6 +320,22 @@ def test_cli_scan_config_errors(capsys, tmp_path):
         assert code == 1 and err.startswith("error: cannot read config")
 
 
+def test_cli_scan_count_needs_a_seed(capsys, tmp_path):
+    # without a seed every cell has the one start (1, 1), so a count
+    # would be dropped; it is refused from a flag and from a config
+    cfg = tmp_path / "scan.cfg"
+    cfg.write_text("resolution = 2\nsteps = 40\ncount = 3\n")
+    for argv in (["scan", "--resolution", "2", "--count", "3"], ["scan", "--config", str(cfg)]):
+        code, out, err = _run(capsys, argv)
+        assert code == 1 and out == ""
+        assert err == "usage error: --count needs --seed\n"
+    code, out, _ = _run(capsys, ["scan", "--config", str(cfg), "--seed", "2"])
+    assert code == 0
+    assert parse_scan_json(out) == scan_grid(
+        (0.5, 2.0), (0.5, 2.0), 2, OrbitKind.RATIONAL, 40, StartPolicy(seed=2, count=3)
+    )
+
+
 def test_cli_levelset_formats(capsys):
     code, out, _ = _run(capsys, [
         "levelset", "--p", "1", "--q", "1", "--level", "1", "--samples", "16",

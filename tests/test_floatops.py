@@ -104,6 +104,42 @@ def test_power_helper_maps_pow_overflow_to_inf():
     assert _power(-4.0)(1e-300) == math.inf
 
 
+def _libm_pow(base, expo):
+    # Python's float ** is the libm pow; it raises on overflow
+    try:
+        return base**expo
+    except OverflowError:
+        return math.inf
+
+
+def test_float_power_rounds_as_python_pow_bit_for_bit():
+    # the batched rational scan raises columns of bases with
+    # np.float_power on the premise that its loop is the libm pow of a
+    # float's **; np.power may run numpy's own SIMD loops instead
+    rng = np.random.default_rng(31)
+    rows, cols = 300, 80
+    bases = rng.uniform(1.0, 10.0, (rows, cols)) * 10.0 ** rng.integers(-324, 308, (rows, cols))
+    bases[0, :8] = (5e-324, 1e-310, math.nextafter(1.0, 0.0), 1.0, 1.5, 1e300, 1e308, 1.79e308)
+    fixed = [0.01, 0.5, 1.5, 5.0, 7.0, 99.5, 100.0]
+    expos = np.concatenate([fixed, rng.uniform(0.01, 100.0, cols - len(fixed))])
+    expos[7:27] = rng.uniform(0.2, 4.5, 20)  # the scanned range of p and q
+    want = np.array(
+        [[_libm_pow(b, e) for b, e in zip(row, expos.tolist())] for row in bases.tolist()]
+    )
+    assert 0 < np.isinf(want).sum() < want.size
+    assert ((want > 0.0) & (want < 2.3e-308)).any()  # subnormal results
+    with np.errstate(over="ignore", under="ignore"):
+        # 2-D with a column of exponents broadcast, as the scan steps it
+        assert np.float_power(bases, expos).tobytes() == want.tobytes()
+        # one row at a time, and strided in either direction
+        for i in range(0, rows, 7):
+            assert np.float_power(bases[i], expos).tobytes() == want[i].tobytes()
+        got = np.float_power(bases[::3, ::2], expos[::2])
+        assert got.tobytes() == np.ascontiguousarray(want[::3, ::2]).tobytes()
+        got = np.float_power(bases.T, expos[:, None])
+        assert got.tobytes() == np.ascontiguousarray(want.T).tobytes()
+
+
 def test_softplus_oracle():
     zs = np.concatenate(
         [np.linspace(-40.0, 40.0, 401), np.array([-745.0, -1000.0, 700.0, 1e4])]

@@ -7,6 +7,7 @@ import pytest
 
 from mutdyn import orbits, tropical
 from mutdyn.errors import DomainError, RangeError
+from mutdyn.export import export_json
 from mutdyn.orbits import (
     _phi_drift_pass,
     _tropical_orbits,
@@ -430,6 +431,133 @@ def test_scan_grid_validation():
         scan_grid((2.0, 1.0), (1.0, 2.0), 2, OrbitKind.RATIONAL, 40)
     with pytest.raises(DomainError):
         scan_grid((0.0, 1.0), (1.0, 2.0), 2, OrbitKind.RATIONAL, 40)
+
+
+def _per_orbit_scan(p_range, q_range, resolution, kind, steps, policy):
+    # scan_grid as one iterate_orbit and one growth_classification per
+    # start, every start of every cell: the oracle of the batched pass
+    p_values = tuple(float(v) for v in np.linspace(*p_range, resolution))
+    q_values = tuple(float(v) for v in np.linspace(*q_range, resolution))
+    cells = []
+    for i, p in enumerate(p_values):
+        for j, q in enumerate(q_values):
+            verdicts = [
+                growth_classification(iterate_orbit(Params(p, q), kind, start, steps))
+                for start in policy.starts_for(kind, i, j)
+            ]
+            rank = [orbits._SEVERITY[v.kind] for v in verdicts]
+            cells.append(orbits.ScanCell(p, q, verdicts[rank.index(max(rank))]))
+    return orbits.ScanTable(p_values, q_values, kind, steps, tuple(cells))
+
+
+def _verdict_bits(v):
+    fields = (v.ratio, v.rate, v.max_log_radius)
+    return (v.kind,) + tuple(None if f is None else f.hex() for f in fields)
+
+
+# (p, q) and starts of the birational map that leave float range at the
+# step named, integer exponents on either side or both included
+_LEAVING = {
+    1: [(2.0, 2.0, 1.0, 1e100), (2.5, 1.6, 5e-324, 1.0), (4 / 3, 3.0, 1.0, 1e100)],
+    63: [(2.0, 2.0, 1.0, 0.10964781954565196), (2.5, 1.6, 1.0, 0.11220184535992801),
+         (3.0, 4 / 3, 1.1220184543019562e68, 1e100), (4 / 3, 3.0, 17.78279410038923, 1.0)],
+    64: [(2.0, 2.0, 1.0, 0.11481536207778077), (2.5, 1.6, 1.0, 0.11748975542036805),
+         (1.0, 4.0, 0.13182567377306328, 1.0), (4.0, 1.0, 1.0, 0.13182567377306328)],
+    65: [(2.0, 2.0, 1.0, 0.12022644338643985), (2.5, 1.6, 1.0, 0.12302687700418015),
+         (1.0, 4.0, 0.13803842637381353, 1.0), (4 / 3, 3.0, 2.8183829312645647e152, 1e100)],
+}  # fmt: skip
+
+
+def _rational_columns():
+    rng = np.random.default_rng(131)
+    pairs = [(n, m) for n in (1.0, 2.0, 3.0, 4.0) for m in (1.0, 2.5, 4.0)]
+    pairs += [(2.5, n) for n in (1.0, 2.0, 3.0, 4.0)] + [(0.7, 0.9), (1.9, 2.2), (3.0, 3.0)]
+    columns = [(p, q, *rng.uniform(0.5, 2.0, 2).tolist()) for p, q in pairs for _ in range(2)]
+    for at, leaving in _LEAVING.items():
+        for p, q, x, y in leaving:
+            assert iterate_orbit(Params(p, q), OrbitKind.RATIONAL, (x, y), 100).truncated_at == at
+        columns += leaving
+    # a shuffle mixes the power-branch groups and the chunks
+    return [columns[k] for k in rng.permutation(len(columns))]
+
+
+@pytest.mark.parametrize("width", [None, 1, 3])
+def test_batched_rational_verdicts_equal_the_per_orbit_classification(monkeypatch, width):
+    columns = _rational_columns()
+    p, q, x, y = (np.array(v) for v in zip(*columns))
+    for steps in (15, 16, 64, 65, 200) + ((2000,) if width != 1 else ()):
+        if width is not None:
+            rows = steps + 1 - (steps + 1) // 2
+            monkeypatch.setattr(orbits, "_WINDOW_BYTES", 8 * rows * width)
+        got = orbits._rational_verdicts(p, q, x, y, steps)
+        for column, verdict in zip(columns, got):
+            pa, qa, xa, ya = column
+            orbit = iterate_orbit(Params(pa, qa), OrbitKind.RATIONAL, (xa, ya), steps)
+            want = growth_classification(orbit)
+            assert _verdict_bits(verdict) == _verdict_bits(want), (column, steps)
+        kinds = {v.kind for v in got}
+        assert GrowthKind.EXPONENTIAL in kinds and GrowthKind.BOUNDED_LIKE in kinds
+
+
+@pytest.mark.parametrize("width", [None, 1, 3])
+def test_batched_rational_scan_equals_the_per_orbit_scan_in_bytes(monkeypatch, width):
+    explicit = StartPolicy(points=((1.0, 1.0), (0.6, 1.7), (1.0, 1e100)))
+    cases = [(15, StartPolicy(seed=5, count=2)), (16, explicit), (65, StartPolicy(seed=6, count=3))]
+    cases += [(200, explicit), (2000, StartPolicy(seed=7, count=2))]
+    for steps, policy in cases:
+        if width is not None:
+            rows = steps + 1 - (steps + 1) // 2
+            monkeypatch.setattr(orbits, "_WINDOW_BYTES", 8 * rows * width)
+        args = ((0.5, 4.0), (1.0, 4.0), 4, OrbitKind.RATIONAL, steps, policy)
+        got, want = scan_grid(*args), _per_orbit_scan(*args)
+        assert export_json(got) == export_json(want)
+        for a, b in zip(got.cells, want.cells):
+            assert _verdict_bits(a.verdict) == _verdict_bits(b.verdict)
+
+
+def test_scan_errors_are_the_per_orbit_loops():
+    long = StartPolicy(points=((1.0, 1.0),))
+    bad = StartPolicy(points=((math.nan, 1.0), (1.0, 1.0)))
+    bad_second = StartPolicy(points=((1.0, 1.0), (math.inf, 1.0)))
+    negative = StartPolicy(points=((1.0, 1.0), (-1.0, 1.0)))
+    leaving = StartPolicy(points=((5e-324, 1.0),))
+    cases = [(-1, long), (MAX_ORBIT_POINTS, long), (MAX_ORBIT_POINTS, bad), (14, long)]
+    cases += [(40, bad), (40, bad_second)]
+    rational_cases = cases + [(40, negative), (14, negative)]
+    for kind in OrbitKind:
+        for steps, policy in cases if kind is OrbitKind.TROPICAL else rational_cases:
+            args = ((1.0, 2.0), (1.0, 2.0), 2, kind, steps, policy)
+            with pytest.raises(DomainError) as want:
+                _per_orbit_scan(*args)
+            with pytest.raises(DomainError) as got:
+                scan_grid(*args)
+            assert str(got.value) == str(want.value), (kind, steps)
+    # a short rational scan whose every orbit leaves float range has its table
+    args = ((1.0, 2.0), (1.0, 2.0), 2, OrbitKind.RATIONAL, 3, leaving)
+    table = scan_grid(*args)
+    assert export_json(table) == export_json(_per_orbit_scan(*args))
+    assert all(c.verdict.kind is GrowthKind.EXPONENTIAL for c in table.cells)
+
+
+def test_tropical_scan_skips_the_starts_after_an_exponential_one(monkeypatch):
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return iterate_orbit(*args)
+
+    monkeypatch.setattr(orbits, "iterate_orbit", counted)
+    for steps, policy in ((15, StartPolicy(seed=8, count=4)), (400, StartPolicy(seed=9, count=4)),
+                          (400, StartPolicy(points=((1.0, 1.0), (0.0, 0.0))))):  # fmt: skip
+        args = ((0.5, 3.0), (0.5, 3.0), 4, OrbitKind.TROPICAL, steps, policy)
+        calls.clear()
+        got = scan_grid(*args)
+        assert export_json(got) == export_json(_per_orbit_scan(*args))
+        assert len(calls) < 16 * len(policy.starts_for(OrbitKind.TROPICAL, 0, 0))
+    # the start after an exponential one is still checked
+    policy = StartPolicy(points=((1e300, 1e300), (math.inf, 0.0)))
+    with pytest.raises(DomainError, match="must be finite"):
+        scan_grid((3.0, 3.0), (3.0, 3.0), 1, OrbitKind.TROPICAL, 40, policy)
 
 
 def _frozen_drift_pass(p, q, s, t, steps, scale_caps):
