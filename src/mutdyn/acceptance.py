@@ -31,6 +31,7 @@ from .orbits import (
     OrbitKind,
     StartPolicy,
     GrowthKind,
+    _ANGLE_SLACK,
     _phi_drift_pass,
     _tropical_orbits,
     iterate_orbit,
@@ -218,7 +219,6 @@ def _c7_angle_and_signs():
         p = float(rng.uniform(0.8, 2.8))
         q = float(rng.uniform(4.2, 9.0)) / p
         pairs.append((p, q))
-    slack = 1e-12
     # nothing below draws, so every start can be drawn first
     starts = [[PointPL(*_draw_start(rng)) for _ in range(100)] for _ in pairs]
     flat = [(p, q, start.s, start.t) for (p, q), row in zip(pairs, starts) for start in row]
@@ -234,7 +234,7 @@ def _c7_angle_and_signs():
             value = float(orbit.phi[0])
             if value >= 0.0:
                 nonneg += 1
-                bad = monotonic_angle_audit(orbit, slack)
+                bad = monotonic_angle_audit(orbit)
                 if bad is not None:
                     return False, f"angle rose at step {bad} from value {value:.3g} >= 0, {where}"
             else:
@@ -242,11 +242,11 @@ def _c7_angle_and_signs():
                 s, t = orbit.points[:, 0], orbit.points[:, 1]
                 if not ((s > 0.0) & (t < 0.0)).all():
                     return False, f"value {value:.3g} < 0 left the open fourth quadrant, {where}"
-                fell = np.nonzero(np.diff(np.arctan2(t, s)) < -slack)[0]
+                fell = np.nonzero(np.diff(np.arctan2(t, s)) < -_ANGLE_SLACK)[0]
                 if len(fell):
                     return False, f"unlifted angle fell at step {fell[0] + 1}, {where}"
                 if witness is None:
-                    witness = (p, q, start.as_tuple(), value, monotonic_angle_audit(orbit, slack))
+                    witness = (p, q, start.as_tuple(), value, monotonic_angle_audit(orbit))
             n0 = next(coherent)
             if n0 is None:
                 return False, f"no sign coherence by 500 for {where}"

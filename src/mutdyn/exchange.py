@@ -20,7 +20,7 @@ import math
 from collections import deque
 from dataclasses import dataclass
 
-from .errors import DomainError
+from .errors import DomainError, RangeError
 from .floatops import EQ_TOL, close_rel
 
 __all__ = [
@@ -85,7 +85,8 @@ def mutate(mat: ExtendedExchangeMatrix, k: int) -> ExtendedExchangeMatrix:
     Entries in row or column k flip sign; entry (i, j) elsewhere gains
     sign(b_ik) max(b_ik b_kj, 0).  Applying the same direction twice
     returns the original matrix (exactly in exact arithmetic, to
-    rounding in floating point).
+    rounding in floating point).  An entry that leaves float range
+    raises RangeError.
     """
     if k not in (1, 2):
         raise DomainError(f"mutation direction must be 1 or 2, got {k!r}")
@@ -108,7 +109,11 @@ def mutate(mat: ExtendedExchangeMatrix, k: int) -> ExtendedExchangeMatrix:
             else:
                 new.append(v)
         out.append(tuple(new))
-    return ExtendedExchangeMatrix(tuple(out))
+    try:
+        return ExtendedExchangeMatrix(tuple(out))
+    except DomainError:
+        # the image of a valid matrix is valid but for entries out of range
+        raise RangeError(f"mutation in direction {k} left float range") from None
 
 
 @dataclass(frozen=True)
@@ -133,8 +138,12 @@ def _bucket_key(mat: ExtendedExchangeMatrix) -> tuple:
     # different buckets are double-counted, and with large entries
     # rounding puts round trips there: at p = 1, q = 5, row (1, 1) the
     # cap 10^4 fills although at most 2946 members are distinct (the two
-    # mutation chains leave float range after 1471 and 1474 steps).
-    return tuple(round(v * 1e6) for row in mat.entries for v in row)
+    # mutation chains leave float range after 1471 and 1474 steps).  An
+    # entry whose scaled value overflows is its own key
+    try:
+        return tuple(round(v * 1e6) for row in mat.entries for v in row)
+    except OverflowError:
+        return tuple(v if math.isinf(v * 1e6) else round(v * 1e6) for row in mat.entries for v in row)
 
 
 def _same(a: ExtendedExchangeMatrix, b: ExtendedExchangeMatrix) -> bool:

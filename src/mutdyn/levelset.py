@@ -17,7 +17,7 @@ import math
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import DomainError, RangeError
 from .params import Params, Regime, classify_regime
 from .tropical import _conserved, _quad, _quad_coefs
 
@@ -57,6 +57,18 @@ def _accuracy_radius(params: Params, level: float) -> float:
     eps = 2.220446049250313e-16
     weight = params.p + params.q + params.pq if level > 0.0 else params.pq
     return math.sqrt(1e-9 * abs(level) / (8.0 * eps * weight))
+
+
+def _radius(level: float, value):
+    # sqrt(level / value), the root taken before the quotient where the
+    # quotient overflows though the radius need not; a radius that
+    # leaves float range all the same raises RangeError
+    with np.errstate(over="ignore", divide="ignore"):
+        ratio = np.divide(level, value)
+        r = np.where(np.isinf(ratio), np.sqrt(abs(level)) / np.sqrt(np.abs(value)), np.sqrt(ratio))
+    if not np.isfinite(r).all():
+        raise RangeError(f"level {level!r} has points beyond float range")
+    return r
 
 
 def _cuts(params: Params, k: float, first: float, last: float, flip: float):
@@ -102,9 +114,9 @@ def levelset_points(
     extent = float(extent)
     if not (math.isfinite(extent) and extent >= 2.0):
         raise DomainError(f"extent must be >= 2, got {extent!r}")
-    r_cap = min(extent * _char_radius(params, level), _accuracy_radius(params, level))
-    if classify_regime(params) is Regime.SUBCRITICAL:
-        r_cap = math.inf  # the ellipse is drawn whole
+    r_cap = math.inf  # below the critical product the ellipse is drawn whole
+    if classify_regime(params) is not Regime.SUBCRITICAL:
+        r_cap = min(extent * _char_radius(params, level), _accuracy_radius(params, level))
     coefs = _quad_coefs(params.p, params.q)
     pieces = []
     for first, last, flip in _REGIONS:
@@ -114,12 +126,12 @@ def levelset_points(
             if _quad(coefs, math.cos(mid), flip * math.sin(mid)) / level < r_cap**-2:
                 continue
             w = np.linspace(a, b, samples_per_piece)
-            r = np.sqrt(level / _quad(coefs, np.cos(w), flip * np.sin(w)))
+            r = _radius(level, _quad(coefs, np.cos(w), flip * np.sin(w)))
             s, t = r * np.cos(w), r * np.sin(w)
             if a == first:  # only a positive level reaches the axis ends
-                s[0], t[0] = 0.0, math.sqrt(level / params.q)
+                s[0], t[0] = 0.0, float(_radius(level, params.q))
             if b == last:
-                s[-1], t[-1] = -math.sqrt(level / params.p), 0.0
+                s[-1], t[-1] = -float(_radius(level, params.p)), 0.0
             pieces.append(tuple(zip(s.tolist(), t.tolist())))
     if not pieces:
         raise DomainError(f"level {level!r} has no point within radius {r_cap!r}")

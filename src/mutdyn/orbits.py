@@ -21,7 +21,6 @@ from .tropical import (
     _pl_blocks,
     _quad_coefs,
     _record_orbit,
-    _record_orbits,
     _sup_norm,
 )
 from .floatops import _int_exponent, _power
@@ -46,9 +45,11 @@ __all__ = [
 # storage cap; longer horizons belong to the streaming helpers
 MAX_ORBIT_POINTS = 10**6
 # points growth classification needs from an orbit that did not truncate,
-# and its default threshold: exponential beyond a log1p(delta) log slope
+# and its threshold: exponential beyond a log1p(_DELTA) log slope
 _MIN_POINTS = 16
 _DELTA = 0.01
+# angle change absorbed as rounding: the audit's rise, C7's plain-angle fall
+_ANGLE_SLACK = 1e-12
 # bytes of the one window-norm buffer the rational scan pass reuses for
 # every chunk of columns; a column that alone needs more gets it alone
 _WINDOW_BYTES = 2**20
@@ -257,24 +258,29 @@ def iterate_orbit(params: Params, kind: OrbitKind, start, steps: int) -> Orbit:
 
 
 def _tropical_orbits(params: Params, s0, t0, steps: int) -> list:
-    # iterate_orbit's tropical orbits for many starts, recorded in one
-    # array pass: one Orbit per start, with the scalar recorder's bits
-    ss, ts, truncs = _record_orbits(params.p, params.q, s0, t0, steps)
-    orbits = []
-    for j, trunc in enumerate(truncs):
-        end = steps + 1 if trunc is None else trunc
-        pts = np.column_stack([ss[:end, j], ts[:end, j]])
-        orbits.append(
-            Orbit(params, OrbitKind.TROPICAL, pts, requested_steps=steps, truncated_at=trunc)
-        )
-    return orbits
+    # iterate_orbit's tropical orbits for the 1-D starts s0, t0, recorded
+    # in one array pass with the scalar recorder's bits; an orbit ends
+    # before its first row that is not finite, which is its truncation
+    p, q, s, t = _columns(params.p, params.q, s0, t0)
+    ss = np.empty((steps + 1,) + s.shape)
+    ts = np.empty_like(ss)
+    ss[0], ts[0] = s, t
+    with np.errstate(over="ignore", invalid="ignore"):
+        for row, bs, bt in _pl_blocks(p, q, s, t, steps):
+            ss[row : row + len(bs)], ts[row : row + len(bt)] = bs, bt
+    bad = ~(np.isfinite(ss) & np.isfinite(ts))
+    truncs = [int(i) if hit else None for i, hit in zip(bad.argmax(axis=0), bad.any(axis=0))]
+    return [
+        Orbit(params, OrbitKind.TROPICAL, np.column_stack([ss[:k, j], ts[:k, j]]), steps, k)
+        for j, k in enumerate(truncs)
+    ]
 
 
-def growth_classification(orbit: Orbit, delta: float = _DELTA) -> GrowthVerdict:
+def growth_classification(orbit: Orbit) -> GrowthVerdict:
     """Classify tail growth of the radius over the final half of an orbit.
 
     Exponential when the least-squares slope of log-radius against
-    step index beats log(1 + delta); the ratio reported is exp(slope).
+    step index beats log(1.01); the ratio reported is exp(slope).
     Otherwise linear when the affine fit of the radius itself climbs
     by more than a quarter of the window's radius scale over the
     window; the rate is that slope.  Otherwise bounded-like, with the
@@ -285,16 +291,14 @@ def growth_classification(orbit: Orbit, delta: float = _DELTA) -> GrowthVerdict:
     one-step log jump, with no length requirement.  Everything else
     needs at least 16 points.
     """
-    if not (math.isfinite(delta) and delta > 0.0):
-        raise DomainError(f"delta must be finite and positive, got {delta!r}")
     lr = orbit.log_radius
     jump = np.max(np.diff(lr[np.isfinite(lr)]), initial=-math.inf)
     half = (orbit.steps + 1) // 2
     window = _sup_norm(*orbit.points[half:].T)
-    return _growth_verdict(orbit.steps, orbit.truncated, np.max(lr), jump, window, delta)
+    return _growth_verdict(orbit.steps, orbit.truncated, np.max(lr), jump, window)
 
 
-def _growth_verdict(steps, truncated, max_lr, jump, window, delta) -> GrowthVerdict:
+def _growth_verdict(steps, truncated, max_lr, jump, window) -> GrowthVerdict:
     # growth_classification's rule on the reductions of an orbit of
     # steps steps: whether it truncated, its largest log radius, its
     # largest one-step jump between finite log radii (-inf for none)
@@ -315,7 +319,7 @@ def _growth_verdict(steps, truncated, max_lr, jump, window, delta) -> GrowthVerd
         lr = np.log(radius)
     lr = np.where(np.isfinite(lr), lr, -745.0)
     sigma = float(np.polyfit(idx, lr, 1)[0])
-    if sigma > math.log1p(delta):
+    if sigma > math.log1p(_DELTA):
         return GrowthVerdict(GrowthKind.EXPONENTIAL, ratio=math.exp(sigma))
     rho = float(np.polyfit(idx, radius, 1)[0])
     if rho > 0.0 and rho * (steps - half) > 0.25 * max(1.0, float(np.max(radius))):
@@ -377,9 +381,7 @@ def _rational_verdicts(p, q, x, y, steps: int) -> list:
             win = window[:, : len(idx)]
             alive, max_lr, jump = _rational_pass(p[idx], q[idx], x[idx], y[idx], steps, win)
             for k, j in enumerate(idx):
-                verdicts[j] = _growth_verdict(
-                    steps, not alive[k], max_lr[k], jump[k], win[:, k], _DELTA
-                )
+                verdicts[j] = _growth_verdict(steps, not alive[k], max_lr[k], jump[k], win[:, k])
     return verdicts
 
 
@@ -410,11 +412,11 @@ def _drift(value, base, denom):
     return np.where(np.isfinite(d), d, 0.0)
 
 
-def monotonic_angle_audit(orbit: Orbit, slack: float = 1e-12):
+def monotonic_angle_audit(orbit: Orbit):
     """Index of the first lifted-angle increase along a tropical orbit.
 
-    None when the angle never increases beyond the absolute slack,
-    which absorbs rounding once the angle has converged; a genuine
+    None when the angle never increases beyond an absolute slack of
+    1e-12, which absorbs rounding once the angle has converged; a genuine
     plateau is indistinguishable from strict decrease at that point in
     64-bit arithmetic.  Escape regimes only (pq >= 4), and the orbit
     must avoid the origin.  A None verdict is expected when the start's
@@ -431,7 +433,7 @@ def monotonic_angle_audit(orbit: Orbit, slack: float = 1e-12):
     th = orbit.polar
     if np.isnan(th).any():
         raise DomainError("orbit passes through the origin, angle undefined there")
-    bad = np.nonzero(np.diff(th) > slack)[0]
+    bad = np.nonzero(np.diff(th) > _ANGLE_SLACK)[0]
     return int(bad[0] + 1) if len(bad) else None
 
 
@@ -492,8 +494,9 @@ class StartPolicy:
 
     Either an explicit tuple of (coordinate pair) starts shared by all
     cells, or a seed for per-cell reproducible draws of ``count``
-    starts.  Seeded draws land in [0.5, 2]^2 for the rational map and
-    in [-2, 2]^2 away from the origin for the tropical one.
+    starts; ``count`` belongs to the draws and stays 1 with points.
+    Seeded draws land in [0.5, 2]^2 for the rational map and in
+    [-2, 2]^2 away from the origin for the tropical one.
     """
 
     points: tuple | None = None
@@ -510,6 +513,8 @@ class StartPolicy:
             object.__setattr__(self, "points", pts)
         if self.count < 1:
             raise DomainError(f"count must be >= 1, got {self.count}")
+        if self.points is not None and self.count != 1:
+            raise DomainError(f"count needs a seed, got count={self.count} with points")
 
     def starts_for(self, kind: OrbitKind, i: int, j: int):
         if self.points is not None:
@@ -563,23 +568,31 @@ def _more_severe(best, verdict):
     return best
 
 
-def _rational_scan(p_values, q_values, start_policy, steps: int) -> list:
-    # scan_grid's cells of the birational map from one batched pass over
-    # every (cell, start) column.  Exponents, horizon and starts are
-    # checked cell by cell in the order iterate_orbit would check them
-    grid = [(i, j, p, q) for i, p in enumerate(p_values) for j, q in enumerate(q_values)]
-    columns = []
-    for cell, (i, j, p, q) in enumerate(grid):
-        Params(p, q)
-        _horizon(steps)
-        for start in start_policy.starts_for(OrbitKind.RATIONAL, i, j):
-            pt = PointPos(*start)
-            columns.append((cell, p, q, pt.x, pt.y))
+def _rational_cells(cells, steps: int) -> list:
+    # scan_grid's verdicts of the birational map for its checked cells
+    # [(Params, starts)], from one batched pass over every (cell, start)
+    columns = [(c, prm.p, prm.q, pt.x, pt.y) for c, (prm, pts) in enumerate(cells) for pt in pts]
     cell_of, *values = zip(*columns)
-    best = [None] * len(grid)
+    best = [None] * len(cells)
     for cell, verdict in zip(cell_of, _rational_verdicts(*map(np.array, values), steps)):
         best[cell] = _more_severe(best[cell], verdict)
-    return [ScanCell(p=p, q=q, verdict=v) for (_, _, p, q), v in zip(grid, best)]
+    return best
+
+
+def _tropical_cells(cells, steps: int) -> list:
+    # scan_grid's verdicts of the piecewise-linear map, one orbit per
+    # start; no later start outranks an exponential one, but below
+    # _MIN_POINTS points a later start may still raise
+    best = []
+    for params, starts in cells:
+        verdict = None
+        for start in starts:
+            orbit = iterate_orbit(params, OrbitKind.TROPICAL, start, steps)
+            verdict = _more_severe(verdict, growth_classification(orbit))
+            if verdict.kind is GrowthKind.EXPONENTIAL and steps + 1 >= _MIN_POINTS:
+                break
+        best.append(verdict)
+    return best
 
 
 def scan_grid(
@@ -595,10 +608,13 @@ def scan_grid(
     Each cell iterates the requested map from its starts and keeps the
     most severe verdict (exponential over linear over bounded-like).
     Cells are visited row-major in p then q, deterministically.  The
-    verdicts are growth_classification's of iterate_orbit's orbits; at
-    16 points or more the birational map's orbits are stepped together
-    in one batched pass, and a cell of the piecewise-linear map stops
-    at its first exponential start, which no later start can outrank.
+    verdicts are growth_classification's of iterate_orbit's orbits.
+    Every input is checked before any orbit is stepped (the horizon,
+    the kind, then each cell's exponents and starts in row-major
+    order), so classification's "needs at least 16 points" comes last.
+    The birational map's orbits are stepped in one batched pass; a
+    piecewise-linear cell stops at its first exponential start, from
+    16 points on.
     """
     resolution = int(resolution)
     if resolution < 1:
@@ -611,31 +627,23 @@ def scan_grid(
         start_policy = StartPolicy(points=((1.0, 1.0),))
     p_values = tuple(float(v) for v in np.linspace(lo_p, hi_p, resolution))
     q_values = tuple(float(v) for v in np.linspace(lo_q, hi_q, resolution))
-    long = int(steps) + 1 >= _MIN_POINTS
-    if kind is OrbitKind.RATIONAL and long:
-        cells = _rational_scan(p_values, q_values, start_policy, int(steps))
+    steps = _horizon(steps)
+    if kind is OrbitKind.RATIONAL:
+        point, evaluate = PointPos, _rational_cells
+    elif kind is OrbitKind.TROPICAL:
+        point, evaluate = PointPL, _tropical_cells
     else:
-        early = kind is OrbitKind.TROPICAL and long
-        cells = []
-        for i, p in enumerate(p_values):
-            for j, q in enumerate(q_values):
-                params = Params(p, q)
-                starts = start_policy.starts_for(kind, i, j)
-                if early:
-                    # a start the loop may skip is checked as iterating it would
-                    _horizon(steps)
-                    starts = [PointPL(*start) for start in starts]
-                best = None
-                for start in starts:
-                    orbit = iterate_orbit(params, kind, start, steps)
-                    best = _more_severe(best, growth_classification(orbit))
-                    if early and best.kind is GrowthKind.EXPONENTIAL:
-                        break
-                cells.append(ScanCell(p=p, q=q, verdict=best))
+        raise DomainError(f"unknown orbit kind {kind!r}")
+    cells = [
+        (Params(p, q), [point(*start) for start in start_policy.starts_for(kind, i, j)])
+        for i, p in enumerate(p_values)
+        for j, q in enumerate(q_values)
+    ]
+    verdicts = evaluate(cells, steps)
     return ScanTable(
         p_values=p_values,
         q_values=q_values,
         kind=kind,
-        steps=int(steps),
-        cells=tuple(cells),
+        steps=steps,
+        cells=tuple(ScanCell(params.p, params.q, v) for (params, _), v in zip(cells, verdicts)),
     )

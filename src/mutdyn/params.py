@@ -23,7 +23,7 @@ from enum import Enum, auto
 
 import numpy as np
 
-from .errors import DomainError, RegimeError
+from .errors import DomainError, RangeError, RegimeError
 from .floatops import EQ_TOL, close_rel
 
 __all__ = [
@@ -95,9 +95,13 @@ def kappa_nu(params: Params) -> tuple[float, float]:
 
     Each is the root of the rounded product or quotient, and so keeps
     its bits, while that is a normal float; otherwise it is sqrt(p)
-    times or over sqrt(q), which stays in range for every valid pair.
+    times or over sqrt(q).  kappa stays in range for every valid pair;
+    nu leaves it once p/q passes about 3.2e616, and raises RangeError.
     """
-    return float(_kappa(params.p, params.q)), float(_nu(params.p, params.q))
+    nu = float(_nu(params.p, params.q))
+    if nu == math.inf:
+        raise RangeError(f"nu = sqrt(p/q) leaves float range at p={params.p!r}, q={params.q!r}")
+    return float(_kappa(params.p, params.q)), nu
 
 
 def _kappa(p, q):
@@ -107,8 +111,9 @@ def _kappa(p, q):
 
 
 def _nu(p, q):
-    # kappa_nu's nu, the same way
-    return _root(p / q, np.sqrt(p) / np.sqrt(q))
+    # kappa_nu's nu, the same way; inf where it leaves float range
+    with np.errstate(over="ignore"):
+        return _root(p / q, np.sqrt(p) / np.sqrt(q))
 
 
 def _root(value, fallback):

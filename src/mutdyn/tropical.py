@@ -453,24 +453,6 @@ def _record_orbit(params: Params, s: float, t: float, steps: int):
     return ss, ts, None
 
 
-def _record_orbits(p, q, s0, t0, steps: int):
-    # _record_orbit for many starts at once, one column per start after
-    # p, q, s0 and t0 broadcast: (steps + 1)-row arrays of s and t, and
-    # per column the 1-based step that left float range (None if none
-    # did; rows from that step on hold no iterates)
-    p, q, s, t = _columns(p, q, s0, t0)
-    ss = np.empty((steps + 1,) + s.shape)
-    ts = np.empty_like(ss)
-    ss[0], ts[0] = s, t
-    with np.errstate(over="ignore", invalid="ignore"):
-        for row, bs, bt in _pl_blocks(p, q, s, t, steps):
-            ss[row : row + len(bs)], ts[row : row + len(bt)] = bs, bt
-    bad = ~(np.isfinite(ss) & np.isfinite(ts))
-    first = bad.argmax(axis=0)
-    trunc = [int(i) if b else None for i, b in zip(first.ravel(), bad.any(axis=0).ravel())]
-    return ss, ts, trunc
-
-
 def sign_pair(pt: PointPL, scale: float | None = None) -> SignPair:
     """Coordinate signs with a zero band of EQ_TOL times max(1, scale).
 

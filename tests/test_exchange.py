@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from mutdyn.errors import DomainError
+from mutdyn.errors import DomainError, RangeError
 from mutdyn.exchange import ExtendedExchangeMatrix, mutate, mutation_class
 from mutdyn.params import Params
 from mutdyn.tropical import PointPL, mu1_c, mu2_c
@@ -200,3 +200,23 @@ def test_discovery_order_deterministic():
     a = mutation_class(seed, cap=100)
     b = mutation_class(seed, cap=100)
     assert [m.entries for m in a.matrices] == [m.entries for m in b.matrices]
+
+
+def test_entries_past_the_bucket_scale_keep_their_class():
+    # a scaled value past float range cannot key a bucket; such entries
+    # key themselves, and the class is the one of the unit row
+    for row in ((1e303, 0.0), (1e303, -1e303)):
+        seed = ExtendedExchangeMatrix.from_exponents(1.0, 1.0, rows=(row,))
+        result = mutation_class(seed)
+        assert result.complete and result.size == 10
+
+
+def test_mutation_leaving_float_range_raises_range_error():
+    seed = ExtendedExchangeMatrix.from_exponents(1e200, 1e200, rows=((1.0, 1.0),))
+    # the row becomes (-1, 1e200); the next step adds 1e200 * 1e200
+    once = mutate(seed, 1)
+    assert once.extra_rows == ((-1.0, 1e200),)
+    with pytest.raises(RangeError, match="direction 2"):
+        mutate(once, 2)
+    with pytest.raises(RangeError):
+        mutation_class(seed)

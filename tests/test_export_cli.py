@@ -427,3 +427,27 @@ def test_cli_verify_reports_exit_code(capsys, monkeypatch):
     monkeypatch.setattr(mutdyn.acceptance, "run_all", lambda: True)
     assert main(["verify"]) == 0
     capsys.readouterr()
+
+
+def test_cli_matclass_entries_near_float_range(capsys):
+    # entries past 1.8e302 have bucket keys of their own; a class whose
+    # walk leaves float range exits 2 as a truncated orbit does
+    code, out, _ = _run(capsys, ["matclass", "--p", "1", "--q", "1e303"])
+    assert code == 0 and json.loads(out) == {"size": 2, "complete": True}
+    for argv in (["--p", "1", "--q", "5", "--rows", "1e303,1"],
+                 ["--p", "1e200", "--q", "1e200", "--rows", "1,1"]):  # fmt: skip
+        code, out, err = _run(capsys, ["matclass"] + argv)
+        assert code == 2 and out == ""
+        assert err.startswith("range error:")
+
+
+def test_cli_levelset_with_subnormal_exponents(capsys):
+    # pq underflows to 0: a negative level's set is empty, as below pq = 4
+    code, _, err = _run(capsys, ["levelset", "--p", "1e-320", "--q", "1e-320", "--level", "-3"])
+    assert code == 1 and err == "error: level -3.0 has no point within radius inf\n"
+    # level / p overflows, the semi-axis 1e160 does not
+    argv = ["levelset", "--p", "1e-320", "--q", "1e-300", "--level", "1", "--format", "json"]
+    code, out, _ = _run(capsys, argv)
+    points = [pt for piece in json.loads(out)["pieces"] for pt in piece]
+    assert code == 0 and all(math.isfinite(v) for pt in points for v in pt)
+    assert points[-1] == [-1.0 / math.sqrt(1e-320), 0]

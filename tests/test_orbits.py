@@ -236,13 +236,6 @@ def test_growth_needs_sixteen_points():
     growth_classification(iterate_orbit(Params(1, 1), OrbitKind.TROPICAL, (1, 0), 15))
 
 
-def test_growth_delta_validation():
-    orbit = iterate_orbit(Params(1, 1), OrbitKind.TROPICAL, (1, 0), 40)
-    for bad in (0.0, -0.5, math.nan):
-        with pytest.raises(DomainError):
-            growth_classification(orbit, delta=bad)
-
-
 def test_growth_verdict_payload_consistency():
     GrowthVerdict(GrowthKind.EXPONENTIAL, ratio=2.0)
     GrowthVerdict(GrowthKind.LINEAR, rate=0.5)
@@ -281,8 +274,6 @@ def test_angle_audit_flags_negative_conserved_start():
     orbit = iterate_orbit(Params(3, 3), OrbitKind.TROPICAL, (1, -1), 50)
     assert float(orbit.phi[0]) == -3.0
     assert monotonic_angle_audit(orbit) == 2
-    # a large slack absorbs the climb
-    assert monotonic_angle_audit(orbit, slack=0.1) is None
     # the negative branch of the rule: the orbit keeps to the open fourth
     # quadrant and its plain atan2 angle never falls beyond the slack
     s, t = orbit.points[:, 0], orbit.points[:, 1]
@@ -523,7 +514,7 @@ def test_scan_errors_are_the_per_orbit_loops():
     leaving = StartPolicy(points=((5e-324, 1.0),))
     cases = [(-1, long), (MAX_ORBIT_POINTS, long), (MAX_ORBIT_POINTS, bad), (14, long)]
     cases += [(40, bad), (40, bad_second)]
-    rational_cases = cases + [(40, negative), (14, negative)]
+    rational_cases = cases + [(40, negative)]
     for kind in OrbitKind:
         for steps, policy in cases if kind is OrbitKind.TROPICAL else rational_cases:
             args = ((1.0, 2.0), (1.0, 2.0), 2, kind, steps, policy)
@@ -532,6 +523,13 @@ def test_scan_errors_are_the_per_orbit_loops():
             with pytest.raises(DomainError) as got:
                 scan_grid(*args)
             assert str(got.value) == str(want.value), (kind, steps)
+    # every start is checked before any orbit is classified, so a short
+    # scan with a bad start reports the start, not the horizon
+    with pytest.raises(DomainError) as want:
+        PointPos(-1.0, 1.0)
+    with pytest.raises(DomainError) as got:
+        scan_grid((1.0, 2.0), (1.0, 2.0), 2, OrbitKind.RATIONAL, 14, negative)
+    assert str(got.value) == str(want.value)
     # a short rational scan whose every orbit leaves float range has its table
     args = ((1.0, 2.0), (1.0, 2.0), 2, OrbitKind.RATIONAL, 3, leaving)
     table = scan_grid(*args)
@@ -603,3 +601,72 @@ def test_drift_pass_starts_where_the_cross_term_meets_an_overflowing_product():
         warnings.simplefilter("error")
         drift = phi_drift_batch(1e200, 1e200, 1.0, 0.0, 3)
     assert float(drift) == 0.0
+
+
+def test_start_policy_count_belongs_to_seeded_draws():
+    with pytest.raises(DomainError, match="count needs a seed"):
+        StartPolicy(points=((1.0, 1.0),), count=3)
+    assert StartPolicy(points=((1.0, 1.0),), count=1).count == 1
+
+
+def test_scan_unknown_kind_raises():
+    for kind in ("rational", None):
+        with pytest.raises(DomainError, match="unknown orbit kind"):
+            scan_grid((1.0, 2.0), (1.0, 2.0), 2, kind, 40)
+
+
+def _scan_error(kind, steps, p_range=(1.0, 2.0), policy=None):
+    # the message of the DomainError scan_grid raises; an infinite range
+    # end gives the first cell a nan exponent (linspace warns on the way)
+    with np.errstate(invalid="ignore"), pytest.raises(DomainError) as err:
+        scan_grid(p_range, (1.0, 2.0), 2, kind, steps, policy)
+    return str(err.value)
+
+
+def test_scan_reports_the_horizon_then_exponents_then_starts_then_length():
+    # each input carries every fault after the one it must report
+    bad_start = StartPolicy(points=((1.0, 1.0), (math.nan, 1.0)))
+    for kind in OrbitKind:
+        assert _scan_error(kind, -1, (1.0, math.inf), bad_start) == "steps must be >= 0, got -1"
+        assert "over the cap" in _scan_error(kind, MAX_ORBIT_POINTS, (1.0, math.inf), bad_start)
+        assert _scan_error(kind, 14, (1.0, math.inf), bad_start).startswith(
+            "exponents must be finite and positive, got p=nan"
+        )
+        with pytest.raises(DomainError) as want:
+            (PointPos if kind is OrbitKind.RATIONAL else PointPL)(math.nan, 1.0)
+        assert _scan_error(kind, 14, policy=bad_start) == str(want.value)
+        assert _scan_error(kind, 14) == "growth classification needs at least 16 points, got 15"
+
+
+def test_short_horizon_scans_equal_the_per_orbit_scan():
+    # single-fault inputs at horizons around the 16-point floor: a
+    # scan's table, or its error message, is the per-orbit loop's
+    boxes = (((1.0, 2.0), (1.0, 2.0)), ((2.5, 4.0), (2.5, 4.0)))
+    for kind in OrbitKind:
+        # a start that leaves float range at the first step in both boxes
+        leaving = (5e-324, 1.0) if kind is OrbitKind.RATIONAL else (1e308, 1e308)
+        policies = (
+            StartPolicy(points=((1.0, 1.0), (0.6, 1.7))),
+            StartPolicy(seed=5, count=3),
+            StartPolicy(points=((math.nan, 1.0), (1.0, 1.0))),
+            StartPolicy(points=(leaving,)),
+            StartPolicy(points=(leaving, (1.0, 1.0))),
+            StartPolicy(points=(leaving, (math.inf, 1.0))),
+        )
+        outcomes = set()
+        for steps in range(21):
+            # with no step taken the leaving start is a fault of its own
+            for p_range, q_range in boxes:
+                for policy in policies if steps else policies[:5]:
+                    args = (p_range, q_range, 2, kind, steps, policy)
+                    try:
+                        want = export_json(_per_orbit_scan(*args))
+                    except DomainError as exc:
+                        with pytest.raises(DomainError) as got:
+                            scan_grid(*args)
+                        assert str(got.value) == str(exc), (kind, steps, policy)
+                        outcomes.add(str(exc).split(",")[0])
+                        continue
+                    assert export_json(scan_grid(*args)) == want, (kind, steps, policy)
+                    outcomes.add("table")
+        assert len(outcomes) == 3, outcomes

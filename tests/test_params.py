@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from mutdyn.errors import DomainError, RegimeError
+from mutdyn.errors import DomainError, RangeError, RegimeError
 from mutdyn.floatops import EQ_TOL
 from mutdyn.params import (
     Params,
@@ -104,3 +104,12 @@ def test_detect_m_brute_force_oracle():
         )[0]
         expect = int(cand_m[hits[0]]) if len(hits) else None
         assert detect_m(params, cap=2000) == expect
+
+
+def test_kappa_nu_raises_where_nu_leaves_float_range():
+    # p / q overflows and so does its root; the product underflows, kappa
+    # does not
+    with pytest.raises(RangeError):
+        kappa_nu(Params(1e300, 1e-320))
+    kappa, nu = kappa_nu(Params(1e-320, 1e300))
+    assert kappa == math.sqrt(1e-320) * 1e150 and 0.0 < nu < 1e-300

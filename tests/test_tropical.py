@@ -7,7 +7,7 @@ import pytest
 from mutdyn.errors import DomainError, RangeError, RegimeError
 from mutdyn.floatops import EQ_TOL, close_rel, det2
 from mutdyn import tropical
-from mutdyn.orbits import OrbitKind, iterate_orbit
+from mutdyn.orbits import OrbitKind, _tropical_orbits, iterate_orbit
 from mutdyn.params import Params
 from mutdyn.tropical import (
     PointPL,
@@ -493,25 +493,29 @@ def _recorder_cases():
 
 
 def test_record_orbits_columns_equal_the_scalar_recorder_bit_for_bit():
+    # the array recorder of the tropical orbits, one Params at a time:
+    # each orbit is the scalar recorder's, truncation included
     cases = _recorder_cases()
-    p, q, s0, t0 = (np.array(v) for v in zip(*cases))
     for steps in (0, 1, 150):
-        ss, ts, truncs = tropical._record_orbits(p, q, s0, t0, steps)
-        assert ss.shape == ts.shape == (steps + 1, len(cases))
-        for j, (pj, qj, sj, tj) in enumerate(cases):
-            want_s, want_t, want_trunc = tropical._record_orbit(Params(pj, qj), sj, tj, steps)
-            assert truncs[j] == want_trunc
-            end = len(want_s)
-            assert _bits(ss[:end, j]) == _bits(want_s)
-            assert _bits(ts[:end, j]) == _bits(want_t)
+        for pj, qj, sj, tj in cases:
+            params = Params(pj, qj)
+            (orbit,) = _tropical_orbits(params, np.array([sj]), np.array([tj]), steps)
+            want_s, want_t, want_trunc = tropical._record_orbit(params, sj, tj, steps)
+            assert orbit.truncated_at == want_trunc
+            assert _bits(orbit.points[:, 0]) == _bits(want_s)
+            assert _bits(orbit.points[:, 1]) == _bits(want_t)
     # the near-range starts truncate, at different steps
-    _, _, truncs = tropical._record_orbits(p, q, s0, t0, 150)
-    assert None not in truncs[:4] and len(set(truncs[:4])) > 1
-    # scalars broadcast against start arrays
-    ss, ts, _ = tropical._record_orbits(2.0, 3.0, s0, t0, 20)
-    for j, (_, _, sj, tj) in enumerate(cases):
-        want_s, want_t, trunc = tropical._record_orbit(Params(2.0, 3.0), sj, tj, 20)
-        assert _bits(ss[: len(want_s), j]) == _bits(want_s)
+    truncs = [
+        _tropical_orbits(Params(pj, qj), np.array([sj]), np.array([tj]), 150)[0].truncated_at
+        for pj, qj, sj, tj in cases[:4]
+    ]
+    assert None not in truncs and len(set(truncs)) > 1
+    # many starts of one Params in one pass
+    _, _, s0, t0 = (np.array(v) for v in zip(*cases))
+    for orbit, sj, tj in zip(_tropical_orbits(Params(2.0, 3.0), s0, t0, 20), s0, t0):
+        want_s, want_t, _ = tropical._record_orbit(Params(2.0, 3.0), float(sj), float(tj), 20)
+        assert _bits(orbit.points[:, 0]) == _bits(want_s)
+        assert _bits(orbit.points[:, 1]) == _bits(want_t)
 
 
 def _per_step_record(params, s, t, steps):
