@@ -17,3 +17,18 @@ class RegimeError(MutdynError, ValueError):
 
 class RangeError(MutdynError, OverflowError):
     """Evaluation left the representable floating-point range."""
+
+
+def _count(value, name: str, low: int) -> int:
+    # every count argument's check: an integral value (an int, a numpy
+    # integer or an integral float) of at least low, returned as an int;
+    # int() alone would truncate 2.5 and raise a bare error on nan or inf
+    try:
+        n = int(value)
+    except (ValueError, OverflowError):
+        n = None
+    if n is None or n != value:
+        raise DomainError(f"{name} must be an integer, got {value!r}")
+    if n < low:
+        raise DomainError(f"{name} must be >= {low}, got {n}")
+    return n

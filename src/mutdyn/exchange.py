@@ -20,7 +20,7 @@ import math
 from collections import deque
 from dataclasses import dataclass
 
-from .errors import DomainError, RangeError
+from .errors import DomainError, RangeError, _count
 from .floatops import EQ_TOL, close_rel
 
 __all__ = [
@@ -164,9 +164,7 @@ def mutation_class(seed: ExtendedExchangeMatrix, cap: int = 10**5) -> MutationCl
     stops once ``cap`` members are held, reporting an incomplete
     closure.
     """
-    cap = int(cap)
-    if cap < 1:
-        raise DomainError(f"cap must be >= 1, got {cap}")
+    cap = _count(cap, "cap", 1)
     buckets: dict[tuple, list[ExtendedExchangeMatrix]] = {}
     order: list[ExtendedExchangeMatrix] = []
 

@@ -17,7 +17,7 @@ import math
 
 import numpy as np
 
-from .errors import DomainError, RangeError
+from .errors import DomainError, RangeError, _count
 from .params import Params, Regime, classify_regime
 from .tropical import _conserved, _quad, _quad_coefs
 
@@ -87,12 +87,7 @@ def _cuts(params: Params, k: float, first: float, last: float, flip: float):
     return sorted(cuts, reverse=last < first)
 
 
-def levelset_points(
-    params: Params,
-    level: float,
-    samples_per_piece: int = 256,
-    extent: float = 8.0,
-):
+def levelset_points(params: Params, level: float, samples_per_piece: int = 256):
     """Polylines tracing the level set {phi = level} of the conserved function.
 
     Returns a tuple of pieces, each a tuple of ``samples_per_piece``
@@ -101,22 +96,17 @@ def levelset_points(
     ones on the closed second quadrant.  A negative level is drawn too;
     above the critical product it is one piece in the open fourth
     quadrant.  Below the critical product the curve is an ellipse and
-    is drawn whole.  Otherwise pieces stop at radius ``extent`` times
-    the curve's axis scale, tightened where needed so every emitted
+    is drawn whole.  Otherwise pieces stop at radius 8 times the
+    curve's axis scale, tightened where needed so every emitted
     point evaluates back to the level within 1e-9 relative.  A level
     with no point inside that radius raises ``DomainError``, so does a
     negative level below the critical product, whose set is empty.
     """
     level = _check_level(level)
-    samples_per_piece = int(samples_per_piece)
-    if samples_per_piece < 2:
-        raise DomainError(f"samples_per_piece must be >= 2, got {samples_per_piece}")
-    extent = float(extent)
-    if not (math.isfinite(extent) and extent >= 2.0):
-        raise DomainError(f"extent must be >= 2, got {extent!r}")
+    samples_per_piece = _count(samples_per_piece, "samples_per_piece", 2)
     r_cap = math.inf  # below the critical product the ellipse is drawn whole
     if classify_regime(params) is not Regime.SUBCRITICAL:
-        r_cap = min(extent * _char_radius(params, level), _accuracy_radius(params, level))
+        r_cap = min(8.0 * _char_radius(params, level), _accuracy_radius(params, level))
     coefs = _quad_coefs(params.p, params.q)
     pieces = []
     for first, last, flip in _REGIONS:
@@ -144,5 +134,17 @@ def levelset_residual(params: Params, pieces, level: float) -> float:
     pts = np.array([pt for piece in pieces for pt in piece], dtype=float).reshape(-1, 2)
     if not np.isfinite(pts).all():
         raise DomainError("coordinates must be finite")
-    vals = _conserved(_quad_coefs(params.p, params.q), pts[:, 0], pts[:, 1])
+    s, t = pts[:, 0], pts[:, 1]
+    coefs = _quad_coefs(params.p, params.q)
+    with np.errstate(over="ignore", invalid="ignore"):
+        vals = _conserved(coefs, s, t)
+        # subnormal exponents put a level of order 1 out near radius
+        # 1e155, where s t overflows though phi does not.  There |s| > 1,
+        # so s is scaled down by 2^512 and sqrt(p) and the cross
+        # coefficient up: a power of two changes no rounding, and
+        # sqrt(p) 2^512 stays finite
+        far = ~np.isfinite(vals)
+        rp, rq, coef = coefs
+        k = 2.0**512
+        vals[far] = _conserved((rp * k, rq, coef * k), s[far] / k, t[far])
     return float(np.max(np.abs(vals - level), initial=0.0)) / abs(level)

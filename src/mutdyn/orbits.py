@@ -8,7 +8,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import DomainError, _count
 from .params import Params, Regime, classify_regime
 from .rational import PointPos
 from .tropical import (
@@ -225,9 +225,7 @@ def _rational_blocks(p, q, x, y, steps: int):
 
 def _horizon(steps) -> int:
     # iterate_orbit's check of a horizon: a step count it can store
-    steps = int(steps)
-    if steps < 0:
-        raise DomainError(f"steps must be >= 0, got {steps}")
+    steps = _count(steps, "steps", 0)
     if steps + 1 > MAX_ORBIT_POINTS:
         raise DomainError(
             f"horizon stores {steps + 1} points, over the cap {MAX_ORBIT_POINTS}; "
@@ -457,9 +455,7 @@ def phi_drift_batch(p, q, s0, t0, steps: int, scale_cap: float | None = None):
 def _phi_drift_pass(p, q, s0, t0, steps: int, scale_caps: tuple):
     # phi_drift_batch for several scale caps (None for none) in one
     # pass over the orbits; one drift array per cap, in order
-    steps = int(steps)
-    if steps < 0:
-        raise DomainError(f"steps must be >= 0, got {steps}")
+    steps = _count(steps, "steps", 0)
     p, q, s, t = _columns(p, q, s0, t0)
     if not (np.isfinite(p).all() and (p > 0.0).all() and np.isfinite(q).all() and (q > 0.0).all()):
         raise DomainError("exponents must be finite and positive")
@@ -511,8 +507,7 @@ class StartPolicy:
             if not pts:
                 raise DomainError("points must be non-empty")
             object.__setattr__(self, "points", pts)
-        if self.count < 1:
-            raise DomainError(f"count must be >= 1, got {self.count}")
+        object.__setattr__(self, "count", _count(self.count, "count", 1))
         if self.points is not None and self.count != 1:
             raise DomainError(f"count needs a seed, got count={self.count} with points")
 
@@ -610,23 +605,20 @@ def scan_grid(
     Cells are visited row-major in p then q, deterministically.  The
     verdicts are growth_classification's of iterate_orbit's orbits.
     Every input is checked before any orbit is stepped (the horizon,
-    the kind, then each cell's exponents and starts in row-major
-    order), so classification's "needs at least 16 points" comes last.
+    the kind, the range ends, then each cell's exponents and starts in
+    row-major order), so classification's "needs at least 16 points"
+    comes last.
     The birational map's orbits are stepped in one batched pass; a
     piecewise-linear cell stops at its first exponential start, from
     16 points on.
     """
-    resolution = int(resolution)
-    if resolution < 1:
-        raise DomainError(f"resolution must be >= 1, got {resolution}")
+    resolution = _count(resolution, "resolution", 1)
     lo_p, hi_p = (float(p_range[0]), float(p_range[1]))
     lo_q, hi_q = (float(q_range[0]), float(q_range[1]))
     if not (0.0 < lo_p <= hi_p and 0.0 < lo_q <= hi_q):
         raise DomainError("parameter ranges must be positive and ordered")
     if start_policy is None:
         start_policy = StartPolicy(points=((1.0, 1.0),))
-    p_values = tuple(float(v) for v in np.linspace(lo_p, hi_p, resolution))
-    q_values = tuple(float(v) for v in np.linspace(lo_q, hi_q, resolution))
     steps = _horizon(steps)
     if kind is OrbitKind.RATIONAL:
         point, evaluate = PointPos, _rational_cells
@@ -634,6 +626,11 @@ def scan_grid(
         point, evaluate = PointPL, _tropical_cells
     else:
         raise DomainError(f"unknown orbit kind {kind!r}")
+    # the far range ends are exponents too, checked before linspace
+    # turns an infinite one into nan
+    Params(hi_p, hi_q)
+    p_values = tuple(float(v) for v in np.linspace(lo_p, hi_p, resolution))
+    q_values = tuple(float(v) for v in np.linspace(lo_q, hi_q, resolution))
     cells = [
         (Params(p, q), [point(*start) for start in start_policy.starts_for(kind, i, j)])
         for i, p in enumerate(p_values)

@@ -22,7 +22,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import DomainError, RangeError
+from .errors import DomainError, RangeError, _count
 from .floatops import EQ_TOL, PERIOD_TOL
 from .params import Params, _kappa, _nu, kappa_nu, theta_of
 
@@ -278,9 +278,7 @@ def chebyshev_u(n: int, x: float) -> float:
     Supports n >= -1 with U_{-1} = 0; on the interval (-1, 1) it
     matches sin((n+1) theta)/sin(theta) at x = cos(theta).
     """
-    n = int(n)
-    if n < -1:
-        raise DomainError(f"index must be >= -1, got {n}")
+    n = _count(n, "index", -1)
     return float(_cheb_table(x, n)[n + 2])
 
 
@@ -297,13 +295,6 @@ def _cheb_table(x, top: int) -> np.ndarray:
         for k in range(3, len(vals)):
             vals[k] = two_x * vals[k - 1] - vals[k - 2]
     return vals
-
-
-def _iterate_count(n) -> int:
-    n = int(n)
-    if n < 0:
-        raise DomainError(f"iterate count must be >= 0, got {n}")
-    return n
 
 
 def _form_pair(forms, n: int) -> tuple[PointPL, PointPL]:
@@ -351,14 +342,14 @@ def tau_closed_form(params: Params, n: int, pt: PointPL) -> tuple[PointPL, Point
     n = 0 uses the standard extension to the value -1.  Returns the
     pair (tau^n pt, tau1 tau^n pt).
     """
-    n = _iterate_count(n)
+    n = _count(n, "iterate count", 0)
     kappa, nu = kappa_nu(params)
     return _form_pair(_closed_forms(kappa, nu, n, pt.s, pt.t), n)
 
 
 def tau_trig_form(params: Params, n: int, pt: PointPL) -> tuple[PointPL, PointPL]:
     """The same pair through sines of multiples of theta; pq < 4 only."""
-    n = _iterate_count(n)
+    n = _count(n, "iterate count", 0)
     th = theta_of(params)
     _, nu = kappa_nu(params)
     return _form_pair(_trig_forms(th, nu, n, pt.s, pt.t), n)
@@ -403,9 +394,7 @@ def detect_period(params: Params, pt: PointPL, max_steps: int):
     None when no return occurs within the horizon; iterates leaving
     float range also end the search with None.
     """
-    max_steps = int(max_steps)
-    if max_steps < 1:
-        raise DomainError(f"max_steps must be >= 1, got {max_steps}")
+    max_steps = _count(max_steps, "max_steps", 1)
     s0, t0 = pt.s, pt.t
     bound = PERIOD_TOL * max(1.0, abs(s0), abs(t0))
     # recorded block by block, so a long horizon holds one block at a time
@@ -489,9 +478,7 @@ def first_sign_coherent_index(params: Params, pt: PointPL, cap: int = 500):
     are renormalized when they grow huge; that dodges overflow without
     touching any sign decision.
     """
-    cap = int(cap)
-    if cap < 0:
-        raise DomainError(f"cap must be >= 0, got {cap}")
+    cap = _count(cap, "cap", 0)
     return _sign_coherent_indices(params.p, params.q, pt.s, pt.t, cap)[0]
 
 

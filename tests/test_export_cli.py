@@ -276,11 +276,14 @@ def test_cli_usage_errors(capsys):
 
 
 def test_cli_domain_error_exits_one(capsys):
-    code, _, err = _run(capsys, [
-        "orbit", "--p", "1", "--q", "1", "--x0", "-1", "--y0", "1", "--steps", "5",
-    ])
-    assert code == 1
-    assert err.startswith("error:")
+    for argv in (
+        ["orbit", "--p", "1", "--q", "1", "--x0", "-1", "--y0", "1", "--steps", "5"],
+        # an infinite range end is an exponent out of range, not a nan one
+        ["scan", "--p-max", "inf", "--resolution", "2", "--steps", "40"],
+    ):
+        code, out, err = _run(capsys, argv)
+        assert code == 1 and out == ""
+        assert err.startswith("error:")
 
 
 def test_cli_scan_config_and_overrides(capsys, tmp_path):

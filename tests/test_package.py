@@ -1,15 +1,39 @@
-"""The package's module-level export lists."""
+"""The package's namespace and the rule every count argument follows."""
 import importlib
+import math
 import pkgutil
+import types
 
+import numpy as np
 import pytest
 
 import mutdyn
+from mutdyn import (
+    DomainError,
+    ExtendedExchangeMatrix,
+    OrbitKind,
+    Params,
+    PointPL,
+    StartPolicy,
+    chebyshev_u,
+    detect_period,
+    first_sign_coherent_index,
+    iterate_orbit,
+    levelset_points,
+    mutation_class,
+    phi_drift_batch,
+    scan_grid,
+    tau_closed_form,
+    tau_trig_form,
+)
 
 # __main__ runs the command line on import
 MODULES = sorted(
     m.name for m in pkgutil.iter_modules(mutdyn.__path__) if not m.name.startswith("_")
 )
+
+# the modules whose export lists make up the package's namespace
+NAMESPACE = ("errors", "params", "rational", "tropical", "exchange", "orbits", "export", "levelset", "svg")
 
 
 @pytest.mark.parametrize("name", MODULES)
@@ -18,3 +42,48 @@ def test_every_name_in_all_exists(name):
     module = importlib.import_module(f"mutdyn.{name}")
     missing = [n for n in module.__all__ if not hasattr(module, n)]
     assert missing == []
+
+
+def test_package_names_are_the_modules_export_lists():
+    names = {
+        n for n in dir(mutdyn)
+        if not n.startswith("_") and not isinstance(getattr(mutdyn, n), types.ModuleType)
+    }
+    modules = [importlib.import_module(f"mutdyn.{m}") for m in NAMESPACE]
+    assert names == {n for module in modules for n in module.__all__}
+    for module in modules:
+        assert all(getattr(mutdyn, n) is getattr(module, n) for n in module.__all__)
+
+
+_ONE = Params(1.0, 1.0)
+_START = PointPL(1.0, 0.0)
+
+# (call with a count, the count's name in messages, its least value)
+COUNTS = {
+    "iterate_orbit": (lambda n: iterate_orbit(_ONE, OrbitKind.TROPICAL, (1.0, 0.0), n), "steps", 0),
+    "phi_drift_batch": (lambda n: phi_drift_batch(1.0, 1.0, 1.0, 0.0, n), "steps", 0),
+    "StartPolicy": (lambda n: StartPolicy(seed=1, count=n), "count", 1),
+    "scan_grid": (lambda n: scan_grid((1.0, 2.0), (1.0, 2.0), n, OrbitKind.TROPICAL, 20), "resolution", 1),
+    "chebyshev_u": (lambda n: chebyshev_u(n, 0.3), "index", -1),
+    "tau_closed_form": (lambda n: tau_closed_form(_ONE, n, _START), "iterate count", 0),
+    "tau_trig_form": (lambda n: tau_trig_form(_ONE, n, _START), "iterate count", 0),
+    "detect_period": (lambda n: detect_period(_ONE, _START, n), "max_steps", 1),
+    "first_sign_coherent_index": (lambda n: first_sign_coherent_index(Params(3.0, 3.0), _START, n), "cap", 0),
+    "mutation_class": (lambda n: mutation_class(ExtendedExchangeMatrix(((0, 1), (-1, 0))), n), "cap", 1),
+    "levelset_points": (lambda n: levelset_points(_ONE, 1.0, n), "samples_per_piece", 2),
+}
+
+
+@pytest.mark.parametrize("entry", COUNTS)
+def test_count_arguments_are_integers_at_or_above_their_least_value(entry):
+    call, name, low = COUNTS[entry]
+    for bad in (math.nan, math.inf, -math.inf, 2.5, -0.5):
+        with pytest.raises(DomainError) as err:
+            call(bad)
+        assert str(err.value) == f"{name} must be an integer, got {bad!r}"
+    for below in (low - 1, float(low - 1)):
+        with pytest.raises(DomainError) as err:
+            call(below)
+        assert str(err.value) == f"{name} must be >= {low}, got {low - 1}"
+    for good in (2.0, np.int64(2)):
+        call(good)
