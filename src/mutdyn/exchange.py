@@ -17,7 +17,6 @@ periodic products.
 from __future__ import annotations
 
 import math
-from collections import deque
 from dataclasses import dataclass
 
 from .errors import DomainError, RangeError, _count
@@ -118,10 +117,12 @@ def mutate(mat: ExtendedExchangeMatrix, k: int) -> ExtendedExchangeMatrix:
 
 @dataclass(frozen=True)
 class MutationClassResult:
-    """Closure of a seed under both directions.
+    """The members of a seed's class under both directions.
 
-    ``matrices`` lists the members in discovery order, seed first;
-    ``complete`` reports whether the closure stabilized before the cap.
+    ``matrices`` lists the members seed first, then one from each
+    mutation chain in turn; ``complete`` reports whether the class
+    closed: both chains ended, at a fixed point or by meeting, before
+    the cap and without leaving float range.
     """
 
     matrices: tuple
@@ -132,63 +133,49 @@ class MutationClassResult:
         return len(self.matrices)
 
 
-def _bucket_key(mat: ExtendedExchangeMatrix) -> tuple:
-    # coarse hash at 1e-6 granularity; exact membership is decided by
-    # the tolerance comparison within a bucket.  Near-equal members in
-    # different buckets are double-counted, and with large entries
-    # rounding puts round trips there: at p = 1, q = 5, row (1, 1) the
-    # cap 10^4 fills although at most 2946 members are distinct (the two
-    # mutation chains leave float range after 1471 and 1474 steps).  An
-    # entry whose scaled value overflows is its own key
-    try:
-        return tuple(round(v * 1e6) for row in mat.entries for v in row)
-    except OverflowError:
-        return tuple(v if math.isinf(v * 1e6) else round(v * 1e6) for row in mat.entries for v in row)
-
-
 def _same(a: ExtendedExchangeMatrix, b: ExtendedExchangeMatrix) -> bool:
-    if len(a.entries) != len(b.entries):
-        return False
-    for ra, rb in zip(a.entries, b.entries):
-        for va, vb in zip(ra, rb):
-            if not close_rel(va, vb, EQ_TOL):
-                return False
-    return True
+    # entrywise within EQ_TOL; mutation keeps the shape, so the rows pair up
+    pairs = zip(a.entries, b.entries)
+    return all(close_rel(va, vb, EQ_TOL) for ra, rb in pairs for va, vb in zip(ra, rb))
 
 
 def mutation_class(seed: ExtendedExchangeMatrix, cap: int = 10**5) -> MutationClassResult:
-    """Breadth-first closure of a seed matrix under both mutation directions.
+    """The class of a seed matrix under both mutation directions.
 
-    Members reached along different mutation words can differ by a few
-    ulps, so membership is decided entrywise within EQ_TOL.  The walk
-    stops once ``cap`` members are held, reporting an incomplete
-    closure.
+    Both directions are involutions, so the class is the seed and its
+    two alternating mutation chains, one starting in each direction: a
+    path or a cycle.  The walk takes one new member from each chain in
+    turn, direction 1 first, comparing entrywise within EQ_TOL.  A chain
+    ends at a fixed point, where its next member equals its front; the
+    class closes when a chain's next member is the other chain's front.
+    The walk stops once ``cap`` members are held, and a chain whose next
+    member leaves float range ends there; either way the class is
+    reported incomplete, so one that did not close and is shorter than
+    its cap left float range.
     """
     cap = _count(cap, "cap", 1)
-    buckets: dict[tuple, list[ExtendedExchangeMatrix]] = {}
-    order: list[ExtendedExchangeMatrix] = []
-
-    def seen(m: ExtendedExchangeMatrix) -> bool:
-        for other in buckets.get(_bucket_key(m), ()):
-            if _same(m, other):
-                return True
-        return False
-
-    def add(m: ExtendedExchangeMatrix) -> None:
-        buckets.setdefault(_bucket_key(m), []).append(m)
-        order.append(m)
-
-    add(seed)
-    work = deque([seed])
-    while work:
-        current = work.popleft()
-        for k in (1, 2):
-            nxt = mutate(current, k)
-            if seen(nxt):
+    order = [seed]
+    fronts = [seed, seed]
+    directions = [1, 2]
+    live = [0, 1]
+    complete = True
+    while live:
+        for c in tuple(live):
+            try:
+                nxt = mutate(fronts[c], directions[c])
+            except RangeError:
+                live.remove(c)
+                complete = False
                 continue
+            if _same(nxt, fronts[c]):
+                live.remove(c)
+                continue
+            if _same(nxt, fronts[1 - c]):
+                return MutationClassResult(tuple(order), True)
             if len(order) >= cap:
                 # a new member exists but there is no room left for it
                 return MutationClassResult(tuple(order), False)
-            add(nxt)
-            work.append(nxt)
-    return MutationClassResult(tuple(order), True)
+            order.append(nxt)
+            fronts[c] = nxt
+            directions[c] = 3 - directions[c]
+    return MutationClassResult(tuple(order), complete)

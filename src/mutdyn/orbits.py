@@ -507,6 +507,8 @@ class StartPolicy:
             if not pts:
                 raise DomainError("points must be non-empty")
             object.__setattr__(self, "points", pts)
+        else:
+            object.__setattr__(self, "seed", _count(self.seed, "seed", 0))
         object.__setattr__(self, "count", _count(self.count, "count", 1))
         if self.points is not None and self.count != 1:
             raise DomainError(f"count needs a seed, got count={self.count} with points")
@@ -514,7 +516,7 @@ class StartPolicy:
     def starts_for(self, kind: OrbitKind, i: int, j: int):
         if self.points is not None:
             return self.points
-        rng = np.random.default_rng([int(self.seed), i, j])
+        rng = np.random.default_rng([self.seed, i, j])
         out = []
         while len(out) < self.count:
             if kind is OrbitKind.RATIONAL:

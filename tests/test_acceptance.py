@@ -51,7 +51,8 @@ PINNED_DETAILS = {
     ),
     "C9": (
         "classes closed (m=3:10, m=4:6, m=5:14, m=6:8, m=7:18, m=8:10); "
-        "cap exhausts at 10^4 for pq=5; row actions exact"
+        "the pq=5 class leaves float range with 2946 members under the 10^4 cap, its chains "
+        "after 1471 and 1474 mutations; row actions exact"
     ),
     "C10": "all 100 rotation-regime cells bounded-like over 1e4 steps, peak log radius 3.12",
 }

@@ -1,9 +1,13 @@
 """Extended exchange matrices: validation, mutation, closures."""
+import itertools
 import math
+from collections import deque
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
+from mutdyn.acceptance import _CLASS_SIZES
 from mutdyn.errors import DomainError, RangeError
 from mutdyn.exchange import ExtendedExchangeMatrix, mutate, mutation_class
 from mutdyn.params import Params
@@ -202,13 +206,23 @@ def test_discovery_order_deterministic():
     assert [m.entries for m in a.matrices] == [m.entries for m in b.matrices]
 
 
-def test_entries_past_the_bucket_scale_keep_their_class():
-    # a scaled value past float range cannot key a bucket; such entries
-    # key themselves, and the class is the one of the unit row
+def test_entries_near_float_range_keep_their_class():
+    # entries within a factor 200 of the largest float stay in range
+    # along the whole cycle, and the class is the one of the unit row
     for row in ((1e303, 0.0), (1e303, -1e303)):
         seed = ExtendedExchangeMatrix.from_exponents(1.0, 1.0, rows=(row,))
         result = mutation_class(seed)
         assert result.complete and result.size == 10
+
+
+def test_rounded_round_trips_are_not_members():
+    # mu1 twice sends the row (1e303, 1) to (1e303, 0): the 1 is lost to
+    # rounding, so the round trip differs from the seed by more than
+    # EQ_TOL, yet the class is still the seed's cycle of 10
+    seed = ExtendedExchangeMatrix.from_exponents(1.0, 1.0, rows=((1e303, 1.0),))
+    assert mutate(mutate(seed, 1), 1).extra_rows == ((1e303, 0.0),)
+    result = mutation_class(seed)
+    assert result.complete and result.size == 10
 
 
 def test_mutation_leaving_float_range_raises_range_error():
@@ -218,5 +232,99 @@ def test_mutation_leaving_float_range_raises_range_error():
     assert once.extra_rows == ((-1.0, 1e200),)
     with pytest.raises(RangeError, match="direction 2"):
         mutate(once, 2)
-    with pytest.raises(RangeError):
-        mutation_class(seed)
+    # the class walk ends each chain where it leaves float range, after
+    # 1 and 3 mutations, and reports the class incomplete
+    result = mutation_class(seed)
+    assert not result.complete and result.size == 5
+    assert result.matrices[1] == once
+
+
+@pytest.mark.parametrize("p, q, row, size", [
+    (0.0, 0.0, (0.0, 1.0), 2),
+    (0.0, 0.0, (1.0, 0.0), 2),
+    (0.0, 0.0, (1.0, 1.0), 4),
+    (0.0, 0.0, (0.0, 0.0), 1),
+    (1.0, 1.0, (0.0, 0.0), 2),
+])  # fmt: skip
+def test_zero_blocks_have_fixed_points(p, q, row, size):
+    # a direction k fixes every matrix whose column k is zero, so a chain
+    # can end at a fixed point; at p = q = 0, row (0, 1), mu1 fixes the
+    # seed itself and the class is the seed and its mu2 image
+    seed = ExtendedExchangeMatrix.from_exponents(p, q, rows=(row,))
+    result = mutation_class(seed)
+    assert result.complete and result.size == size
+    assert result.matrices[0] == seed
+
+
+def _chain(mat, k):
+    # the members mutate(., k), then the other direction, alternating,
+    # until a mutation leaves float range
+    out = []
+    while True:
+        try:
+            mat = mutate(mat, k)
+        except RangeError:
+            return out
+        out.append(mat)
+        k = 3 - k
+
+
+def _bits(mat):
+    return tuple(v.hex() for row in mat.entries for v in row)
+
+
+def test_hyperbolic_class_is_the_seed_and_its_two_chains():
+    seed = ExtendedExchangeMatrix.from_exponents(1.0, 5.0, rows=((1.0, 1.0),))
+    first, second = _chain(seed, 1), _chain(seed, 2)
+    assert (len(first), len(second)) == (1471, 1474)
+    pairs = itertools.zip_longest(first, second)
+    interleaved = [m for pair in pairs for m in pair if m is not None]
+    result = mutation_class(seed, cap=10**4)
+    assert not result.complete and result.size == 2946
+    assert [_bits(m) for m in result.matrices] == [_bits(m) for m in [seed] + interleaved]
+
+
+def _exact_mutate(rows, k):
+    # the mutation rule in exact arithmetic, entries as Fractions
+    kk = k - 1
+    lever = rows[kk]
+    return tuple(
+        tuple(
+            -v if kk in (i, j)
+            else v + max(row[kk] * lever[j], 0) * (1 if row[kk] > 0 else -1)
+            for j, v in enumerate(row)
+        )
+        for i, row in enumerate(rows)
+    )
+
+
+def _exact_class(rows):
+    # breadth-first closure with exact equality
+    seen, order, work = {rows}, [rows], deque([rows])
+    while work:
+        current = work.popleft()
+        for k in (1, 2):
+            nxt = _exact_mutate(current, k)
+            if nxt not in seen:
+                seen.add(nxt)
+                order.append(nxt)
+                work.append(nxt)
+    return order
+
+
+@pytest.mark.parametrize("q, m", [(1, 3), (2, 4), (3, 6)])
+def test_periodic_classes_match_exact_arithmetic(q, m):
+    # at p = 1 and integer q every entry stays a small integer, exact in
+    # float, so the float class must be the exact one entry for entry
+    seeds = [(row,) for row in itertools.product(range(-2, 3), repeat=2) if row != (0, 0)]
+    seeds.append(((1, -2), (2, 1)))
+    for rows in seeds:
+        for negated in (False, True):
+            seed = ExtendedExchangeMatrix.from_exponents(1, q, rows=rows, negated=negated)
+            exact = _exact_class(tuple(tuple(Fraction(v) for v in row) for row in seed.entries))
+            assert len(exact) == _CLASS_SIZES[m]
+            result = mutation_class(seed)
+            assert result.complete
+            assert [mat.entries for mat in result.matrices] == [
+                tuple(tuple(float(v) for v in row) for row in mat) for mat in exact
+            ]

@@ -339,6 +339,12 @@ def test_cli_scan_count_needs_a_seed(capsys, tmp_path):
     )
 
 
+def test_cli_scan_negative_seed_is_an_error(capsys):
+    code, out, err = _run(capsys, ["scan", "--seed", "-1", "--resolution", "2", "--steps", "40"])
+    assert code == 1 and out == ""
+    assert err == "error: seed must be >= 0, got -1\n"
+
+
 def test_cli_levelset_formats(capsys):
     code, out, _ = _run(capsys, [
         "levelset", "--p", "1", "--q", "1", "--level", "1", "--samples", "16",
@@ -433,15 +439,15 @@ def test_cli_verify_reports_exit_code(capsys, monkeypatch):
 
 
 def test_cli_matclass_entries_near_float_range(capsys):
-    # entries past 1.8e302 have bucket keys of their own; a class whose
-    # walk leaves float range exits 2 as a truncated orbit does
+    # entries near float range keep their class; a chain that leaves
+    # float range ends there, and the class is reported incomplete
     code, out, _ = _run(capsys, ["matclass", "--p", "1", "--q", "1e303"])
     assert code == 0 and json.loads(out) == {"size": 2, "complete": True}
-    for argv in (["--p", "1", "--q", "5", "--rows", "1e303,1"],
-                 ["--p", "1e200", "--q", "1e200", "--rows", "1,1"]):  # fmt: skip
+    for argv, size in ((["--p", "1", "--q", "5", "--rows", "1e303,1"], 50),
+                       (["--p", "1e200", "--q", "1e200", "--rows", "1,1"], 5)):  # fmt: skip
         code, out, err = _run(capsys, ["matclass"] + argv)
-        assert code == 2 and out == ""
-        assert err.startswith("range error:")
+        assert code == 0 and err == ""
+        assert json.loads(out) == {"size": size, "complete": False}
 
 
 def test_cli_levelset_with_subnormal_exponents(capsys):

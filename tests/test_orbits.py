@@ -377,6 +377,18 @@ def test_start_policy_validation():
     assert pol.points == ((1.0, 2.0),)
 
 
+def test_start_policy_seed_is_checked_at_construction():
+    # a seed follows the count rule, so it is never truncated
+    for seed, message in ((1.5, "seed must be an integer, got 1.5"),
+                          (math.nan, "seed must be an integer, got nan"),
+                          (-1, "seed must be >= 0, got -1")):  # fmt: skip
+        with pytest.raises(DomainError, match=message):
+            StartPolicy(seed=seed, count=2)
+    # an integral value is stored as the int it was checked to be
+    assert type(StartPolicy(seed=np.int64(3)).seed) is int
+    assert StartPolicy(seed=2.0).seed == 2
+
+
 def test_start_policy_draws_are_reproducible_and_in_range():
     pol = StartPolicy(seed=9, count=5)
     a = pol.starts_for(OrbitKind.RATIONAL, 2, 3)
