@@ -43,6 +43,8 @@ from .rational import PointPos, mu_x_log, symplectic_residual
 from .tropical import (
     PointPL,
     _closed_forms,
+    _conserved,
+    _quad_coefs,
     _record_orbit,
     _sign_coherent_indices,
     _tau_step,
@@ -229,9 +231,9 @@ def _c7_angle_and_signs():
     for (p, q), row in zip(pairs, starts):
         params = Params(p, q)
         s0, t0 = np.array([start.as_tuple() for start in row]).T
-        for start, orbit in zip(row, _tropical_orbits(params, s0, t0, 200)):
+        values = _conserved(_quad_coefs(p, q), s0, t0).tolist()
+        for start, value, orbit in zip(row, values, _tropical_orbits(params, s0, t0, 200)):
             where = f"p={p} q={q} start={start.as_tuple()}"
-            value = float(orbit.phi[0])
             if value >= 0.0:
                 nonneg += 1
                 bad = monotonic_angle_audit(orbit)

@@ -151,17 +151,8 @@ def _cmd_levelset(args) -> int:
 
 
 def _parse_rows(text: str):
-    rows = []
-    if text:
-        for chunk in text.split(";"):
-            parts = chunk.split(",")
-            if len(parts) != 2:
-                raise DomainError(f"each row needs two entries, got {chunk!r}")
-            try:
-                rows.append((float(parts[0]), float(parts[1])))
-            except ValueError:
-                raise DomainError(f"bad row entry in {chunk!r}") from None
-    return tuple(rows)
+    # "a,b;c,d" as rows of strings; the matrix checks their shape and entries
+    return tuple(tuple(chunk.split(",")) for chunk in text.split(";")) if text else ()
 
 
 def _cmd_matclass(args) -> int:

@@ -1,5 +1,7 @@
 """Exception types shared across the package."""
 
+import math
+
 __all__ = ["MutdynError", "DomainError", "RegimeError", "RangeError"]
 
 
@@ -32,3 +34,18 @@ def _count(value, name: str, low: int) -> int:
     if n < low:
         raise DomainError(f"{name} must be >= {low}, got {n}")
     return n
+
+
+def _real(value, what: str, name: str | None = None, positive: bool = False) -> float:
+    # every real argument's check: a value float() accepts whose float is
+    # finite, and above 0 where positive asks, returned as a float;
+    # float() alone passes nan and inf and raises a bare error otherwise
+    try:
+        v = float(value)
+    except (TypeError, ValueError, OverflowError):
+        v = math.nan
+    if not (math.isfinite(v) and (v > 0.0 or not positive)):
+        rule = "finite and positive" if positive else "finite"
+        got = repr(value) if name is None else f"{name}={value!r}"
+        raise DomainError(f"{what} must be {rule}, got {got}")
+    return v

@@ -16,10 +16,9 @@ periodic products.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
-from .errors import DomainError, RangeError, _count
+from .errors import DomainError, RangeError, _count, _real
 from .floatops import EQ_TOL, close_rel
 
 __all__ = [
@@ -41,15 +40,11 @@ class ExtendedExchangeMatrix:
 
     def __post_init__(self):
         try:
-            rows = tuple(tuple(float(v) for v in row) for row in self.entries)
-        except (TypeError, ValueError) as exc:
+            rows = tuple(tuple(_real(v, "entries") for v in row) for row in self.entries)
+        except TypeError as exc:
             raise DomainError(f"entries must be rows of reals: {exc}") from None
         if len(rows) < 2 or any(len(r) != 2 for r in rows):
             raise DomainError("matrix needs two columns and at least the exchange rows")
-        for row in rows:
-            for v in row:
-                if not math.isfinite(v):
-                    raise DomainError(f"entries must be finite, got {v!r}")
         (a, b), (c, d) = rows[0], rows[1]
         if a != 0.0 or d != 0.0:
             raise DomainError("exchange block must have a zero diagonal")
@@ -72,8 +67,8 @@ class ExtendedExchangeMatrix:
     @classmethod
     def from_exponents(cls, p: float, q: float, rows=(), negated: bool = False):
         """Exchange block ((0, p), (-q, 0)), or its negation, over the given rows."""
-        p = float(p)
-        q = float(q)
+        p = _real(p, "exponents", "p")
+        q = _real(q, "exponents", "q")
         top = ((0.0, -p), (q, 0.0)) if negated else ((0.0, p), (-q, 0.0))
         return cls(top + tuple(tuple(r) for r in rows))
 

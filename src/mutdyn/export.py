@@ -179,8 +179,7 @@ def _parse_verdict(d: dict) -> GrowthVerdict:
     kind = GrowthKind(d["kind"])
 
     def num(v):
-        if isinstance(v, str):
-            return float(v)
+        # a non-finite value comes back from its quoted text
         return None if v is None else float(v)
 
     return GrowthVerdict(

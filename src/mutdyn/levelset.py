@@ -17,7 +17,7 @@ import math
 
 import numpy as np
 
-from .errors import DomainError, RangeError, _count
+from .errors import DomainError, RangeError, _count, _real
 from .params import Params, Regime, classify_regime
 from .tropical import _conserved, _quad, _quad_coefs
 
@@ -30,9 +30,9 @@ _REGIONS = ((0.5 * math.pi, -math.pi, 1.0), (0.5 * math.pi, math.pi, -1.0))
 
 
 def _check_level(level) -> float:
-    level = float(level)
-    if not (math.isfinite(level) and level != 0.0):
-        raise DomainError(f"level must be finite and non-zero, got {level!r}")
+    level = _real(level, "level")
+    if level == 0.0:
+        raise DomainError(f"level must be non-zero, got {level!r}")
     return level
 
 

@@ -234,6 +234,15 @@ def _horizon(steps) -> int:
     return steps
 
 
+def _pair(value, what: str):
+    # a plain pair's two items; the type they make checks them
+    try:
+        a, b = value
+    except (TypeError, ValueError):
+        raise DomainError(f"{what} must be a pair, got {value!r}") from None
+    return a, b
+
+
 def iterate_orbit(params: Params, kind: OrbitKind, start, steps: int) -> Orbit:
     """Iterate the chosen map from start, recording every point.
 
@@ -244,10 +253,10 @@ def iterate_orbit(params: Params, kind: OrbitKind, start, steps: int) -> Orbit:
     """
     steps = _horizon(steps)
     if kind is OrbitKind.RATIONAL:
-        pt = start if isinstance(start, PointPos) else PointPos(*start)
+        pt = start if isinstance(start, PointPos) else PointPos(*_pair(start, "start"))
         xs, ys, trunc = _iterate_rational(params, pt, steps)
     elif kind is OrbitKind.TROPICAL:
-        pt = start if isinstance(start, PointPL) else PointPL(*start)
+        pt = start if isinstance(start, PointPL) else PointPL(*_pair(start, "start"))
         xs, ys, trunc = _record_orbit(params, pt.s, pt.t, steps)
     else:
         raise DomainError(f"unknown orbit kind {kind!r}")
@@ -503,7 +512,11 @@ class StartPolicy:
         if (self.points is None) == (self.seed is None):
             raise DomainError("exactly one of points or seed must be given")
         if self.points is not None:
-            pts = tuple((float(a), float(b)) for a, b in self.points)
+            # converted only: scan_grid checks each start as it builds its point
+            try:
+                pts = tuple((float(a), float(b)) for a, b in self.points)
+            except (TypeError, ValueError, OverflowError) as exc:
+                raise DomainError(f"points must be pairs of reals: {exc}") from None
             if not pts:
                 raise DomainError("points must be non-empty")
             object.__setattr__(self, "points", pts)
@@ -607,20 +620,13 @@ def scan_grid(
     Cells are visited row-major in p then q, deterministically.  The
     verdicts are growth_classification's of iterate_orbit's orbits.
     Every input is checked before any orbit is stepped (the horizon,
-    the kind, the range ends, then each cell's exponents and starts in
-    row-major order), so classification's "needs at least 16 points"
-    comes last.
+    the kind, the range ends, the resolution, then each cell's exponents
+    and starts in row-major order), so classification's "needs at least
+    16 points" comes last.
     The birational map's orbits are stepped in one batched pass; a
     piecewise-linear cell stops at its first exponential start, from
     16 points on.
     """
-    resolution = _count(resolution, "resolution", 1)
-    lo_p, hi_p = (float(p_range[0]), float(p_range[1]))
-    lo_q, hi_q = (float(q_range[0]), float(q_range[1]))
-    if not (0.0 < lo_p <= hi_p and 0.0 < lo_q <= hi_q):
-        raise DomainError("parameter ranges must be positive and ordered")
-    if start_policy is None:
-        start_policy = StartPolicy(points=((1.0, 1.0),))
     steps = _horizon(steps)
     if kind is OrbitKind.RATIONAL:
         point, evaluate = PointPos, _rational_cells
@@ -628,11 +634,17 @@ def scan_grid(
         point, evaluate = PointPL, _tropical_cells
     else:
         raise DomainError(f"unknown orbit kind {kind!r}")
-    # the far range ends are exponents too, checked before linspace
-    # turns an infinite one into nan
-    Params(hi_p, hi_q)
-    p_values = tuple(float(v) for v in np.linspace(lo_p, hi_p, resolution))
-    q_values = tuple(float(v) for v in np.linspace(lo_q, hi_q, resolution))
+    # the range ends are exponents too, checked before linspace turns an
+    # infinite one into nan
+    (lo_p, hi_p), (lo_q, hi_q) = _pair(p_range, "p_range"), _pair(q_range, "q_range")
+    lo, hi = Params(lo_p, lo_q), Params(hi_p, hi_q)
+    if not (lo.p <= hi.p and lo.q <= hi.q):
+        raise DomainError(f"parameter ranges must be ordered, got {p_range!r}, {q_range!r}")
+    resolution = _count(resolution, "resolution", 1)
+    if start_policy is None:
+        start_policy = StartPolicy(points=((1.0, 1.0),))
+    p_values = tuple(float(v) for v in np.linspace(lo.p, hi.p, resolution))
+    q_values = tuple(float(v) for v in np.linspace(lo.q, hi.q, resolution))
     cells = [
         (Params(p, q), [point(*start) for start in start_policy.starts_for(kind, i, j)])
         for i, p in enumerate(p_values)

@@ -23,7 +23,7 @@ from enum import Enum, auto
 
 import numpy as np
 
-from .errors import DomainError, RangeError, RegimeError
+from .errors import RangeError, RegimeError, _real
 from .floatops import EQ_TOL, close_rel
 
 __all__ = [
@@ -44,14 +44,8 @@ class Params:
     q: float
 
     def __post_init__(self):
-        p = float(self.p)
-        q = float(self.q)
-        if not (math.isfinite(p) and p > 0.0 and math.isfinite(q) and q > 0.0):
-            raise DomainError(
-                f"exponents must be finite and positive, got p={self.p!r}, q={self.q!r}"
-            )
-        object.__setattr__(self, "p", p)
-        object.__setattr__(self, "q", q)
+        object.__setattr__(self, "p", _real(self.p, "exponents", "p", positive=True))
+        object.__setattr__(self, "q", _real(self.q, "exponents", "q", positive=True))
 
     @property
     def pq(self) -> float:

@@ -20,7 +20,7 @@ import math
 from dataclasses import dataclass
 from enum import Enum, auto
 
-from .errors import DomainError, RangeError, RegimeError
+from .errors import DomainError, RangeError, RegimeError, _real
 from .floatops import EQ_TOL, JAC_STEP, close_rel, det2, fpow, softplus
 from .params import Params, Regime, classify_regime
 
@@ -55,14 +55,8 @@ class PointPos:
     y: float
 
     def __post_init__(self):
-        x = float(self.x)
-        y = float(self.y)
-        if not (math.isfinite(x) and x > 0.0 and math.isfinite(y) and y > 0.0):
-            raise DomainError(
-                f"coordinates must be finite and positive, got ({self.x!r}, {self.y!r})"
-            )
-        object.__setattr__(self, "x", x)
-        object.__setattr__(self, "y", y)
+        object.__setattr__(self, "x", _real(self.x, "coordinates", "x", positive=True))
+        object.__setattr__(self, "y", _real(self.y, "coordinates", "y", positive=True))
 
     def as_tuple(self) -> tuple[float, float]:
         return (self.x, self.y)
@@ -76,14 +70,8 @@ class UVPoint:
     v: float
 
     def __post_init__(self):
-        u = float(self.u)
-        v = float(self.v)
-        if not (math.isfinite(u) and u > 0.0 and math.isfinite(v) and v > 0.0):
-            raise DomainError(
-                f"coordinates must be finite and positive, got ({self.u!r}, {self.v!r})"
-            )
-        object.__setattr__(self, "u", u)
-        object.__setattr__(self, "v", v)
+        object.__setattr__(self, "u", _real(self.u, "coordinates", "u", positive=True))
+        object.__setattr__(self, "v", _real(self.v, "coordinates", "v", positive=True))
 
     def as_tuple(self) -> tuple[float, float]:
         return (self.u, self.v)
@@ -108,9 +96,10 @@ class UVRegion(Enum):
 
 def _finite_point(x: float, y: float, where: str, point=PointPos):
     # an image out of float range is a RangeError, not the point type's DomainError
-    if not (math.isfinite(x) and x > 0.0 and math.isfinite(y) and y > 0.0):
-        raise RangeError(f"{where} left the representable positive quadrant")
-    return point(x, y)
+    try:
+        return point(x, y)
+    except DomainError:
+        raise RangeError(f"{where} left the representable positive quadrant") from None
 
 
 def _finite_value(value: float, where: str) -> float:
@@ -244,8 +233,8 @@ def H_dist(params: Params, v: float) -> float:
     """
     if classify_regime(params) is Regime.SUBCRITICAL:
         raise RegimeError(f"curve gap needs pq >= 4, got pq={params.pq!r}")
-    v = float(v)
-    if not (math.isfinite(v) and v >= 1.0):
+    v = _real(v, "height")
+    if v < 1.0:
         raise DomainError(f"height must be >= 1, got {v!r}")
     return _finite_value(_mu1_curve_u(params, v) - v + 1.0, "H_dist")
 
@@ -264,8 +253,8 @@ def V_dist(params: Params, u: float) -> float:
     """
     if classify_regime(params) is Regime.SUBCRITICAL:
         raise RegimeError(f"curve gap needs pq >= 4, got pq={params.pq!r}")
-    u = float(u)
-    if not (math.isfinite(u) and u >= 1.0):
+    u = _real(u, "position")
+    if u < 1.0:
         raise DomainError(f"position must be >= 1, got {u!r}")
     return _finite_value(1.0 + u - fpow(fpow(u, 2.0 / params.p) - 1.0, 2.0 / params.q), "V_dist")
 
@@ -278,9 +267,7 @@ def fixed_curves(params: Params, coord: float) -> tuple[float, float]:
     sqrt(1 + coord^p) is the y fixed by the second at x = coord.
     Either value beyond float range raises RangeError.
     """
-    c = float(coord)
-    if not (math.isfinite(c) and c > 0.0):
-        raise DomainError(f"coordinate must be finite and positive, got {coord!r}")
+    c = _real(coord, "coordinate", positive=True)
     x_fix = _finite_value(math.sqrt(1.0 + fpow(c, params.q)), "fixed_curves")
     return x_fix, _finite_value(math.sqrt(1.0 + fpow(c, params.p)), "fixed_curves")
 

@@ -22,7 +22,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import DomainError, RangeError, _count
+from .errors import DomainError, RangeError, _count, _real
 from .floatops import EQ_TOL, PERIOD_TOL
 from .params import Params, _kappa, _nu, kappa_nu, theta_of
 
@@ -66,12 +66,8 @@ class PointPL:
     t: float
 
     def __post_init__(self):
-        s = float(self.s)
-        t = float(self.t)
-        if not (math.isfinite(s) and math.isfinite(t)):
-            raise DomainError(f"coordinates must be finite, got ({self.s!r}, {self.t!r})")
-        object.__setattr__(self, "s", s)
-        object.__setattr__(self, "t", t)
+        object.__setattr__(self, "s", _real(self.s, "coordinates", "s"))
+        object.__setattr__(self, "t", _real(self.t, "coordinates", "t"))
 
     def as_tuple(self) -> tuple[float, float]:
         return (self.s, self.t)
@@ -94,9 +90,10 @@ class PolarAngle:
 
 def _finite_point(s: float, t: float, where: str) -> PointPL:
     # an image out of float range is a RangeError, not PointPL's DomainError
-    if not (math.isfinite(s) and math.isfinite(t)):
-        raise RangeError(f"{where} left float range")
-    return PointPL(s, t)
+    try:
+        return PointPL(s, t)
+    except DomainError:
+        raise RangeError(f"{where} left float range") from None
 
 
 def mu1_c(params: Params, pt: PointPL) -> PointPL:
@@ -236,7 +233,10 @@ def _tau_step(p, q, s, t):
 
 def _columns(*values):
     # float arrays broadcast together, one column per orbit of an array pass
-    return np.broadcast_arrays(*(np.asarray(v, dtype=float) for v in values))
+    try:
+        return np.broadcast_arrays(*(np.asarray(v, dtype=float) for v in values))
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise DomainError(f"inputs must be reals that broadcast together: {exc}") from None
 
 
 def _pl_step(p, q, s, t):

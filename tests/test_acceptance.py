@@ -4,9 +4,14 @@ The full battery runs once per session; individual tests read the
 cached verdicts so the suite stays fast and the per-criterion lines
 stay visible in failure output.
 """
+import io
+import re
+import time
+
 import pytest
 
-from mutdyn.acceptance import CRITERIA
+from mutdyn import acceptance
+from mutdyn.acceptance import CRITERIA, Criterion, run_all
 
 
 @pytest.fixture(scope="module")
@@ -63,3 +68,40 @@ def test_criterion_detail_is_pinned(verdicts, cid):
     _, detail = verdicts[cid]
     # the last "; " opens the timing suffix
     assert detail.rpartition("; ")[0] == PINNED_DETAILS[cid]
+
+
+def _slow(ok, detail):
+    # a check that takes a measurable time, so a zero budget is overrun
+    def fn():
+        time.sleep(0.001)
+        return ok, detail
+
+    return fn
+
+
+def test_criterion_over_budget_fails_and_says_so():
+    ok, detail = Criterion("X1", "slow pass", 0.0, _slow(True, "fine")).run()
+    assert not ok
+    assert re.fullmatch(r"fine; over budget \(\d+\.\d\ds > 0\.0s\)", detail)
+    # a failing check keeps its own detail and reports its time
+    ok, detail = Criterion("X2", "slow fail", 0.0, _slow(False, "broke")).run()
+    assert not ok
+    assert re.fullmatch(r"broke; \d+\.\d\ds \(budget 0s\)", detail)
+    ok, detail = Criterion("X3", "unbudgeted", None, _slow(True, "fine")).run()
+    assert ok and re.fullmatch(r"fine; \d+\.\d\ds", detail)
+
+
+def test_run_all_prints_one_line_per_criterion_and_the_outcome(monkeypatch, capsys):
+    passing = Criterion("S1", "passes", 1.0, lambda: (True, "ok"))
+    failing = Criterion("S2", "fails", None, lambda: (False, "no"))
+    monkeypatch.setattr(acceptance, "CRITERIA", (passing, failing))
+    out = io.StringIO()
+    assert run_all(out) is False
+    lines = out.getvalue().splitlines()
+    assert re.fullmatch(r"\[PASS\] S1 passes: ok; \d+\.\d\ds \(budget 1s\)", lines[0])
+    assert re.fullmatch(r"\[FAIL\] S2 fails: no; \d+\.\d\ds", lines[1])
+    assert lines[2:] == ["FAILURES PRESENT"]
+    # without a stream the lines go to stdout
+    monkeypatch.setattr(acceptance, "CRITERIA", (passing,))
+    assert run_all() is True
+    assert capsys.readouterr().out.splitlines()[-1] == "all criteria passed"

@@ -182,6 +182,15 @@ def test_scan_json_roundtrip():
     assert parse_scan_json(export_json(table)) == table
 
 
+def test_scan_json_roundtrips_quoted_non_finite_verdicts():
+    # an orbit that stays at the origin has log radius -inf throughout
+    table = scan_grid((0.5, 3.0), (0.5, 3.0), 2, OrbitKind.TROPICAL, 40,
+                      StartPolicy(points=((0.0, 0.0),)))
+    text = export_json(table)
+    assert text.count('"max_log_radius":"-inf"') == 4
+    assert parse_scan_json(text) == table
+
+
 def test_scan_json_rejects_bad_documents():
     for bad in ("{}", "[1, 2", '{"kind": "rational", "steps": 1, '
                 '"p_values": [], "q_values": [], "cells": 5}'):
@@ -284,6 +293,14 @@ def test_cli_domain_error_exits_one(capsys):
         code, out, err = _run(capsys, argv)
         assert code == 1 and out == ""
         assert err.startswith("error:")
+
+
+def test_cli_range_error_exits_two(capsys):
+    # the level's radius sqrt(1e308 / 5e-324) is beyond float range
+    argv = ["levelset", "--p", "5e-324", "--q", "5e-324", "--level", "1e308"]
+    code, out, err = _run(capsys, argv)
+    assert code == 2 and out == ""
+    assert err == "range error: level 1e+308 has points beyond float range\n"
 
 
 def test_cli_scan_config_and_overrides(capsys, tmp_path):

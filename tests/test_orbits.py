@@ -629,10 +629,10 @@ def test_scan_unknown_kind_raises():
             scan_grid((1.0, 2.0), (1.0, 2.0), 2, kind, 40)
 
 
-def _scan_error(kind, steps, p_range=(1.0, 2.0), policy=None):
+def _scan_error(kind, steps, p_range=(1.0, 2.0), policy=None, resolution=2):
     # the message of the DomainError scan_grid raises
     with pytest.raises(DomainError) as err:
-        scan_grid(p_range, (1.0, 2.0), 2, kind, steps, policy)
+        scan_grid(p_range, (1.0, 2.0), resolution, kind, steps, policy)
     return str(err.value)
 
 
@@ -641,10 +641,15 @@ def test_scan_reports_the_horizon_then_exponents_then_starts_then_length():
     bad_start = StartPolicy(points=((1.0, 1.0), (math.nan, 1.0)))
     for kind in OrbitKind:
         assert _scan_error(kind, -1, (1.0, math.inf), bad_start) == "steps must be >= 0, got -1"
+        assert _scan_error(kind, -1, (2.0, 1.0), bad_start, 0) == "steps must be >= 0, got -1"
         assert "over the cap" in _scan_error(kind, MAX_ORBIT_POINTS, (1.0, math.inf), bad_start)
-        assert _scan_error(kind, 14, (1.0, math.inf), bad_start).startswith(
+        assert _scan_error(kind, 14, (1.0, math.inf), bad_start, 0).startswith(
             "exponents must be finite and positive, got p=inf"
         )
+        assert _scan_error(kind, 14, (2.0, 1.0), bad_start, 0).startswith(
+            "parameter ranges must be ordered"
+        )
+        assert _scan_error(kind, 14, policy=bad_start, resolution=0) == "resolution must be >= 1, got 0"
         with pytest.raises(DomainError) as want:
             (PointPos if kind is OrbitKind.RATIONAL else PointPL)(math.nan, 1.0)
         assert _scan_error(kind, 14, policy=bad_start) == str(want.value)

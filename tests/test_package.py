@@ -1,4 +1,4 @@
-"""The package's namespace and the rule every count argument follows."""
+"""The package's namespace and the rules every count and real argument follow."""
 import importlib
 import math
 import pkgutil
@@ -11,15 +11,19 @@ import mutdyn
 from mutdyn import (
     DomainError,
     ExtendedExchangeMatrix,
+    H_dist,
     OrbitKind,
     Params,
     PointPL,
     StartPolicy,
+    V_dist,
     chebyshev_u,
     detect_period,
     first_sign_coherent_index,
+    fixed_curves,
     iterate_orbit,
     levelset_points,
+    levelset_residual,
     mutation_class,
     phi_drift_batch,
     scan_grid,
@@ -87,3 +91,44 @@ def test_count_arguments_are_integers_at_or_above_their_least_value(entry):
         assert str(err.value) == f"{name} must be >= {low}, got {low - 1}"
     for good in (2.0, np.int64(2)):
         call(good)
+
+
+_THREE = Params(3.0, 3.0)
+
+# (call with a real argument in one slot, a value that slot takes)
+REALS = {
+    "H_dist": (lambda x: H_dist(_THREE, x), 2.0),
+    "V_dist": (lambda x: V_dist(_THREE, x), 2.0),
+    "fixed_curves": (lambda x: fixed_curves(_ONE, x), 2.0),
+    "levelset_points": (lambda x: levelset_points(_ONE, x), 1.0),
+    "levelset_residual": (lambda x: levelset_residual(_ONE, [[(1.0, 0.0)]], x), 1.0),
+    "phi_drift_batch": (lambda x: phi_drift_batch(x, 1.0, 0.0, 1.0, 3), 1.0),
+    "from_exponents": (lambda x: ExtendedExchangeMatrix.from_exponents(x, 1.0), 1.0),
+    "scan_grid": (lambda x: scan_grid((x, 2.0), (1.0, 2.0), 2, OrbitKind.TROPICAL, 20), 1.0),
+    "StartPolicy": (lambda x: StartPolicy(points=((x, 1.0),)), 1.0),
+    "iterate_orbit": (lambda x: iterate_orbit(_ONE, OrbitKind.TROPICAL, (x, 0.0), 3), 1.0),
+}
+
+
+@pytest.mark.parametrize("entry", REALS)
+def test_real_arguments_reject_what_float_cannot_convert(entry):
+    call, good = REALS[entry]
+    for bad in (None, "a", 1j, 10**400):
+        with pytest.raises(DomainError):
+            call(bad)
+    for value in (good, int(good), np.float64(good), np.int64(good)):
+        call(value)
+
+
+@pytest.mark.parametrize("call", [
+    lambda: StartPolicy(points=((1,),)),
+    lambda: StartPolicy(points=5),
+    lambda: iterate_orbit(_ONE, OrbitKind.TROPICAL, (1,), 3),
+    lambda: iterate_orbit(_ONE, OrbitKind.RATIONAL, None, 3),
+    lambda: scan_grid(None, (1.0, 2.0), 2, OrbitKind.TROPICAL, 20),
+    lambda: scan_grid((1.0, 2.0), (1.0,), 2, OrbitKind.RATIONAL, 20),
+], ids=["policy-short-pair", "policy-not-pairs", "start-short-pair", "start-none",
+        "p-range-none", "q-range-short"])  # fmt: skip
+def test_pairs_reject_other_shapes(call):
+    with pytest.raises(DomainError):
+        call()

@@ -17,7 +17,8 @@ from mutdyn.params import (
 
 def test_params_validation():
     Params(0.5, 3.0)
-    for bad in ((0.0, 1.0), (1.0, -2.0), (math.inf, 1.0), (1.0, math.nan)):
+    for bad in ((0.0, 1.0), (1.0, -2.0), (math.inf, 1.0), (1.0, math.nan), (None, 1),
+                (1.0, "a"), ([1.0], 1.0), (1j, 1.0), (10**400, 1.0)):  # fmt: skip
         with pytest.raises(DomainError):
             Params(*bad)
 
@@ -26,6 +27,9 @@ def test_params_coerces_to_float():
     pr = Params(1, 2)
     assert isinstance(pr.p, float) and isinstance(pr.q, float)
     assert pr.pq == 2.0
+    for p in (3, 3.0, np.float64(3.0), np.int64(3)):
+        pr = Params(p, p)
+        assert type(pr.p) is float and type(pr.q) is float and pr.p == pr.q == 3.0
 
 
 def test_classify_regime_partition():

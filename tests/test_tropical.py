@@ -51,6 +51,14 @@ def test_point_validation():
         PointPL(math.inf, 0.0)
     with pytest.raises(DomainError):
         PointPL(0.0, math.nan)
+    for bad in (None, [1], "x", 1j, 10**400):
+        with pytest.raises(DomainError):
+            PointPL(bad, 0)
+        with pytest.raises(DomainError):
+            PointPL(0, bad)
+    for good in (-2, -2.0, np.float64(-2.0), np.int64(-2)):
+        pt = PointPL(good, good)
+        assert all(type(v) is float and v == -2.0 for v in pt.as_tuple())
 
 
 def test_five_cycle_exact():
@@ -811,3 +819,26 @@ def test_detect_period_is_the_rotation_number_denominator():
             for _ in range(4):
                 start = PointPL(*rng.uniform(-2.0, 2.0, 2))
                 assert detect_period(Params(p, pq / p), start, 40) == period
+
+
+# the tropicalizations of mu_x's invariants at the integer pairs with pq = 4
+TROPICAL_INVARIANTS = {
+    (2, 2): lambda s, t: max(0, 2 * s, 2 * t) - s - t,
+    (1, 4): lambda s, t: max(0, s, 2 * s, 4 * t) - s - 2 * t,
+    (4, 1): lambda s, t: max(0, 4 * s, t, 2 * t) - 2 * s - t,
+}
+
+
+def test_plain_tropical_step_keeps_the_tropicalized_invariants():
+    # integer starts stay integral and small over 30 steps, so float
+    # arithmetic is exact and the invariant holds to the bit
+    for (p, q), invariant in TROPICAL_INVARIANTS.items():
+        params = Params(p, q)
+        for s0 in range(-5, 6):
+            for t0 in range(-5, 6):
+                pt = PointPL(s0, t0)
+                value = invariant(s0, t0)
+                for _ in range(30):
+                    pt = hat_mu2(params, hat_mu1(params, pt))
+                    assert pt.s == int(pt.s) and pt.t == int(pt.t)
+                    assert invariant(pt.s, pt.t) == value
