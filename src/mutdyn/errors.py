@@ -49,3 +49,12 @@ def _real(value, what: str, name: str | None = None, positive: bool = False) -> 
         got = repr(value) if name is None else f"{name}={value!r}"
         raise DomainError(f"{what} must be {rule}, got {got}")
     return v
+
+
+def _float(value, what: str) -> float:
+    # a real argument that may also be nan or infinite: a value float()
+    # accepts, returned as a float; float() alone raises a bare error
+    try:
+        return float(value)
+    except (TypeError, ValueError, OverflowError):
+        raise DomainError(f"{what} must be a real number, got {value!r}") from None

@@ -27,8 +27,26 @@ def _fmt_col(a, quote: bool = False) -> list:
     float prints as its shortest round-trip ``repr``, and non-finite
     values print as inf/-inf/nan, in double quotes when ``quote`` is
     set.  Integer arrays print as integers.
+
+    Values that compare equal print alike under this rule (0.0 and
+    -0.0 both print 0, every nan prints nan), so a column with repeats
+    formats each distinct value once and maps the texts back: the cost
+    is one ``repr`` per distinct number.
     """
     a = np.asarray(a).ravel()
+    if a.size > 1:
+        # one sort finds whether any value repeats (a nan never equals a nan)
+        s = np.sort(a)
+        if (s[1:] == s[:-1]).any():
+            keys, inverse = np.unique(a, return_inverse=True)
+            # numpy 2.0 returned the inverse in the input's shape; ravel covers both
+            texts = np.array(_fmt_each(keys, quote), dtype=object)
+            return texts[inverse.ravel()].tolist()
+    return _fmt_each(a, quote)
+
+
+def _fmt_each(a: np.ndarray, quote: bool) -> list:
+    # the number rule of _fmt_col applied to every element of a flat array
     if a.dtype.kind in "iu":
         return list(map(str, a.tolist()))
     a = a.astype(float, copy=False)
@@ -82,8 +100,12 @@ def _emit_array(a: np.ndarray) -> str:
         k = a.shape[axis]
         if k == 0:
             items = ["[]"] * math.prod(a.shape[:axis])
-        else:
-            items = ["[" + ",".join(row) + "]" for row in zip(*[iter(items)] * k)]
+            continue
+        rows = zip(*[iter(items)] * k)
+        if axis == 1:
+            # the outermost level joins every row in one call
+            return "[[" + "],[".join(map(",".join, rows)) + "]]" if items else "[]"
+        items = ["[" + ",".join(row) + "]" for row in rows]
     return "[" + ",".join(items) + "]"
 
 

@@ -131,7 +131,10 @@ def levelset_points(params: Params, level: float, samples_per_piece: int = 256):
 def levelset_residual(params: Params, pieces, level: float) -> float:
     """Largest deviation of sampled points from the level, relative to |level|."""
     level = _check_level(level)
-    pts = np.array([pt for piece in pieces for pt in piece], dtype=float).reshape(-1, 2)
+    try:
+        pts = np.array([pt for piece in pieces for pt in piece], dtype=float).reshape(-1, 2)
+    except (TypeError, ValueError, OverflowError):
+        raise DomainError("coordinates must be pairs of real numbers") from None
     if not np.isfinite(pts).all():
         raise DomainError("coordinates must be finite")
     s, t = pts[:, 0], pts[:, 1]

@@ -456,7 +456,8 @@ def phi_drift_batch(p, q, s0, t0, steps: int, scale_cap: float | None = None):
     notes), so capped sampling is the honest measurement window.
     Orbits are dropped from sampling once any value involved stops
     being finite; a start whose value is already out of float range
-    raises DomainError, as in conserved_drift, and so does a nan cap.
+    raises DomainError, as in conserved_drift, and so does a nan cap or
+    one below 0.
     """
     return _phi_drift_pass(p, q, s0, t0, steps, (scale_cap,))[0]
 
@@ -470,9 +471,11 @@ def _phi_drift_pass(p, q, s0, t0, steps: int, scale_caps: tuple):
         raise DomainError("exponents must be finite and positive")
     if not (np.isfinite(s).all() and np.isfinite(t).all()):
         raise DomainError("starts must be finite")
-    # norm <= nan never holds, so a nan cap would sample nothing and read as zero drift
-    if any(cap is not None and math.isnan(cap) for cap in scale_caps):
-        raise DomainError("scale_cap must not be nan")
+    # norm <= cap never holds for a nan cap or one below 0, so either
+    # would sample nothing and read as zero drift
+    for cap in scale_caps:
+        if cap is not None and not cap >= 0.0:
+            raise DomainError(f"scale_cap must be >= 0, got {cap!r}")
     capped = any(cap is not None for cap in scale_caps)
     with np.errstate(over="ignore", invalid="ignore"):
         coefs = _quad_coefs(p, q)

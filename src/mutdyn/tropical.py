@@ -22,7 +22,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import DomainError, RangeError, _count, _real
+from .errors import DomainError, RangeError, _count, _float, _real
 from .floatops import EQ_TOL, PERIOD_TOL
 from .params import Params, _kappa, _nu, kappa_nu, theta_of
 
@@ -279,7 +279,7 @@ def chebyshev_u(n: int, x: float) -> float:
     matches sin((n+1) theta)/sin(theta) at x = cos(theta).
     """
     n = _count(n, "index", -1)
-    return float(_cheb_table(x, n)[n + 2])
+    return float(_cheb_table(_float(x, "x"), n)[n + 2])
 
 
 def _cheb_table(x, top: int) -> np.ndarray:
@@ -448,7 +448,7 @@ def sign_pair(pt: PointPL, scale: float | None = None) -> SignPair:
     The scale defaults to the point's own infinity norm; pass an
     orbit-wide scale to keep the band consistent along a trajectory.
     """
-    ref = _sup_norm(pt.s, pt.t) if scale is None else float(scale)
+    ref = _sup_norm(pt.s, pt.t) if scale is None else _float(scale, "scale")
     first, second = _banded_signs(pt.s, pt.t, ref)
     return SignPair(int(first), int(second))
 

@@ -11,7 +11,7 @@ import mutdyn.acceptance
 from mutdyn.cli import main
 from mutdyn.errors import DomainError
 from mutdyn.exchange import ExtendedExchangeMatrix, mutation_class
-from mutdyn.export import export_csv, export_json, fmt_float, parse_scan_json
+from mutdyn.export import _emit_array, _fmt_col, export_csv, export_json, fmt_float, parse_scan_json
 from mutdyn.orbits import OrbitKind, StartPolicy, iterate_orbit, scan_grid
 from mutdyn.params import Params
 
@@ -169,6 +169,77 @@ def test_class_export_follows_the_number_rule_byte_for_byte():
         want = '{"size":%d,"complete":%s,"matrices":[%s]}\n' % (
             result.size, json.dumps(result.complete), members)
         assert export_json(result) == want
+
+
+_NEG_NAN = math.copysign(math.nan, -1.0)
+
+# columns that take the repeat path (each distinct value formatted once)
+# and the path that formats every element, with the values whose text
+# the rule sets apart
+_COLUMNS = [
+    [0.5, 3.0, 0.5, -2.0, 3.0, 1e20, 0.1, 0.5, 1e-7, 0.1],
+    [0.0, -0.0, 0.0, 1.0],
+    [-0.0, 0.0, -0.0, 1.0],
+    [-0.0, 0.0],
+    [math.nan, _NEG_NAN, 1.0, math.nan, _NEG_NAN],
+    [math.nan, _NEG_NAN],
+    [math.inf, -math.inf, math.inf, 2.5, -math.inf],
+    [1e16, -1e16, 2.0**53, 1e16, -(2.0**53), 9999999999999998.0, 2.0**53],
+    [1e16, -1e16, 2.0**53, -(2.0**53), 0.3],
+    [[1.5, 2.0], [1.5, -0.0], [0.0, 2.0]],
+    [],
+    [-0.0],
+    [math.nan],
+]
+
+
+def _int_columns():
+    yield np.array([1, -1, 0, 1, -1, 0], dtype=np.int8)
+    yield np.array([0, 5, 2**62, -(2**63), 5, 2**62], dtype=np.int64)
+    yield np.arange(7, dtype=np.int64)
+    yield np.array([], dtype=np.int8)
+    yield np.array([3], dtype=np.int64)
+
+
+@pytest.mark.parametrize("quote", [False, True])
+def test_fmt_col_follows_the_number_rule_element_by_element(quote):
+    for col in map(np.array, _COLUMNS):
+        want = [_rule_num(v, quote) for v in col.ravel().tolist()]
+        assert _fmt_col(col, quote) == want
+        # the repeat path must not hand a sign or a nan payload to the text
+        assert _fmt_col(col.ravel()[::-1], quote) == want[::-1]
+    for col in _int_columns():
+        assert _fmt_col(col, quote) == [str(v) for v in col.tolist()]
+
+
+def _rule_nested(x):
+    # the JSON of a nested list, one value at a time
+    if isinstance(x, list):
+        return "[" + ",".join(map(_rule_nested, x)) + "]"
+    return _rule_num(x, quote=True)
+
+
+@pytest.mark.parametrize("shape", [
+    (0,), (0, 2), (2, 0), (3, 2), (0, 2, 2), (2, 0, 2), (2, 2, 0), (3, 2, 2),
+])  # fmt: skip
+def test_emit_array_nests_like_the_lists_it_holds(shape):
+    values = [0.5, -0.0, math.nan, 3.0, 0.5, math.inf, 1e20, 0.0]
+    a = np.resize(values, math.prod(shape)).reshape(shape)
+    assert _emit_array(a) == _rule_nested(a.tolist())
+    json.loads(_emit_array(a))
+
+
+def test_periodic_lattice_orbit_exports_follow_the_number_rule(capsys):
+    # p = q = 1 is the finite-type case: an integer start repeats with
+    # period 5, so every column holds a handful of distinct values
+    orbit = iterate_orbit(Params(1, 1), OrbitKind.TROPICAL, (3, -2), 1000)
+    assert (orbit.points[5:] == orbit.points[:-5]).all()
+    assert all(len(np.unique(col)) <= 5 for col in (*orbit.points.T, orbit.phi))
+    argv = ["trop-orbit", "--p", "1", "--q", "1", "--s0", "3", "--t0", "-2", "--steps", "1000"]
+    for fmt, rule in (("json", _rule_json), ("csv", _rule_csv)):
+        code, out, _ = _run(capsys, argv + ["--format", fmt])
+        assert code == 0
+        assert out == rule(orbit)
 
 
 def test_json_rejects_unsupported_objects():

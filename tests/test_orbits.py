@@ -362,6 +362,17 @@ def test_batch_drift_validation():
         phi_drift_batch(3.0, 3.0, 1.0, 1.0, 60, scale_cap=math.nan)
 
 
+def test_batch_drift_rejects_a_cap_below_zero():
+    # no norm is below 0 either: without the check the drift read 0.0
+    # here, against about 5e290 uncapped
+    for cap in (-1.0, -math.inf, -5e-324):
+        with pytest.raises(DomainError, match="scale_cap must be >= 0"):
+            phi_drift_batch(2.5, 2.5, 1.0, 0.3, 500, scale_cap=cap)
+    # a cap of 0 samples only at the origin, and stays legal
+    assert float(phi_drift_batch(2.5, 2.5, 1.0, 0.3, 500, scale_cap=0.0)) == 0.0
+    assert float(phi_drift_batch(1.0, 1.0, 0.0, 0.0, 5, scale_cap=0.0)) == 0.0
+
+
 def test_start_policy_validation():
     with pytest.raises(DomainError):
         StartPolicy()

@@ -27,6 +27,7 @@ from mutdyn import (
     mutation_class,
     phi_drift_batch,
     scan_grid,
+    sign_pair,
     tau_closed_form,
     tau_trig_form,
 )
@@ -107,16 +108,29 @@ REALS = {
     "scan_grid": (lambda x: scan_grid((x, 2.0), (1.0, 2.0), 2, OrbitKind.TROPICAL, 20), 1.0),
     "StartPolicy": (lambda x: StartPolicy(points=((x, 1.0),)), 1.0),
     "iterate_orbit": (lambda x: iterate_orbit(_ONE, OrbitKind.TROPICAL, (x, 0.0), 3), 1.0),
+    "sign_pair": (lambda x: sign_pair(PointPL(1.0, -1.0), x), 2.0),
+    "chebyshev_u": (lambda x: chebyshev_u(2, x), 0.3),
+    "levelset_residual_pieces": (lambda x: levelset_residual(_ONE, [[(x, 1.0)]], 1.0), 1.0),
+}
+
+# what a slot takes beyond finite reals: sign_pair's scale defaults to
+# the point's own norm and keeps a nan scale's band at EQ_TOL, and
+# chebyshev_u runs its recurrence at infinite x
+ALSO_TAKES = {
+    "sign_pair": (None, math.nan, math.inf),
+    "chebyshev_u": (math.inf, -math.inf),
 }
 
 
 @pytest.mark.parametrize("entry", REALS)
 def test_real_arguments_reject_what_float_cannot_convert(entry):
     call, good = REALS[entry]
+    also = ALSO_TAKES.get(entry, ())
     for bad in (None, "a", 1j, 10**400):
-        with pytest.raises(DomainError):
-            call(bad)
-    for value in (good, int(good), np.float64(good), np.int64(good)):
+        if bad not in also:
+            with pytest.raises(DomainError):
+                call(bad)
+    for value in (good, int(good), np.float64(good), np.int64(good), *also):
         call(value)
 
 
