@@ -58,3 +58,12 @@ def _float(value, what: str) -> float:
         return float(value)
     except (TypeError, ValueError, OverflowError):
         raise DomainError(f"{what} must be a real number, got {value!r}") from None
+
+
+def _pair(value, what: str):
+    # a plain pair's two items; the caller checks each of them
+    try:
+        a, b = value
+    except (TypeError, ValueError):
+        raise DomainError(f"{what} must be a pair, got {value!r}") from None
+    return a, b

@@ -82,7 +82,8 @@ def mutate(mat: ExtendedExchangeMatrix, k: int) -> ExtendedExchangeMatrix:
     rounding in floating point).  An entry that leaves float range
     raises RangeError.
     """
-    if k not in (1, 2):
+    k = _count(k, "mutation direction", 1)
+    if k > 2:
         raise DomainError(f"mutation direction must be 1 or 2, got {k!r}")
     kk = k - 1
     rows = mat.entries

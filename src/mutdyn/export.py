@@ -14,7 +14,7 @@ import numpy as np
 
 from .errors import DomainError
 from .exchange import MutationClassResult
-from .orbits import GrowthVerdict, Orbit, OrbitKind, ScanTable
+from .orbits import GrowthKind, GrowthVerdict, Orbit, OrbitKind, ScanCell, ScanTable
 
 __all__ = ["fmt_float", "export_csv", "export_json", "parse_scan_json"]
 
@@ -196,8 +196,6 @@ def export_json(obj) -> str:
 
 
 def _parse_verdict(d: dict) -> GrowthVerdict:
-    from .orbits import GrowthKind
-
     kind = GrowthKind(d["kind"])
 
     def num(v):
@@ -214,8 +212,6 @@ def _parse_verdict(d: dict) -> GrowthVerdict:
 
 def parse_scan_json(text: str) -> ScanTable:
     """Rebuild a ScanTable from its exported JSON text."""
-    from .orbits import ScanCell
-
     try:
         d = json.loads(text)
         cells = tuple(

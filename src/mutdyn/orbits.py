@@ -4,22 +4,23 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from functools import cached_property
+from functools import cached_property, partial
 
 import numpy as np
 
-from .errors import DomainError, _count
+from .errors import DomainError, _count, _float, _pair
 from .params import Params, Regime, classify_regime
 from .rational import PointPos
 from .tropical import (
-    _STEP_BLOCK,
     PointPL,
     _banded_signs,
+    _blocks,
     _columns,
     _conserved,
     _lift,
-    _pl_blocks,
+    _pl_step,
     _quad_coefs,
+    _record,
     _record_orbit,
     _sup_norm,
 )
@@ -161,30 +162,23 @@ class GrowthVerdict:
 
 
 def _iterate_rational(params: Params, start: PointPos, steps: int):
-    # fpow's branch for p and q is chosen once for the whole orbit, and
-    # range is checked once per _STEP_BLOCK steps: a step divides a sum
-    # of at least 1 by a positive float, so a coordinate leaves (0, inf)
-    # only for inf or nan, and from there the pair reaches nan and stays
+    # the birational step, recorded by _record, with fpow's branch for p
+    # and q chosen once for the whole orbit: a step divides a sum of at
+    # least 1 by a positive float, so a coordinate leaves (0, inf) only
+    # for inf or nan, and from there the pair reaches nan and stays
     pow_p, pow_q = _power(params.p), _power(params.q)
-    x, y = start.x, start.y
-    xs = [x]
-    ys = [y]
-    done = 0
-    while done < steps:
-        n = min(_STEP_BLOCK, steps - done)
+
+    def run(x, y, n, xs, ys):
         for _ in range(n):
             x = (1.0 + pow_q(y)) / x
             y = (1.0 + pow_p(x)) / y
             xs.append(x)
             ys.append(y)
-        done += n
-        if not (0.0 < x < math.inf and 0.0 < y < math.inf):
-            i = done - n + 1
-            while 0.0 < xs[i] < math.inf and 0.0 < ys[i] < math.inf:
-                i += 1
-            del xs[i:], ys[i:]
-            return xs, ys, i
-    return xs, ys, None
+        return x, y
+
+    return _record(
+        run, lambda x, y: 0.0 < x < math.inf and 0.0 < y < math.inf, start.x, start.y, steps
+    )
 
 
 def _column_power(expo):
@@ -198,29 +192,23 @@ def _column_power(expo):
     return _power(float(expo[0]))
 
 
-def _rational_blocks(p, q, x, y, steps: int):
-    # iterates 1..steps of _iterate_rational's step from the columns x,
-    # y, handed over as (first step, x rows, y rows) in blocks of
-    # _STEP_BLOCK rows, the last one shorter, as tropical._pl_blocks
-    # does for the PL map.  The exponent columns p and q each share one
-    # branch of _power.  The block buffers are reused, so a consumer
-    # reads each block before asking for the next; callers silence the
-    # overflow and the nan of an orbit that left float range
+def _rational_step(p, q):
+    # _iterate_rational's step on columns for _blocks, for exponent
+    # columns p and q that each share one branch of _power.  Every power
+    # is a fresh array, so each quotient is written into its own
+    # numerator; callers silence the overflow and the nan of an orbit
+    # that left float range
     pow_p, pow_q = _column_power(p), _column_power(q)
-    bx = np.empty((min(_STEP_BLOCK, steps),) + np.shape(x))
-    by = np.empty_like(bx)
-    first = 1
-    while first <= steps:
-        n = min(len(bx), steps + 1 - first)
-        for i in range(n):
-            num = pow_q(y)
-            num += 1.0
-            x = np.divide(num, x, out=bx[i])
-            num = pow_p(x)
-            num += 1.0
-            y = np.divide(num, y, out=by[i])
-        yield first, bx[:n], by[:n]
-        first += n
+
+    def step(x, y):
+        num = pow_q(y)
+        num += 1.0
+        x = np.divide(num, x, out=num)
+        num = pow_p(x)
+        num += 1.0
+        return x, np.divide(num, y, out=num)
+
+    return step
 
 
 def _horizon(steps) -> int:
@@ -232,15 +220,6 @@ def _horizon(steps) -> int:
             "use phi_drift_batch or a manual loop for long horizons"
         )
     return steps
-
-
-def _pair(value, what: str):
-    # a plain pair's two items; the type they make checks them
-    try:
-        a, b = value
-    except (TypeError, ValueError):
-        raise DomainError(f"{what} must be a pair, got {value!r}") from None
-    return a, b
 
 
 def iterate_orbit(params: Params, kind: OrbitKind, start, steps: int) -> Orbit:
@@ -273,7 +252,7 @@ def _tropical_orbits(params: Params, s0, t0, steps: int) -> list:
     ts = np.empty_like(ss)
     ss[0], ts[0] = s, t
     with np.errstate(over="ignore", invalid="ignore"):
-        for row, bs, bt in _pl_blocks(p, q, s, t, steps):
+        for row, bs, bt in _blocks(partial(_pl_step, p, q), s, t, steps):
             ss[row : row + len(bs)], ts[row : row + len(bt)] = bs, bt
     bad = ~(np.isfinite(ss) & np.isfinite(ts))
     truncs = [int(i) if hit else None for i, hit in zip(bad.argmax(axis=0), bad.any(axis=0))]
@@ -348,7 +327,7 @@ def _rational_pass(p, q, x, y, steps: int, window):
         prev = np.log(_sup_norm(x, y))
         max_lr = prev
         jump = np.full(len(x), -math.inf)
-        for first, bx, by in _rational_blocks(p, q, x, y, steps):
+        for first, bx, by in _blocks(_rational_step(p, q), x, y, steps):
             radius = _sup_norm(bx, by)
             lr = np.log(radius)
             inside = (bx > 0.0) & (bx < math.inf) & (by > 0.0) & (by < math.inf)
@@ -471,6 +450,7 @@ def _phi_drift_pass(p, q, s0, t0, steps: int, scale_caps: tuple):
         raise DomainError("exponents must be finite and positive")
     if not (np.isfinite(s).all() and np.isfinite(t).all()):
         raise DomainError("starts must be finite")
+    scale_caps = tuple(None if cap is None else _float(cap, "scale_cap") for cap in scale_caps)
     # norm <= cap never holds for a nan cap or one below 0, so either
     # would sample nothing and read as zero drift
     for cap in scale_caps:
@@ -486,7 +466,7 @@ def _phi_drift_pass(p, q, s0, t0, steps: int, scale_caps: tuple):
         denom = np.maximum(1.0, np.abs(base))
         drifts = [np.zeros_like(base) for _ in scale_caps]
         # each block's figures are taken at once and folded in by max
-        for _, bs, bt in _pl_blocks(p, q, s, t, steps):
+        for _, bs, bt in _blocks(partial(_pl_step, p, q), s, t, steps):
             d = _drift(_conserved(coefs, bs, bt), base, denom)
             if capped:
                 norm = _sup_norm(bs, bt)

@@ -20,7 +20,7 @@ import math
 from dataclasses import dataclass
 from enum import Enum, auto
 
-from .errors import DomainError, RangeError, RegimeError, _real
+from .errors import DomainError, RangeError, RegimeError, _float, _pair, _real
 from .floatops import EQ_TOL, JAC_STEP, close_rel, det2, fpow, softplus
 from .params import Params, Regime, classify_regime
 
@@ -153,7 +153,8 @@ def mu_x_log(params: Params, ab: tuple[float, float]) -> tuple[float, float]:
     agrees with log of :func:`mu_x` of exp wherever the latter is
     finite.
     """
-    a, b = ab
+    a, b = _pair(ab, "log coordinates")
+    a, b = _float(a, "log coordinates"), _float(b, "log coordinates")
     if not (math.isfinite(a) and math.isfinite(b)):
         raise RangeError("log-coordinate input is not finite")
     a1 = softplus(params.q * b) - a

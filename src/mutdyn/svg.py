@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import math
 
-from .errors import DomainError
+from .errors import DomainError, _float, _pair
 from .orbits import Orbit
 
 __all__ = ["render_svg"]
@@ -29,7 +29,7 @@ def _gather_polylines(content):
         return [pts], True
     polylines = []
     for piece in content:
-        pts = [(float(a), float(b)) for a, b in piece]
+        pts = [tuple(_float(v, "coordinates") for v in _pair(pt, "a point")) for pt in piece]
         if pts:
             polylines.append(pts)
     if not polylines:

@@ -247,29 +247,52 @@ def _pl_step(p, q, s, t):
     return np.where(t1 > 0.0, ns + q * t1, ns), -t1
 
 
-# iterates _pl_blocks hands over at a time, and steps the scalar
-# recorders (_record_orbit, the rational one in orbits) take between
-# two range checks
+# iterates _blocks hands over at a time, and steps _record takes
+# between two range checks
 _STEP_BLOCK = 64
 
 
-def _pl_blocks(p, q, s, t, steps: int):
-    # iterates 1..steps of _pl_step from the columns s, t, handed over
-    # as (first step, s rows, t rows) in blocks of _STEP_BLOCK rows, the
-    # last one shorter.  The block buffers are reused, so a consumer
-    # reads each block before asking for the next; callers silence the
-    # overflow as for _pl_step.  A pass that reduces per block makes its
-    # numpy calls once per block instead of once per step
-    bs = np.empty((min(_STEP_BLOCK, steps),) + np.shape(s))
-    bt = np.empty_like(bs)
+def _blocks(step, a, b, steps: int):
+    # iterates 1..steps of step, a map of column pairs, from the columns
+    # a, b, handed over as (first step, a rows, b rows) in blocks of
+    # _STEP_BLOCK rows, the last one shorter.  The block buffers are
+    # reused, so a consumer reads each block before asking for the next;
+    # callers silence their step's overflow.  A pass that reduces per
+    # block makes its numpy calls once per block instead of once per step
+    ba = np.empty((min(_STEP_BLOCK, steps),) + np.shape(a))
+    bb = np.empty_like(ba)
     first = 1
     while first <= steps:
-        n = min(len(bs), steps + 1 - first)
+        n = min(len(ba), steps + 1 - first)
         for i in range(n):
-            s, t = _pl_step(p, q, s, t)
-            bs[i], bt[i] = s, t
-        yield first, bs[:n], bt[:n]
+            a, b = step(a, b)
+            ba[i], bb[i] = a, b
+        yield first, ba[:n], bb[:n]
         first += n
+
+
+def _record(run, inside, a, b, steps: int):
+    # a scalar orbit with every iterate kept: lists of both coordinates
+    # from the start on, and the 1-based step that left range (None if
+    # none did; the lists end before it).  run(a, b, n, seq_a, seq_b)
+    # takes n steps from a, b, appends each iterate and returns the last;
+    # its loop is written out by the caller, because a call per step
+    # costs measurably in long loops.  Range, inside(a, b), is checked
+    # once per _STEP_BLOCK steps, which needs a map whose pairs stay out
+    # of range once they leave it: a block that ends inside never left
+    seq_a, seq_b = [a], [b]
+    done = 0
+    while done < steps:
+        n = min(_STEP_BLOCK, steps - done)
+        a, b = run(a, b, n, seq_a, seq_b)
+        done += n
+        if not inside(a, b):
+            i = done - n + 1
+            while inside(seq_a[i], seq_b[i]):
+                i += 1
+            del seq_a[i:], seq_b[i:]
+            return seq_a, seq_b, i
+    return seq_a, seq_b, None
 
 
 def chebyshev_u(n: int, x: float) -> float:
@@ -412,19 +435,10 @@ def detect_period(params: Params, pt: PointPL, max_steps: int):
 
 
 def _record_orbit(params: Params, s: float, t: float, steps: int):
-    # the composed step with every iterate kept: lists of s and t from
-    # the start on, and the 1-based step that left float range (None if
-    # none did; the lists end before it).  The step is written out here
-    # because a call per step costs measurably in long loops, and range
-    # is checked once per _STEP_BLOCK steps: once a coordinate is not
-    # finite, one of the two stays so at every later step, so a block
-    # that ends finite never left float range.
-    p, q = params.p, params.q
-    ss = [s]
-    ts = [t]
-    done = 0
-    while done < steps:
-        n = min(_STEP_BLOCK, steps - done)
+    # the composed step, recorded by _record: once a coordinate is not
+    # finite, one of the two stays so at every later step
+    def run(s, t, n, ss, ts):
+        p, q = params.p, params.q
         for _ in range(n):
             if s > 0.0:
                 t += p * s
@@ -432,14 +446,9 @@ def _record_orbit(params: Params, s: float, t: float, steps: int):
             t = -t
             ss.append(s)
             ts.append(t)
-        done += n
-        if not (math.isfinite(s) and math.isfinite(t)):
-            i = done - n + 1
-            while math.isfinite(ss[i]) and math.isfinite(ts[i]):
-                i += 1
-            del ss[i:], ts[i:]
-            return ss, ts, i
-    return ss, ts, None
+        return s, t
+
+    return _record(run, lambda s, t: math.isfinite(s) and math.isfinite(t), s, t, steps)
 
 
 def sign_pair(pt: PointPL, scale: float | None = None) -> SignPair:

@@ -156,7 +156,7 @@ def test_rational_truncation_step_does_not_depend_on_the_range_check_block(monke
     # critical product leave float range at steps from 2 to about 200,
     # on both sides of several block ends, and each orbit is still mu_x's
     # up to the step that left
-    monkeypatch.setattr(orbits, "_STEP_BLOCK", block)
+    monkeypatch.setattr(tropical, "_STEP_BLOCK", block)
     params = Params(2.0, 2.0)
     seen = set()
     for e in np.arange(0.0, 300.0, 0.25):
@@ -331,6 +331,8 @@ def test_batch_drift_scale_cap_bounds_the_window():
     assert raw > 1e10
     # a cap below every iterate samples nothing
     assert float(phi_drift_batch(3.0, 3.0, 1.0, 1.0, 60, scale_cap=1e-6)) == 0.0
+    # a cap that float() takes acts as its float
+    assert float(phi_drift_batch(3.0, 3.0, 1.0, 1.0, 60, scale_cap="1e3")) == capped
     # one pass with several caps gives each figure bit for bit
     window, full = _phi_drift_pass(3.0, 3.0, 1.0, 1.0, 60, (1e3, None))
     assert float(window) == capped and float(full) == raw
@@ -618,6 +620,29 @@ def test_blocked_drift_pass_equals_the_per_step_loop_bit_for_bit():
     got = _phi_drift_pass(p[:6, None], 1.5, s[None, :5], -0.5, block + 1, (None,))[0]
     want = _frozen_drift_pass(p[:6, None], 1.5, s[None, :5], -0.5, block + 1, (None,))[0]
     assert got.shape == (6, 5) and got.tobytes() == want.tobytes()
+
+
+def _array_passes(steps):
+    # what the three array passes over tropical._blocks return, as bytes
+    p, q, x, y = (np.array(v) for v in zip(*_rational_columns()))
+    rng = np.random.default_rng(404)
+    tp, tq = rng.uniform(0.3, 6.0, (2, 60))
+    s, t = rng.uniform(-2.0, 2.0, (2, 60))
+    s[:10] *= 1e150  # orbits that truncate, quadratics that overflow
+    got = [_verdict_bits(v) for v in orbits._rational_verdicts(p, q, x, y, steps)]
+    got += [(o.points.tobytes(), o.truncated_at) for o in _tropical_orbits(Params(2.5, 3.0), s, t, steps)]
+    return got + [d.tobytes() for d in _phi_drift_pass(tp, tq, s, t, steps, (1e3, None))]
+
+
+@pytest.mark.parametrize("block", [1, 3, 64])
+def test_array_passes_do_not_depend_on_the_step_block(monkeypatch, block):
+    # the block buffers are reused, so a pass that read a row after its
+    # block, or a step that wrote into a row it still reads, would change
+    # bits most at small blocks
+    want = {steps: _array_passes(steps) for steps in (15, 64, 65, 200)}
+    monkeypatch.setattr(tropical, "_STEP_BLOCK", block)
+    for steps, passes in want.items():
+        assert _array_passes(steps) == passes, steps
 
 
 def test_drift_pass_starts_where_the_cross_term_meets_an_overflowing_product():

@@ -24,8 +24,11 @@ from mutdyn import (
     iterate_orbit,
     levelset_points,
     levelset_residual,
+    mu_x_log,
+    mutate,
     mutation_class,
     phi_drift_batch,
+    render_svg,
     scan_grid,
     sign_pair,
     tau_closed_form,
@@ -76,6 +79,7 @@ COUNTS = {
     "first_sign_coherent_index": (lambda n: first_sign_coherent_index(Params(3.0, 3.0), _START, n), "cap", 0),
     "mutation_class": (lambda n: mutation_class(ExtendedExchangeMatrix(((0, 1), (-1, 0))), n), "cap", 1),
     "levelset_points": (lambda n: levelset_points(_ONE, 1.0, n), "samples_per_piece", 2),
+    "mutate": (lambda n: mutate(ExtendedExchangeMatrix(((0, 1), (-1, 0))), n), "mutation direction", 1),
 }
 
 
@@ -111,14 +115,19 @@ REALS = {
     "sign_pair": (lambda x: sign_pair(PointPL(1.0, -1.0), x), 2.0),
     "chebyshev_u": (lambda x: chebyshev_u(2, x), 0.3),
     "levelset_residual_pieces": (lambda x: levelset_residual(_ONE, [[(x, 1.0)]], 1.0), 1.0),
+    "mu_x_log": (lambda x: mu_x_log(_ONE, (0.5, x)), 1.0),
+    "scale_cap": (lambda x: phi_drift_batch(1.0, 1.0, 0.0, 1.0, 3, scale_cap=x), 1.0),
+    "render_svg": (lambda x: render_svg([[(x, 1.0), (2.0, 0.0)]]), 1.0),
 }
 
 # what a slot takes beyond finite reals: sign_pair's scale defaults to
-# the point's own norm and keeps a nan scale's band at EQ_TOL, and
-# chebyshev_u runs its recurrence at infinite x
+# the point's own norm and keeps a nan scale's band at EQ_TOL,
+# chebyshev_u runs its recurrence at infinite x, and no scale_cap means
+# no cap
 ALSO_TAKES = {
     "sign_pair": (None, math.nan, math.inf),
     "chebyshev_u": (math.inf, -math.inf),
+    "scale_cap": (None, math.inf),
 }
 
 
