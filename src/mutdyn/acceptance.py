@@ -68,10 +68,10 @@ def _rng(offset: int) -> np.random.Generator:
     return np.random.default_rng(_BASE_SEED + offset)
 
 
-def _draw_start(rng, lo=-3.0, hi=3.0, min_norm=0.1):
+def _draw_start(rng):
     while True:
-        s, t = rng.uniform(lo, hi, size=2)
-        if max(abs(s), abs(t)) >= min_norm:
+        s, t = rng.uniform(-3.0, 3.0, size=2)
+        if max(abs(s), abs(t)) >= 0.1:
             return float(s), float(t)
 
 

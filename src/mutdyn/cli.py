@@ -41,17 +41,13 @@ def _write_out(text: str, path):
             fh.write(text)
 
 
-def _params_from(args) -> Params:
-    return Params(args.p, args.q)
-
-
 def _add_params_args(sp):
     sp.add_argument("--p", type=float, required=True, help="first exponent, positive")
     sp.add_argument("--q", type=float, required=True, help="second exponent, positive")
 
 
-def _add_output_args(sp, formats=("csv", "json", "svg")):
-    sp.add_argument("--format", choices=formats, default=formats[0])
+def _add_output_args(sp):
+    sp.add_argument("--format", choices=("csv", "json", "svg"), default="csv")
     sp.add_argument("--out", default=None, help="output path (default stdout)")
 
 
@@ -64,7 +60,7 @@ def _orbit_text(orbit, fmt: str) -> str:
 
 
 def _cmd_orbit(args) -> int:
-    orbit = iterate_orbit(_params_from(args), args.kind, (args.a0, args.b0), args.steps)
+    orbit = iterate_orbit(Params(args.p, args.q), args.kind, (args.a0, args.b0), args.steps)
     _write_out(_orbit_text(orbit, args.format), args.out)
     if orbit.truncated:
         print(
@@ -78,7 +74,7 @@ def _cmd_orbit(args) -> int:
 
 def _cmd_period(args) -> int:
     period = detect_period(
-        _params_from(args), PointPL(args.s0, args.t0), args.max_steps
+        Params(args.p, args.q), PointPL(args.s0, args.t0), args.max_steps
     )
     print("none" if period is None else str(period))
     return 0
@@ -134,7 +130,7 @@ def _cmd_scan(args) -> int:
 
 def _cmd_levelset(args) -> int:
     pieces = levelset_points(
-        _params_from(args), args.level, samples_per_piece=args.samples
+        Params(args.p, args.q), args.level, samples_per_piece=args.samples
     )
     if args.format == "svg":
         text = render_svg(pieces)

@@ -86,24 +86,17 @@ def mutate(mat: ExtendedExchangeMatrix, k: int) -> ExtendedExchangeMatrix:
     if k > 2:
         raise DomainError(f"mutation direction must be 1 or 2, got {k!r}")
     kk = k - 1
-    rows = mat.entries
-    lever_row = rows[kk]
+    lever = mat.entries[kk][1 - kk]
     out = []
-    for i, row in enumerate(rows):
+    for i, row in enumerate(mat.entries):
+        # a in column k, b in the other column
+        a, b = row[kk], row[1 - kk]
+        prod = a * lever
         if i == kk:
-            out.append(tuple(-v for v in row))
-            continue
-        new = []
-        for j, v in enumerate(row):
-            if j == kk:
-                new.append(-v)
-                continue
-            prod = row[kk] * lever_row[j]
-            if prod > 0.0:
-                new.append(v + prod if row[kk] > 0.0 else v - prod)
-            else:
-                new.append(v)
-        out.append(tuple(new))
+            b = -b
+        elif prod > 0.0:
+            b = b + prod if a > 0.0 else b - prod
+        out.append((-a, b) if kk == 0 else (b, -a))
     try:
         return ExtendedExchangeMatrix(tuple(out))
     except DomainError:

@@ -12,7 +12,7 @@ import math
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import DomainError, _count, _real
 from .exchange import MutationClassResult
 from .orbits import GrowthKind, GrowthVerdict, Orbit, OrbitKind, ScanCell, ScanTable
 
@@ -70,11 +70,6 @@ def fmt_float(v: float) -> str:
     return _fmt_col(np.array([float(v)]))[0]
 
 
-def _num(v: float) -> str:
-    # JSON-safe variant: non-finite becomes a quoted token
-    return _fmt_col(np.array([float(v)]), quote=True)[0]
-
-
 def _csv(header: str, columns) -> str:
     """CSV text: the header, then one row per entry of the equal-length columns."""
     cells = [_fmt_col(c) for c in columns]
@@ -124,7 +119,7 @@ def _emit(obj) -> str:
     if isinstance(obj, int):
         return str(obj)
     if isinstance(obj, float):
-        return _num(obj)
+        return _fmt_col(np.array([obj]), quote=True)[0]
     if isinstance(obj, str):
         return json.dumps(obj)
     raise DomainError(f"cannot serialize {type(obj).__name__}")
@@ -212,18 +207,19 @@ def _parse_verdict(d: dict) -> GrowthVerdict:
 
 def parse_scan_json(text: str) -> ScanTable:
     """Rebuild a ScanTable from its exported JSON text."""
+    def reals(values, what):
+        return tuple(_real(v, what, positive=True) for v in values)
+
     try:
         d = json.loads(text)
         cells = tuple(
-            ScanCell(p=float(c["p"]), q=float(c["q"]), verdict=_parse_verdict(c["verdict"]))
+            ScanCell(*reals((c["p"], c["q"]), "cell exponents"), _parse_verdict(c["verdict"]))
             for c in d["cells"]
         )
-        return ScanTable(
-            p_values=tuple(float(v) for v in d["p_values"]),
-            q_values=tuple(float(v) for v in d["q_values"]),
-            kind=OrbitKind(d["kind"]),
-            steps=int(d["steps"]),
-            cells=cells,
-        )
+        p_values, q_values = reals(d["p_values"], "grid values"), reals(d["q_values"], "grid values")
+        if len(cells) != len(p_values) * len(q_values):
+            raise DomainError(f"{len(cells)} cells on a {len(p_values)} x {len(q_values)} grid")
+        steps = _count(d["steps"], "steps", 0)
+        return ScanTable(p_values, q_values, OrbitKind(d["kind"]), steps, cells)
     except (KeyError, TypeError, ValueError) as exc:
         raise DomainError(f"not a scan table document: {exc}") from None

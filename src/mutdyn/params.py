@@ -129,10 +129,7 @@ def detect_m(params: Params, cap: int = 10**6):
     pq = params.pq
     if pq >= 4.0:
         return None
-    theta = theta_of(params)
-    if theta <= 0.0:
-        return None
-    est = round(math.pi / theta)
+    est = round(math.pi / theta_of(params))
     for cand in (est, est - 1, est + 1):
         if 3 <= cand <= cap:
             ref = 4.0 * math.cos(math.pi / cand) ** 2

@@ -28,10 +28,14 @@ def _gather_polylines(content):
         pts = [(float(a), float(b)) for a, b in content.points]
         return [pts], True
     polylines = []
-    for piece in content:
-        pts = [tuple(_float(v, "coordinates") for v in _pair(pt, "a point")) for pt in piece]
-        if pts:
-            polylines.append(pts)
+    try:
+        for piece in content:
+            pts = [tuple(_float(v, "coordinates") for v in _pair(pt, "a point")) for pt in piece]
+            if pts:
+                polylines.append(pts)
+    except TypeError:
+        # the content or one of its pieces does not iterate
+        raise DomainError("content must be an Orbit or point sequences") from None
     if not polylines:
         raise DomainError("nothing to render")
     return polylines, False

@@ -247,8 +247,8 @@ def _pl_step(p, q, s, t):
     return np.where(t1 > 0.0, ns + q * t1, ns), -t1
 
 
-# iterates _blocks hands over at a time, and steps _record takes
-# between two range checks
+# iterates _blocks hands over at a time, steps _record takes between
+# two range checks, and steps detect_period records at a time
 _STEP_BLOCK = 64
 
 
@@ -406,10 +406,6 @@ def _lift(params: Params, s, t):
     return np.where(raw > cut, raw, raw + 2.0 * math.pi), cut
 
 
-# steps detect_period records at a time
-_PERIOD_BLOCK = 4096
-
-
 def detect_period(params: Params, pt: PointPL, max_steps: int):
     """Smallest k <= max_steps with the k-th iterate back at the start.
 
@@ -423,7 +419,7 @@ def detect_period(params: Params, pt: PointPL, max_steps: int):
     # recorded block by block, so a long horizon holds one block at a time
     s, t, done = s0, t0, 0
     while done < max_steps:
-        ss, ts, trunc = _record_orbit(params, s, t, min(_PERIOD_BLOCK, max_steps - done))
+        ss, ts, trunc = _record_orbit(params, s, t, min(_STEP_BLOCK, max_steps - done))
         for k in range(1, len(ss)):
             if abs(ss[k] - s0) <= bound and abs(ts[k] - t0) <= bound:
                 return done + k

@@ -239,6 +239,57 @@ def test_mutation_leaving_float_range_raises_range_error():
     assert result.matrices[1] == once
 
 
+def _per_entry_mutate(rows, k):
+    # the mutation rule in floats, entry by entry over any number of
+    # columns: -b_ij in row or column k, else b_ij plus sign(b_ik) times
+    # b_ik b_kj where that product is positive (left as is otherwise,
+    # so a -0.0 keeps its sign)
+    kk = k - 1
+    out = []
+    for i, row in enumerate(rows):
+        new = []
+        for j, v in enumerate(row):
+            prod = row[kk] * rows[kk][j]
+            if kk in (i, j):
+                new.append(-v)
+            else:
+                new.append(v + math.copysign(prod, row[kk]) if prod > 0.0 else v)
+        out.append(tuple(new))
+    return tuple(out)
+
+
+def test_mutate_equals_the_per_entry_rule_bit_for_bit():
+    rng = np.random.default_rng(91)
+    special = (0.0, -0.0, 1e200, -1e200, 1.7e308, -1.7e308, 5e-324, -5e-324)
+
+    def entry():
+        if rng.random() < 0.3:
+            return float(rng.choice(special))
+        return float(rng.uniform(-5.0, 5.0) * 10.0 ** rng.integers(-3, 4))
+
+    seen = {"exits": 0, "zero blocks": 0, "signed zeros": 0}
+    for _ in range(4000):
+        b, c = entry(), entry()
+        if (b > 0.0) == (c > 0.0) and b != 0.0 != c:
+            c = -c
+        if rng.random() < 0.15:
+            b, c = float(rng.choice((0.0, -0.0))), float(rng.choice((0.0, -0.0)))
+        top = ((float(rng.choice((0.0, -0.0))), b), (c, float(rng.choice((0.0, -0.0)))))
+        rows = top + tuple((entry(), entry()) for _ in range(rng.integers(0, 4)))
+        mat = ExtendedExchangeMatrix(rows)
+        seen["zero blocks"] += b == c == 0.0
+        seen["signed zeros"] += any(math.copysign(1.0, v) < 0.0 for r in rows for v in r if v == 0.0)
+        for k in (1, 2):
+            want = _per_entry_mutate(mat.entries, k)
+            if all(math.isfinite(v) for row in want for v in row):
+                assert _bits(mutate(mat, k)) == tuple(v.hex() for row in want for v in row)
+            else:
+                seen["exits"] += 1
+                with pytest.raises(RangeError, match=f"direction {k}"):
+                    mutate(mat, k)
+    assert min(seen.values()) >= 100, seen
+
+
 @pytest.mark.parametrize("p, q, row, size", [
     (0.0, 0.0, (0.0, 1.0), 2),
     (0.0, 0.0, (1.0, 0.0), 2),

@@ -14,6 +14,7 @@ from mutdyn.exchange import ExtendedExchangeMatrix, mutation_class
 from mutdyn.export import _emit_array, _fmt_col, export_csv, export_json, fmt_float, parse_scan_json
 from mutdyn.orbits import OrbitKind, StartPolicy, iterate_orbit, scan_grid
 from mutdyn.params import Params
+from mutdyn.svg import render_svg
 
 
 def test_fmt_float_cases():
@@ -269,6 +270,25 @@ def test_scan_json_rejects_bad_documents():
             parse_scan_json(bad)
 
 
+def test_scan_json_refuses_documents_that_break_the_count_and_real_rules():
+    good = json.loads(export_json(scan_grid((0.5, 1.5), (0.5, 1.5), 2, OrbitKind.TROPICAL, 40)))
+    edits = [
+        ("steps", 1.5), ("steps", -3), ("steps", "4"),
+        ("p_values", [1.0, "nan"]), ("q_values", [1.0, -2.0]), ("q_values", [1.0, 0.0]),
+        # a grid its cells do not fill, which cell() would index past
+        ("q_values", [1.0]), ("cells", []),
+    ]
+    for key, value in edits:
+        with pytest.raises(DomainError, match="^not a scan table document: "):
+            parse_scan_json(json.dumps({**good, key: value}))
+    for key, value in (("p", 0.0), ("q", "inf")):
+        cells = [{**good["cells"][0], key: value}] + good["cells"][1:]
+        with pytest.raises(DomainError, match="^not a scan table document: "):
+            parse_scan_json(json.dumps({**good, "cells": cells}))
+    # the unedited document still parses
+    assert parse_scan_json(json.dumps(good)).steps == 40
+
+
 def _run(capsys, argv):
     code = main(argv)
     captured = capsys.readouterr()
@@ -318,6 +338,33 @@ def test_cli_svg_golden_digest(capsys, argv):
     code, out, _ = _run(capsys, [*argv, "--format", "svg"])
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == SVG_SHA256[argv]
+
+
+def test_render_svg_refuses_what_it_cannot_draw():
+    for content in (5, [5]):
+        with pytest.raises(DomainError, match="must be an Orbit or point sequences"):
+            render_svg(content)
+    with pytest.raises(DomainError, match="a point must be a pair"):
+        render_svg([[5]])
+    for content in ([], [[]]):
+        with pytest.raises(DomainError, match="nothing to render"):
+            render_svg(content)
+    for bad in (math.inf, -math.inf, math.nan):
+        with pytest.raises(DomainError, match="non-finite"):
+            render_svg([[(0.0, 1.0), (2.0, bad)]])
+
+
+def test_render_svg_widens_a_flat_box_by_one():
+    # a flat extent becomes [v - 1, v + 1], so the flat coordinate lands
+    # on the canvas centre (320, 240)
+    assert "M51.200,240.000 L588.800,240.000" in render_svg([[(0.0, 5.0), (4.0, 5.0)]])
+    assert "M320.000,441.600 L320.000,38.400" in render_svg([[(2.0, 0.0), (2.0, 3.0)]])
+    assert "M320.000,240.000 L320.000,240.000" in render_svg([[(7.0, -7.0), (7.0, -7.0)]])
+    # a lone point of an orbit at the origin: both extents widen, the
+    # axes cross at its marker
+    svg = render_svg(iterate_orbit(Params(1, 1), OrbitKind.TROPICAL, (0, 0), 0))
+    assert '<circle cx="320.000" cy="240.000"' in svg
+    assert svg.count("<line ") == 2
 
 
 def test_cli_out_writes_file(capsys, tmp_path):
@@ -400,6 +447,10 @@ def test_cli_scan_config_errors(capsys, tmp_path):
     bad_val.write_text("resolution = abc\n")
     code, _, err = _run(capsys, ["scan", "--config", str(bad_val)])
     assert code == 1 and "bad value" in err
+    bad_kind = tmp_path / "e.cfg"
+    bad_kind.write_text("kind = foo\n")
+    code, _, err = _run(capsys, ["scan", "--config", str(bad_kind)])
+    assert code == 1 and "bad value for kind" in err
     no_eq = tmp_path / "c.cfg"
     no_eq.write_text("resolution\n")
     code, _, err = _run(capsys, ["scan", "--config", str(no_eq)])

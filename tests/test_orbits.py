@@ -261,6 +261,13 @@ def test_conserved_drift_rejects_rational_orbits():
         conserved_drift(orbit)
 
 
+def test_conserved_drift_rejects_a_start_whose_quadratic_overflows():
+    orbit = iterate_orbit(Params(3, 3), OrbitKind.TROPICAL, (1e200, 1e200), 5)
+    assert not orbit.truncated
+    with pytest.raises(DomainError, match="out of float range at the start"):
+        conserved_drift(orbit)
+
+
 def test_conserved_drift_skips_overflowed_values():
     # the quadratic leaves float range (inf - inf turns it nan) long
     # before the coordinates do
@@ -663,6 +670,12 @@ def test_scan_unknown_kind_raises():
     for kind in ("rational", None):
         with pytest.raises(DomainError, match="unknown orbit kind"):
             scan_grid((1.0, 2.0), (1.0, 2.0), 2, kind, 40)
+
+
+def test_iterate_orbit_unknown_kind_raises():
+    # the kind is the enum, not its value
+    with pytest.raises(DomainError, match="unknown orbit kind"):
+        iterate_orbit(Params(1.0, 1.0), "rational", (1.0, 1.0), 5)
 
 
 def _scan_error(kind, steps, p_range=(1.0, 2.0), policy=None, resolution=2):

@@ -250,8 +250,12 @@ def test_curve_gap_values():
     assert abs(H_dist(Params(3.0, 3.0), 1.0) - 2.0 * math.sqrt(2.0)) < 1e-15
     with pytest.raises(DomainError):
         H_dist(Params(3.0, 3.0), 0.5)
+    with pytest.raises(DomainError, match="position must be >= 1"):
+        V_dist(Params(3.0, 3.0), 0.5)
     with pytest.raises(RegimeError):
         V_dist(Params(1.0, 1.0), 2.0)
+    with pytest.raises(RegimeError):
+        H_dist(Params(1.0, 1.0), 2.0)
 
 
 def test_curve_gap_monotone_in_the_guaranteed_ranges():
@@ -311,6 +315,12 @@ def _exact_step(p, q, x, y):
     return x, (1 + x**p) / y
 
 
+def _exact_inverse_step(p, q, x, y):
+    # mu_x_inv in exact arithmetic: the second reflection, then the first
+    y = (1 + x**p) / y
+    return (1 + y**q) / x, y
+
+
 # integer pairs of finite type (pq <= 3), each with the number of
 # composed steps after which every start returns
 FINITE_TYPE = {(1, 1): 5, (1, 2): 3, (2, 1): 3, (1, 3): 4, (3, 1): 4}
@@ -354,7 +364,9 @@ def test_float_orbits_stay_within_measured_ulps_of_the_exact_orbits():
     # Over 600 starts per pair in [0.5, 2]^2 the largest gaps seen were
     # 6 ulps for one mu_x step, 26 over 20 steps of finite type and 103
     # over 10 steps at pq = 4, where the orbits grow and rounding
-    # accumulates faster; each bound below leaves about half again
+    # accumulates faster; each bound below leaves about half again.
+    # One step of mu_x_closed or mu_x_inv came within 6 and 7 ulps over
+    # 3000 starts per pair, and shares mu_x's bound of 8
     rng = np.random.default_rng(83)
     for (p, q) in (*FINITE_TYPE, *AFFINE_INVARIANTS):
         params = Params(p, q)
@@ -363,8 +375,10 @@ def test_float_orbits_stay_within_measured_ulps_of_the_exact_orbits():
             exact = [(Fraction(x0), Fraction(y0))]
             for _ in range(steps):
                 exact.append(_exact_step(p, q, *exact[-1]))
-            first = mu_x(params, PointPos(x0, y0))
-            assert max(map(ulp_gap, first.as_tuple(), map(float, exact[1]))) <= 8.0
+            back = _exact_inverse_step(p, q, *exact[0])
+            for step, want in ((mu_x, exact[1]), (mu_x_closed, exact[1]), (mu_x_inv, back)):
+                got = step(params, PointPos(x0, y0))
+                assert max(map(ulp_gap, got.as_tuple(), map(float, want))) <= 8.0, step
             orbit = iterate_orbit(params, OrbitKind.RATIONAL, (x0, y0), steps)
             gaps = [ulp_gap(a, float(b)) for pt, want in zip(orbit.points.tolist(), exact)
                     for a, b in zip(pt, want)]  # fmt: skip

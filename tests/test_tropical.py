@@ -367,7 +367,7 @@ def test_detect_period_does_not_depend_on_its_block_size(monkeypatch):
     cases += [(Params(3.0, 3.0), PointPL(1.0, 1.0)), (Params(2.0, 2.0), PointPL(1.0, 1.0))]
     want = [detect_period(params, pt, 40) for params, pt in cases]
     assert want.count(None) == 2
-    monkeypatch.setattr(tropical, "_PERIOD_BLOCK", 3)
+    monkeypatch.setattr(tropical, "_STEP_BLOCK", 3)
     assert [detect_period(params, pt, 40) for params, pt in cases] == want
     assert detect_period(Params(3.0, 3.0), PointPL(1.0, 1.0), 1000) is None
 
@@ -377,6 +377,85 @@ def test_detect_period_none_in_escape_regimes():
     assert detect_period(Params(3.0, 3.0), PointPL(1.0, 1.0), 60) is None
     with pytest.raises(DomainError):
         detect_period(Params(1.0, 1.0), PointPL(1.0, 1.0), 0)
+
+
+def _exact_pl_step(p, q, s, t):
+    # the composed piecewise-linear step in exact arithmetic: the first
+    # factor, then the second
+    if s > 0:
+        t = t + p * s
+    return (q * t - s if t > 0 else -s), -t
+
+
+def _exact_phi(p, q, s, t):
+    # the conserved quadratic in exact arithmetic: ps^2 + pq st + qt^2,
+    # with t negated on the open second quadrant
+    if s < 0 < t:
+        t = -t
+    return p * s * s + p * q * s * t + q * t * t
+
+
+# integer pairs of finite type (pq <= 3), each with the number of
+# composed steps after which every start but the origin returns
+PL_FINITE_TYPE = {(1, 1): 5, (1, 2): 3, (2, 1): 3, (1, 3): 4, (3, 1): 4}
+
+
+def _rational_plane_starts(rng, n):
+    # n starts (s, t) of small signed rationals, never the origin
+    starts = []
+    while len(starts) < n:
+        nums, dens = rng.integers(-60, 61, 2), rng.integers(1, 61, 2)
+        if nums.any():
+            starts.append(tuple(Fraction(int(a), int(b)) for a, b in zip(nums, dens)))
+    return starts
+
+
+def test_exact_pl_orbits_of_finite_type_return_at_their_period():
+    rng = np.random.default_rng(84)
+    for (p, q), period in PL_FINITE_TYPE.items():
+        for start in _rational_plane_starts(rng, 50):
+            pt = start
+            for k in range(1, period + 1):
+                pt = _exact_pl_step(p, q, *pt)
+                assert (pt == start) == (k == period), (p, q, start, k)
+        # the float search finds the same period
+        for s, t in rng.uniform(-3.0, 3.0, (100, 2)).tolist():
+            assert detect_period(Params(p, q), PointPL(s, t), 40) == period
+
+
+def test_exact_pl_orbits_conserve_phi_exactly():
+    # hyperbolic pairs, then critical ones
+    pairs = [(1, 5), (2, 3), (Fraction(3, 2), 3), (Fraction(1, 2), 5), (1, 4), (2, 2)]
+    rng = np.random.default_rng(85)
+    for p, q in pairs:
+        for start in _rational_plane_starts(rng, 10):
+            value = _exact_phi(p, q, *start)
+            pt = start
+            for _ in range(60):
+                pt = _exact_pl_step(p, q, *pt)
+                assert _exact_phi(p, q, *pt) == value, (p, q, start)
+
+
+def test_float_pl_orbits_stay_within_measured_ulps_of_the_exact_orbits():
+    # measured in ulps of the exact orbit's sup norm, since coordinates
+    # pass near 0, where an ulp of the coordinate itself means nothing.
+    # Over 300 starts per pair in [-3, 3]^2 at 200 steps the largest gaps
+    # were 1.5 ulps at pq < 3 and 101.5 at pq = 3, where the gap grows by
+    # about half an ulp a step (501.5 at 1000 steps); each bound below
+    # leaves about half again
+    rng = np.random.default_rng(86)
+    steps = 200
+    for p, q in PL_FINITE_TYPE:
+        bound = 160 if p * q == 3 else 3
+        for s0, t0 in rng.uniform(-3.0, 3.0, (25, 2)).tolist():
+            exact = [(Fraction(s0), Fraction(t0))]
+            for _ in range(steps):
+                exact.append(_exact_pl_step(p, q, *exact[-1]))
+            norm = max(max(abs(s), abs(t)) for s, t in exact)
+            orbit = iterate_orbit(Params(p, q), OrbitKind.TROPICAL, (s0, t0), steps)
+            gap = max(abs(Fraction(a) - b) for pt, want in zip(orbit.points.tolist(), exact)
+                      for a, b in zip(pt, want))  # fmt: skip
+            assert gap <= bound * Fraction(math.ulp(float(norm))), (p, q, s0, t0)
 
 
 def test_sign_pair_banding():
@@ -433,6 +512,9 @@ def test_slope_delta_matches_polar_difference():
         checked += 1
     with pytest.raises(DomainError):
         slope_angle_delta(Params(3.0, 3.0), PointPL(-1.0, -1.0), PointPL(1.0, -1.0))
+    for s in (0.0, -1.0):
+        with pytest.raises(DomainError, match="image must have a positive first"):
+            slope_angle_delta(Params(3.0, 3.0), PointPL(1.0, -1.0), PointPL(s, -1.0))
 
 
 def test_branch_matrix_determinants_exact():
