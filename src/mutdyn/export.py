@@ -217,8 +217,9 @@ def parse_scan_json(text: str) -> ScanTable:
             for c in d["cells"]
         )
         p_values, q_values = reals(d["p_values"], "grid values"), reals(d["q_values"], "grid values")
-        if len(cells) != len(p_values) * len(q_values):
-            raise DomainError(f"{len(cells)} cells on a {len(p_values)} x {len(q_values)} grid")
+        # cell() reads cell (i, j) as the one at (p_values[i], q_values[j])
+        if [(c.p, c.q) for c in cells] != [(p, q) for p in p_values for q in q_values]:
+            raise DomainError(f"cells are not the {len(p_values)} x {len(q_values)} grid's points")
         steps = _count(d["steps"], "steps", 0)
         return ScanTable(p_values, q_values, OrbitKind(d["kind"]), steps, cells)
     except (KeyError, TypeError, ValueError) as exc:

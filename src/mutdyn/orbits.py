@@ -51,9 +51,6 @@ _MIN_POINTS = 16
 _DELTA = 0.01
 # angle change absorbed as rounding: the audit's rise, C7's plain-angle fall
 _ANGLE_SLACK = 1e-12
-# bytes of the one window-norm buffer the rational scan pass reuses for
-# every chunk of columns; a column that alone needs more gets it alone
-_WINDOW_BYTES = 2**20
 
 
 class OrbitKind(Enum):
@@ -265,109 +262,110 @@ def _tropical_orbits(params: Params, s0, t0, steps: int) -> list:
 def growth_classification(orbit: Orbit) -> GrowthVerdict:
     """Classify tail growth of the radius over the final half of an orbit.
 
-    Exponential when the least-squares slope of log-radius against
-    step index beats log(1.01); the ratio reported is exp(slope).
-    Otherwise linear when the affine fit of the radius itself climbs
-    by more than a quarter of the window's radius scale over the
-    window; the rate is that slope.  Otherwise bounded-like, with the
-    whole orbit's maximum log-radius attached.
+    Over n steps let env be the running maximum of the log radius (-745
+    at a radius of 0), h = (n + 1) // 2 and m = (h + n) // 2.
+    Exponential when the last quarter's rise sigma = (env[n] - env[m])
+    / (n - m) beats log(1.01) and is at least 0.9 of the third
+    quarter's, a steady rise of the envelope; the ratio is exp(sigma).
+    Otherwise linear when the affine fit of the radius over rows h..n
+    climbs by more than a quarter of max(1, its largest radius) there;
+    the rate is that slope.  Otherwise bounded-like, with the whole
+    orbit's maximum log-radius attached.
 
     An orbit truncated for leaving float range already demonstrated
     exponential escape; it is classified directly from its largest
     one-step log jump, with no length requirement.  Everything else
     needs at least 16 points.
     """
-    lr = orbit.log_radius
-    jump = np.max(np.diff(lr[np.isfinite(lr)]), initial=-math.inf)
-    half = (orbit.steps + 1) // 2
-    window = _sup_norm(*orbit.points[half:].T)
-    return _growth_verdict(orbit.steps, orbit.truncated, np.max(lr), jump, window)
+    radius = _sup_norm(*orbit.points.T)[:, None]
+    blocks = [(1, radius[1:])] if orbit.steps else []
+    _, *reduced = _tail_pass(radius[0], blocks, orbit.steps)
+    return _growth_verdict(orbit.steps, orbit.truncated, *(float(v[0]) for v in reduced))
 
 
-def _growth_verdict(steps, truncated, max_lr, jump, window) -> GrowthVerdict:
-    # growth_classification's rule on the reductions of an orbit of
-    # steps steps: whether it truncated, its largest log radius, its
-    # largest one-step jump between finite log radii (-inf for none)
-    # and the radii of its rows (steps + 1) // 2 .. steps
+def _tail_pass(r0, blocks, steps: int):
+    # growth_classification's reductions per column, from the start
+    # radii r0 and the (first step, radii) blocks of rows 1..steps; a
+    # column's rows end before its first radius that is not finite.
+    # Returned: finite to the end, the largest log radius and one-step
+    # log jump (-inf for none), env at rows h and m, and over rows
+    # h..steps the fit slope, summed from pre-scaled terms in row order
+    # (so no partial sum overflows and the blocking leaves its bits
+    # alone), and the largest radius.  Stops once no column is finite
+    h = (steps + 1) // 2
+    marks = (h, (h + steps) // 2)
+    dev = np.arange(h, steps + 1) - (h + steps) / 2
+    # a horizon under _MIN_POINTS points never reads the fit
+    weights = (dev / max(float(dev @ dev), 1.0))[:, None]
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        prev = max_lr = np.log(r0)
+        env = [np.full_like(r0, math.nan) for _ in marks]
+        jump = np.full_like(r0, -math.inf)
+        slope, top = np.zeros_like(r0), np.zeros_like(r0)
+        alive = np.ones(r0.shape, dtype=bool)
+        for first, radius in blocks:
+            end = first + len(radius)
+            lr = np.log(radius)
+            kept = np.logical_and.accumulate(np.isfinite(radius), axis=0) & alive
+            run = np.maximum(np.maximum.accumulate(np.where(kept, lr, -math.inf), axis=0), max_lr)
+            for k, row in enumerate(marks):
+                if first <= row < end:
+                    env[k] = run[row - first]
+            max_lr = run[-1]
+            step_jump = np.diff(lr, axis=0, prepend=prev[None])
+            jump = np.maximum(jump, np.where(kept, step_jump, -math.inf).max(axis=0))
+            alive &= kept[-1]
+            prev = lr[-1]
+            if end > h:
+                lo = max(first, h)
+                tail = radius[lo - first :]
+                terms = weights[lo - h : end - h] * tail
+                slope = np.add.accumulate(np.concatenate([slope[None], terms]), axis=0)[-1]
+                top = np.maximum(top, tail.max(axis=0))
+            if not alive.any():
+                break
+    return alive, max_lr, jump, *env, slope, top
+
+
+def _growth_verdict(steps, truncated, max_lr, jump, env_h, env_m, slope, top) -> GrowthVerdict:
+    # growth_classification's rule on one column of _tail_pass
     if truncated:
-        jump = 700.0 if jump == -math.inf else float(jump)
+        jump = 700.0 if jump == -math.inf else jump
         return GrowthVerdict(GrowthKind.EXPONENTIAL, ratio=math.exp(min(max(jump, 1.0), 700.0)))
     if steps + 1 < _MIN_POINTS:
         raise DomainError(
             f"growth classification needs at least {_MIN_POINTS} points, got {steps + 1}"
         )
-    half = (steps + 1) // 2
-    idx = np.arange(half, steps + 1, dtype=float)
-    radius = np.ascontiguousarray(window)
+    h = (steps + 1) // 2
+    m = (h + steps) // 2
     # an orbit through the exact origin has log radius -inf there; any
-    # finite stand-in far below the data keeps the fit meaningful
-    with np.errstate(divide="ignore"):
-        lr = np.log(radius)
-    lr = np.where(np.isfinite(lr), lr, -745.0)
-    sigma = float(np.polyfit(idx, lr, 1)[0])
-    if sigma > math.log1p(_DELTA):
+    # finite stand-in below every positive radius keeps the rises finite
+    env_h, env_m, env_n = (max(v, -745.0) for v in (env_h, env_m, max_lr))
+    sigma = (env_n - env_m) / (steps - m)
+    if sigma > math.log1p(_DELTA) and sigma >= 0.9 * (env_m - env_h) / (m - h):
         return GrowthVerdict(GrowthKind.EXPONENTIAL, ratio=math.exp(sigma))
-    rho = float(np.polyfit(idx, radius, 1)[0])
-    if rho > 0.0 and rho * (steps - half) > 0.25 * max(1.0, float(np.max(radius))):
-        return GrowthVerdict(GrowthKind.LINEAR, rate=rho)
-    return GrowthVerdict(GrowthKind.BOUNDED_LIKE, max_log_radius=float(max_lr))
-
-
-def _rational_pass(p, q, x, y, steps: int, window):
-    # one blocked pass of the birational map over the columns of one
-    # power-branch group, reduced as growth classification reads an
-    # orbit: per column whether it stayed in (0, inf) to the horizon,
-    # the largest log radius and the largest one-step log jump over the
-    # points before it left (-inf for no jump), and the radii of rows
-    # (steps + 1) // 2 .. steps written into window.  A chunk whose
-    # columns have all left range stops early
-    half = steps + 1 - len(window)
-    alive = np.ones(len(x), dtype=bool)
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        prev = np.log(_sup_norm(x, y))
-        max_lr = prev
-        jump = np.full(len(x), -math.inf)
-        for first, bx, by in _blocks(_rational_step(p, q), x, y, steps):
-            radius = _sup_norm(bx, by)
-            lr = np.log(radius)
-            inside = (bx > 0.0) & (bx < math.inf) & (by > 0.0) & (by < math.inf)
-            kept = np.logical_and.accumulate(inside, axis=0) & alive
-            max_lr = np.maximum(max_lr, np.where(kept, lr, -math.inf).max(axis=0))
-            step_jump = np.diff(lr, axis=0, prepend=prev[None])
-            jump = np.maximum(jump, np.where(kept, step_jump, -math.inf).max(axis=0))
-            alive &= kept[-1]
-            prev = lr[-1]
-            end = first + len(bx)
-            if end > half:
-                lo = max(first, half)
-                window[lo - half : end - half] = radius[lo - first :]
-            if not alive.any():
-                break
-    return alive, max_lr, jump
+    if slope > 0.0 and slope * (steps - h) > 0.25 * max(1.0, top):
+        return GrowthVerdict(GrowthKind.LINEAR, rate=slope)
+    return GrowthVerdict(GrowthKind.BOUNDED_LIKE, max_log_radius=max_lr)
 
 
 def _rational_verdicts(p, q, x, y, steps: int) -> list:
     # growth_classification(iterate_orbit(...)) of the birational map
-    # for the columns of exponents p, q and starts x, y (1-D arrays) at
-    # one horizon of at least _MIN_POINTS points, storing no orbit.
-    # Columns are grouped by their pair of power branches, so that a
-    # step makes one power call per coordinate, and each group is
-    # stepped in chunks as wide as the one window buffer holds
-    half = (steps + 1) // 2
-    rows = steps + 1 - half
-    window = np.empty((rows, max(1, _WINDOW_BYTES // (8 * rows))))
-    width = window.shape[1]
+    # for the columns of exponents p, q and starts x, y (1-D arrays),
+    # storing no orbit.  Columns are grouped by their pair of power
+    # branches, so that a step makes one power call per coordinate.  A
+    # coordinate leaves (0, inf) only for inf or nan (_iterate_rational),
+    # so an orbit stays in range while its radius is finite
     groups = {}
     for j, key in enumerate(zip(map(_int_exponent, p.tolist()), map(_int_exponent, q.tolist()))):
         groups.setdefault(key, []).append(j)
     verdicts = [None] * len(p)
-    for cols in groups.values():
-        for lo in range(0, len(cols), width):
-            idx = cols[lo : lo + width]
-            win = window[:, : len(idx)]
-            alive, max_lr, jump = _rational_pass(p[idx], q[idx], x[idx], y[idx], steps, win)
-            for k, j in enumerate(idx):
-                verdicts[j] = _growth_verdict(steps, not alive[k], max_lr[k], jump[k], win[:, k])
+    for idx in groups.values():
+        step = _rational_step(p[idx], q[idx])
+        blocks = ((i, _sup_norm(a, b)) for i, a, b in _blocks(step, x[idx], y[idx], steps))
+        alive, *reduced = _tail_pass(_sup_norm(x[idx], y[idx]), blocks, steps)
+        for j, dead, *column in zip(idx, (~alive).tolist(), *(v.tolist() for v in reduced)):
+            verdicts[j] = _growth_verdict(steps, dead, *column)
     return verdicts
 
 
@@ -601,14 +599,14 @@ def scan_grid(
     Each cell iterates the requested map from its starts and keeps the
     most severe verdict (exponential over linear over bounded-like).
     Cells are visited row-major in p then q, deterministically.  The
-    verdicts are growth_classification's of iterate_orbit's orbits.
-    Every input is checked before any orbit is stepped (the horizon,
-    the kind, the range ends, the resolution, then each cell's exponents
-    and starts in row-major order), so classification's "needs at least
-    16 points" comes last.
-    The birational map's orbits are stepped in one batched pass; a
-    piecewise-linear cell stops at its first exponential start, from
-    16 points on.
+    verdicts are growth_classification's of iterate_orbit's orbits, bit
+    for bit: the birational map's orbits are stepped in one batched pass
+    that keeps a few running reductions per orbit and stores none, and
+    a piecewise-linear cell stops at its first exponential start, from
+    16 points on.  Every input is checked before any orbit is stepped
+    (the horizon, the kind, the range ends, the resolution, then each
+    cell's exponents and starts in row-major order), so classification's
+    "needs at least 16 points" comes last.
     """
     steps = _horizon(steps)
     if kind is OrbitKind.RATIONAL:

@@ -268,6 +268,11 @@ def test_scan_json_rejects_bad_documents():
                 '"p_values": [], "q_values": [], "cells": 5}'):
         with pytest.raises(DomainError):
             parse_scan_json(bad)
+    # a cell off its grid point, which cell(i, j) would report as on it
+    doc = json.loads(export_json(scan_grid((0.5, 1.5), (0.5, 1.5), 2, OrbitKind.TROPICAL, 40)))
+    doc["cells"][0]["p"] = 7.0
+    with pytest.raises(DomainError, match="^not a scan table document: cells are not the 2 x 2"):
+        parse_scan_json(json.dumps(doc))
 
 
 def test_scan_json_refuses_documents_that_break_the_count_and_real_rules():

@@ -1,6 +1,7 @@
 """Orbit storage, growth verdicts, drift and angle audits, scans."""
 import math
 import warnings
+from functools import partial
 
 import numpy as np
 import pytest
@@ -220,6 +221,52 @@ def test_growth_exponential_above_critical_product():
     assert verdict.kind is GrowthKind.EXPONENTIAL
     lam = (9.0 - 2.0 + math.sqrt(9.0 * 5.0)) / 2.0
     assert abs(verdict.ratio - lam) < 1e-12 * lam
+    # an orbit that stays in float range grows by lambda(pq) a step
+    rng = np.random.default_rng(71)
+    for _ in range(40):
+        p, pq = rng.uniform(0.5, 3.0), rng.uniform(4.3, 9.0)
+        params, start = Params(p, pq / p), tuple(rng.uniform(-2.0, 2.0, 2))
+        pq = params.p * params.q
+        lam = (pq - 2.0 + math.sqrt(pq * (pq - 4.0))) / 2.0
+        for steps in (40, 200):
+            orbit = iterate_orbit(params, OrbitKind.TROPICAL, start, steps)
+            verdict = growth_classification(orbit)
+            assert not orbit.truncated and verdict.kind is GrowthKind.EXPONENTIAL
+            assert abs(verdict.ratio - lam) < 1e-12 * lam, (params, start, steps)
+
+
+def test_periodic_lattice_orbits_never_read_exponential():
+    # at the finite-type products every lattice orbit is periodic, so
+    # bounded, and a short horizon cuts its oscillation at any phase:
+    # Params(1, 2) from (1, 1) is the 3-cycle (1, 1), (3, -2), (-1, -1).
+    # A least-squares slope of the log radius read 247 of these 1920
+    # orbits as exponential; the linear test alone still reads a few of
+    # them as linear below 40 steps
+    starts = [(a, b) for a in range(-3, 4) for b in range(-3, 4) if a or b]
+    for p, q in ((1, 1), (1, 2), (2, 1), (1, 3), (3, 1)):
+        for start in starts:
+            for steps in (15, 16, 20, 30, 40, 60, 100, 200):
+                orbit = iterate_orbit(Params(p, q), OrbitKind.TROPICAL, start, steps)
+                kind = growth_classification(orbit).kind
+                assert kind is not GrowthKind.EXPONENTIAL, (p, q, start, steps)
+                assert kind is GrowthKind.BOUNDED_LIKE or steps < 40, (p, q, start, steps)
+
+
+def test_orbits_near_the_top_of_float_range_keep_their_verdicts():
+    # radii whose plain sum overflows: the fit adds pre-scaled terms, so
+    # no partial sum leaves float range
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for steps in (40, 200):
+            for start in ((1e306, 1e306), (1e307, -1e307), (1.5e308, 0.0)):
+                orbit = iterate_orbit(Params(1, 1), OrbitKind.TROPICAL, start, steps)
+                verdict = growth_classification(orbit)
+                assert not orbit.truncated and verdict.kind is GrowthKind.BOUNDED_LIKE
+            # the critical orbit from (1, 1) grows by 4 a step; scaled, so
+            # does its rate
+            orbit = iterate_orbit(Params(2, 2), OrbitKind.TROPICAL, (1e305, 1e305), steps)
+            verdict = growth_classification(orbit)
+            assert verdict.kind is GrowthKind.LINEAR and abs(verdict.rate - 4e305) < 1e-9 * 4e305
 
 
 def test_rational_critical_growth_is_exponential():
@@ -437,11 +484,28 @@ def test_scan_grid_geometry():
 
 def test_scan_grid_keeps_most_severe_verdict():
     # the origin start stays put (bounded-like) while (1, 1) grows
-    # linearly; the horizon must be long enough for the log-radius
-    # slope of linear growth to drop under the exponential threshold
+    # linearly
     table = scan_grid((2.0, 2.0), (2.0, 2.0), 1, OrbitKind.TROPICAL, 400,
                       StartPolicy(points=((0.0, 0.0), (1.0, 1.0))))
     assert table.cell(0, 0).verdict.kind is GrowthKind.LINEAR
+
+
+def test_scans_off_the_critical_band_read_their_regime():
+    # the benchmark's grid with 4 seeded starts a cell: outside
+    # |pq - 4| < 0.25 a cell reads bounded-like below the critical
+    # product and exponential above it, at every horizon.  A
+    # least-squares slope of the log radius read 15 rational and 27
+    # tropical cells against their regime at 40 steps
+    regime = {True: GrowthKind.BOUNDED_LIKE, False: GrowthKind.EXPONENTIAL}
+    for kind in OrbitKind:
+        for steps in (40, 200, 2000):
+            table = scan_grid((0.5, 3.0), (0.5, 3.0), 12, kind, steps, StartPolicy(seed=1, count=4))
+            wrong = [
+                (c.p, c.q, c.verdict.kind)
+                for c in table.cells
+                if abs(c.p * c.q - 4.0) >= 0.25 and c.verdict.kind is not regime[c.p * c.q < 4.0]
+            ]
+            assert wrong == [], (kind, steps)
 
 
 def test_scan_grid_small_product_rectangle_is_bounded_like():
@@ -498,22 +562,20 @@ def _rational_columns():
     pairs = [(n, m) for n in (1.0, 2.0, 3.0, 4.0) for m in (1.0, 2.5, 4.0)]
     pairs += [(2.5, n) for n in (1.0, 2.0, 3.0, 4.0)] + [(0.7, 0.9), (1.9, 2.2), (3.0, 3.0)]
     columns = [(p, q, *rng.uniform(0.5, 2.0, 2).tolist()) for p, q in pairs for _ in range(2)]
+    # the only column of its power-branch group
+    columns.append((1.0, 3.0, *rng.uniform(0.5, 2.0, 2).tolist()))
     for at, leaving in _LEAVING.items():
         for p, q, x, y in leaving:
             assert iterate_orbit(Params(p, q), OrbitKind.RATIONAL, (x, y), 100).truncated_at == at
         columns += leaving
-    # a shuffle mixes the power-branch groups and the chunks
+    # a shuffle mixes the power-branch groups
     return [columns[k] for k in rng.permutation(len(columns))]
 
 
-@pytest.mark.parametrize("width", [None, 1, 3])
-def test_batched_rational_verdicts_equal_the_per_orbit_classification(monkeypatch, width):
+def test_batched_rational_verdicts_equal_the_per_orbit_classification():
     columns = _rational_columns()
     p, q, x, y = (np.array(v) for v in zip(*columns))
-    for steps in (15, 16, 64, 65, 200) + ((2000,) if width != 1 else ()):
-        if width is not None:
-            rows = steps + 1 - (steps + 1) // 2
-            monkeypatch.setattr(orbits, "_WINDOW_BYTES", 8 * rows * width)
+    for steps in (15, 16, 64, 65, 200, 2000):
         got = orbits._rational_verdicts(p, q, x, y, steps)
         for column, verdict in zip(columns, got):
             pa, qa, xa, ya = column
@@ -524,20 +586,37 @@ def test_batched_rational_verdicts_equal_the_per_orbit_classification(monkeypatc
         assert GrowthKind.EXPONENTIAL in kinds and GrowthKind.BOUNDED_LIKE in kinds
 
 
-@pytest.mark.parametrize("width", [None, 1, 3])
-def test_batched_rational_scan_equals_the_per_orbit_scan_in_bytes(monkeypatch, width):
+def test_batched_rational_scan_equals_the_per_orbit_scan_in_bytes():
     explicit = StartPolicy(points=((1.0, 1.0), (0.6, 1.7), (1.0, 1e100)))
     cases = [(15, StartPolicy(seed=5, count=2)), (16, explicit), (65, StartPolicy(seed=6, count=3))]
     cases += [(200, explicit), (2000, StartPolicy(seed=7, count=2))]
     for steps, policy in cases:
-        if width is not None:
-            rows = steps + 1 - (steps + 1) // 2
-            monkeypatch.setattr(orbits, "_WINDOW_BYTES", 8 * rows * width)
         args = ((0.5, 4.0), (1.0, 4.0), 4, OrbitKind.RATIONAL, steps, policy)
         got, want = scan_grid(*args), _per_orbit_scan(*args)
         assert export_json(got) == export_json(want)
         for a, b in zip(got.cells, want.cells):
             assert _verdict_bits(a.verdict) == _verdict_bits(b.verdict)
+
+
+def test_tail_pass_over_many_columns_is_the_per_orbit_reduction():
+    # piecewise-linear orbits reduced in 64-row blocks of all columns at
+    # once: critical pairs grow linearly, so their verdicts carry the
+    # fit slope, whose bits must not depend on the width either
+    rng = np.random.default_rng(505)
+    p = rng.uniform(0.5, 3.0, 40)
+    q = np.where(np.arange(40) < 20, 4.0 / p, rng.uniform(0.5, 3.0, 40))
+    s, t = rng.uniform(-2.0, 2.0, (2, 40))
+    s[-5:] *= 1e300  # orbits that leave float range
+    for steps in (15, 16, 64, 65, 200):
+        step = partial(tropical._pl_step, p, q)
+        with np.errstate(over="ignore", invalid="ignore"):
+            blocks = [(i, tropical._sup_norm(*ab)) for i, *ab in tropical._blocks(step, s, t, steps)]
+        alive, *reduced = orbits._tail_pass(tropical._sup_norm(s, t), blocks, steps)
+        got = [orbits._growth_verdict(steps, not ok, *col) for ok, *col in zip(alive, *reduced)]
+        want = [growth_classification(iterate_orbit(Params(*pq), OrbitKind.TROPICAL, st, steps))
+                for pq, st in zip(zip(p, q), zip(s, t))]
+        assert [_verdict_bits(v) for v in got] == [_verdict_bits(v) for v in want], steps
+        assert {v.kind for v in got} == set(GrowthKind), steps
 
 
 def test_scan_errors_are_the_per_orbit_loops():
