@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from contextlib import nullcontext
 
 import numpy as np
 
@@ -33,12 +34,19 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
+# characters handed to the encoder per write, so that no encoded copy
+# of a whole long export is made
+_WRITE_CHARS = 1 << 20
+
+
 def _write_out(text: str, path):
     if path is None:
-        sys.stdout.write(text)
+        out = nullcontext(sys.stdout)
     else:
-        with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
+        out = open(path, "w", encoding="utf-8", newline="\n")
+    with out as fh:
+        for lo in range(0, len(text), _WRITE_CHARS):
+            fh.write(text[lo : lo + _WRITE_CHARS])
 
 
 def _add_params_args(sp):
@@ -136,7 +144,7 @@ def _cmd_levelset(args) -> int:
         text = render_svg(pieces)
     elif args.format == "json":
         arrays = [np.array(piece, dtype=float).reshape(-1, 2) for piece in pieces]
-        text = _emit({"level": float(args.level), "pieces": arrays}) + "\n"
+        text = _emit({"level": float(args.level), "pieces": arrays}, "\n")
     else:
         pts = np.array([pt for piece in pieces for pt in piece], dtype=float).reshape(-1, 2)
         which = [pi for pi, piece in enumerate(pieces) for _ in piece]
@@ -159,7 +167,7 @@ def _cmd_matclass(args) -> int:
     if args.full:
         text = export_json(result)
     else:
-        text = _emit({"size": result.size, "complete": result.complete}) + "\n"
+        text = _emit({"size": result.size, "complete": result.complete}, "\n")
     _write_out(text, args.out)
     return 0
 

@@ -18,6 +18,10 @@ from .orbits import GrowthKind, GrowthVerdict, Orbit, OrbitKind, ScanCell, ScanT
 
 __all__ = ["fmt_float", "export_csv", "export_json", "parse_scan_json"]
 
+# rows formatted and joined per chunk of a long export: the chunk's
+# texts are all that is held beside the finished pieces
+_ROWS = 4096
+
 
 def _fmt_col(a, quote: bool = False) -> list:
     """Every number of an array, flattened in C order, as text.
@@ -29,9 +33,11 @@ def _fmt_col(a, quote: bool = False) -> list:
     set.  Integer arrays print as integers.
 
     Values that compare equal print alike under this rule (0.0 and
-    -0.0 both print 0, every nan prints nan), so a column with repeats
-    formats each distinct value once and maps the texts back: the cost
-    is one ``repr`` per distinct number.
+    -0.0 both print 0, every nan prints nan), so an array with repeats
+    formats each distinct value once and maps the texts back.  The
+    exports call this on one chunk of ``_ROWS`` rows at a time, so the
+    cost is one ``repr`` per distinct number of each chunk, and no
+    text per number of a whole column is ever held.
     """
     a = np.asarray(a).ravel()
     if a.size > 1:
@@ -72,8 +78,11 @@ def fmt_float(v: float) -> str:
 
 def _csv(header: str, columns) -> str:
     """CSV text: the header, then one row per entry of the equal-length columns."""
-    cells = [_fmt_col(c) for c in columns]
-    return "\n".join([header, *map(",".join, zip(*cells))]) + "\n"
+    chunks = [header, "\n"]
+    for lo in range(0, len(columns[0]), _ROWS):
+        cells = [_fmt_col(c[lo : lo + _ROWS]) for c in columns]
+        chunks += ("\n".join(map(",".join, zip(*cells))), "\n")
+    return "".join(chunks)
 
 
 def export_csv(orbit: Orbit) -> str:
@@ -88,8 +97,9 @@ def export_csv(orbit: Orbit) -> str:
     return _csv("step,x,y", columns)
 
 
-def _emit_array(a: np.ndarray) -> str:
-    # format the whole array in one call, then nest the texts by shape
+def _nest(a: np.ndarray) -> str:
+    # the entries of a non-empty array's axis 0, comma-joined: its
+    # numbers are formatted in one call, then the texts nest by shape
     items = _fmt_col(a, quote=True)
     for axis in range(a.ndim - 1, 0, -1):
         k = a.shape[axis]
@@ -99,30 +109,60 @@ def _emit_array(a: np.ndarray) -> str:
         rows = zip(*[iter(items)] * k)
         if axis == 1:
             # the outermost level joins every row in one call
-            return "[[" + "],[".join(map(",".join, rows)) + "]]" if items else "[]"
+            return "[" + "],[".join(map(",".join, rows)) + "]"
         items = ["[" + ",".join(row) + "]" for row in rows]
-    return "[" + ",".join(items) + "]"
+    return ",".join(items)
 
 
-def _emit(obj) -> str:
+def _put(obj, out: list) -> None:
+    # append the JSON text of obj to out as pieces: a container appends
+    # its children's pieces, so no level copies a child's text
     if isinstance(obj, np.ndarray):
-        return _emit_array(obj)
-    if isinstance(obj, dict):
-        inner = ",".join(f"{json.dumps(k)}:{_emit(v)}" for k, v in obj.items())
-        return "{" + inner + "}"
-    if isinstance(obj, (list, tuple)):
-        return "[" + ",".join(_emit(v) for v in obj) + "]"
-    if isinstance(obj, bool):
-        return "true" if obj else "false"
-    if obj is None:
-        return "null"
-    if isinstance(obj, int):
-        return str(obj)
-    if isinstance(obj, float):
-        return _fmt_col(np.array([obj]), quote=True)[0]
-    if isinstance(obj, str):
-        return json.dumps(obj)
-    raise DomainError(f"cannot serialize {type(obj).__name__}")
+        # _ROWS entries of axis 0 at a time, so no text per number of
+        # the whole array is held at once
+        out.append("[")
+        for lo in range(0, len(obj), _ROWS):
+            if lo:
+                out.append(",")
+            out.append(_nest(obj[lo : lo + _ROWS]))
+        out.append("]")
+    elif isinstance(obj, dict):
+        out.append("{")
+        for i, (k, v) in enumerate(obj.items()):
+            out.append(("," if i else "") + json.dumps(k) + ":")
+            _put(v, out)
+        out.append("}")
+    elif isinstance(obj, (list, tuple)):
+        out.append("[")
+        for i, v in enumerate(obj):
+            if i:
+                out.append(",")
+            _put(v, out)
+        out.append("]")
+    elif isinstance(obj, bool):
+        out.append("true" if obj else "false")
+    elif obj is None:
+        out.append("null")
+    elif isinstance(obj, int):
+        out.append(str(obj))
+    elif isinstance(obj, float):
+        out.append(_fmt_col(np.array([obj]), quote=True)[0])
+    elif isinstance(obj, str):
+        out.append(json.dumps(obj))
+    else:
+        raise DomainError(f"cannot serialize {type(obj).__name__}")
+
+
+def _emit(obj, end: str = "") -> str:
+    """JSON text of obj followed by end, joined once from its pieces."""
+    out = []
+    _put(obj, out)
+    out.append(end)
+    return "".join(out)
+
+
+def _emit_array(a: np.ndarray) -> str:
+    return _emit(a)
 
 
 def _verdict_dict(verdict: GrowthVerdict) -> dict:
@@ -187,7 +227,7 @@ def export_json(obj) -> str:
         payload = _class_dict(obj)
     else:
         raise DomainError(f"no JSON export for {type(obj).__name__}")
-    return _emit(payload) + "\n"
+    return _emit(payload, "\n")
 
 
 def _parse_verdict(d: dict) -> GrowthVerdict:

@@ -11,7 +11,7 @@ from mutdyn.acceptance import _CLASS_SIZES
 from mutdyn.errors import DomainError, RangeError
 from mutdyn.exchange import ExtendedExchangeMatrix, mutate, mutation_class
 from mutdyn.params import Params
-from mutdyn.tropical import PointPL, mu1_c, mu2_c
+from mutdyn.tropical import PointPL, detect_period, mu1_c, mu2_c
 
 
 def _q_for_m(m: int) -> float:
@@ -170,14 +170,22 @@ def test_class_of_five_periodic_seed():
 
 
 def test_class_sizes_at_periodic_products():
-    # twice the orbit period in each case: the closure tracks the planar
-    # orbit together with the form flip
+    # twice the row's PL period in each case: the closure tracks the
+    # planar orbit together with the form flip
     expected = {3: 10, 4: 6, 5: 14, 6: 8, 7: 18, 8: 10}
-    for m, size in expected.items():
-        seed = ExtendedExchangeMatrix.from_exponents(1.0, _q_for_m(m), rows=((1.0, 1.0),))
-        res = mutation_class(seed, cap=4000)
-        assert res.complete, f"m={m} did not close"
-        assert res.size == size, f"m={m}: {res.size} != {size}"
+    rng = np.random.default_rng(30)
+    for m in range(3, 31):
+        params = Params(1.0, _q_for_m(m))
+        sizes = []
+        for row in [(1.0, 1.0), *rng.uniform(-3.0, 3.0, (3, 2)).tolist()]:
+            seed = ExtendedExchangeMatrix.from_exponents(params.p, params.q, rows=(row,))
+            res = mutation_class(seed, cap=4000)
+            period = detect_period(params, PointPL(*row), 4 * m)
+            assert res.complete, f"m={m}, row {row} did not close"
+            assert res.size == 2 * period, f"m={m}, row {row}: {res.size} != 2 x {period}"
+            sizes.append(res.size)
+        if m in expected:
+            assert sizes[0] == expected[m], f"m={m}, row (1, 1): {sizes[0]} != {expected[m]}"
 
 
 def test_cap_boundary():

@@ -3,11 +3,14 @@ import hashlib
 import json
 import math
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
 
 import mutdyn.acceptance
+import mutdyn.cli
+import mutdyn.export
 from mutdyn.cli import main
 from mutdyn.errors import DomainError
 from mutdyn.exchange import ExtendedExchangeMatrix, mutation_class
@@ -150,26 +153,33 @@ def _export_orbits():
     return orbits
 
 
-def test_orbit_exports_follow_the_number_rule_byte_for_byte():
+def test_orbit_exports_follow_the_number_rule_byte_for_byte(monkeypatch):
     orbits = _export_orbits()
     assert any(o.steps == 0 for o in orbits)
     assert orbits[-2].truncated
     assert not np.isfinite(orbits[-1].phi).all()
-    for orbit in orbits:
-        assert export_csv(orbit) == _rule_csv(orbit)
-        assert export_json(orbit) == _rule_json(orbit)
+    # the text does not depend on how many rows each chunk formats
+    for rows in (mutdyn.export._ROWS, 1, 3, 7):
+        monkeypatch.setattr(mutdyn.export, "_ROWS", rows)
+        for orbit in orbits:
+            assert export_csv(orbit) == _rule_csv(orbit)
+            assert export_json(orbit) == _rule_json(orbit)
 
 
-def test_class_export_follows_the_number_rule_byte_for_byte():
-    for seed in (
+def test_class_export_follows_the_number_rule_byte_for_byte(monkeypatch):
+    results = [mutation_class(seed) for seed in (
         ExtendedExchangeMatrix.from_exponents(1, 1, rows=((1, 0),), negated=True),
         ExtendedExchangeMatrix.from_exponents(1, 3, rows=((0.5, 1.25), (-2, 1e-3))),
-    ):
-        result = mutation_class(seed)
-        members = ",".join(_rule_rows(m.entries) for m in result.matrices)
-        want = '{"size":%d,"complete":%s,"matrices":[%s]}\n' % (
-            result.size, json.dumps(result.complete), members)
-        assert export_json(result) == want
+        # C9's class, 2946 members
+        ExtendedExchangeMatrix.from_exponents(1, 5, rows=((1, 1),)),
+    )]
+    for rows in (mutdyn.export._ROWS, 1, 3, 7):
+        monkeypatch.setattr(mutdyn.export, "_ROWS", rows)
+        for result in results:
+            members = ",".join(_rule_rows(m.entries) for m in result.matrices)
+            want = '{"size":%d,"complete":%s,"matrices":[%s]}\n' % (
+                result.size, json.dumps(result.complete), members)
+            assert export_json(result) == want
 
 
 _NEG_NAN = math.copysign(math.nan, -1.0)
@@ -220,17 +230,26 @@ def _rule_nested(x):
     return _rule_num(x, quote=True)
 
 
-@pytest.mark.parametrize("shape", [
-    (0,), (0, 2), (2, 0), (3, 2), (0, 2, 2), (2, 0, 2), (2, 2, 0), (3, 2, 2),
+_SHAPES = [(0,), (0, 2), (2, 0), (3, 2), (0, 2, 2), (2, 0, 2), (2, 2, 0), (3, 2, 2)]
+
+
+@pytest.mark.parametrize("shape, rows", [
+    pytest.param(shape, rows, id=f"shape{i}" + (f"-rows{rows}" if rows else ""))
+    for rows in (None, 1, 3) for i, shape in enumerate(_SHAPES)
 ])  # fmt: skip
-def test_emit_array_nests_like_the_lists_it_holds(shape):
+def test_emit_array_nests_like_the_lists_it_holds(shape, rows, monkeypatch):
+    if rows:
+        monkeypatch.setattr(mutdyn.export, "_ROWS", rows)
     values = [0.5, -0.0, math.nan, 3.0, 0.5, math.inf, 1e20, 0.0]
     a = np.resize(values, math.prod(shape)).reshape(shape)
     assert _emit_array(a) == _rule_nested(a.tolist())
     json.loads(_emit_array(a))
 
 
-def test_periodic_lattice_orbit_exports_follow_the_number_rule(capsys):
+@pytest.mark.parametrize("rows", [None, 1, 3], ids=["default", "rows1", "rows3"])
+def test_periodic_lattice_orbit_exports_follow_the_number_rule(capsys, monkeypatch, rows):
+    if rows:
+        monkeypatch.setattr(mutdyn.export, "_ROWS", rows)
     # p = q = 1 is the finite-type case: an integer start repeats with
     # period 5, so every column holds a handful of distinct values
     orbit = iterate_orbit(Params(1, 1), OrbitKind.TROPICAL, (3, -2), 1000)
@@ -241,6 +260,25 @@ def test_periodic_lattice_orbit_exports_follow_the_number_rule(capsys):
         code, out, _ = _run(capsys, argv + ["--format", fmt])
         assert code == 0
         assert out == rule(orbit)
+
+
+def test_exports_hold_no_text_per_number_of_a_whole_column():
+    # formatted a chunk of rows at a time and joined once, an export's
+    # peak allocation is about twice its text: the finished pieces and
+    # the joined document (a text per number of every column, and a
+    # copy per nesting level, took about 6x for CSV and 3x for JSON)
+    orbit = iterate_orbit(Params(1.3, 0.8), OrbitKind.TROPICAL, (0.4, -1.1), 16000)
+    # diagnostics are computed on first read: read them before tracing
+    assert all(len(d) for d in (orbit.log_radius, orbit.phi, orbit.polar, orbit.signs))
+    for export, bound in ((export_csv, 4.0), (export_json, 2.5)):
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            text = export(orbit)
+            peak = tracemalloc.get_traced_memory()[1] - start
+        finally:
+            tracemalloc.stop()
+        assert peak <= bound * len(text), (export.__name__, peak / len(text))
 
 
 def test_json_rejects_unsupported_objects():
@@ -372,7 +410,7 @@ def test_render_svg_widens_a_flat_box_by_one():
     assert svg.count("<line ") == 2
 
 
-def test_cli_out_writes_file(capsys, tmp_path):
+def test_cli_out_writes_file(capsys, tmp_path, monkeypatch):
     target = tmp_path / "orbit.csv"
     code, out, _ = _run(capsys, [
         "trop-orbit", "--p", "1", "--q", "1", "--s0", "1", "--t0", "0",
@@ -381,6 +419,17 @@ def test_cli_out_writes_file(capsys, tmp_path):
     assert code == 0
     assert out == ""
     assert target.read_text() == "step,s,t,phi\n0,1,0,1\n1,0,-1,1\n"
+    # a text longer than one write goes out in slices, to a file as to stdout
+    monkeypatch.setattr(mutdyn.cli, "_WRITE_CHARS", 7)
+    argv = ["trop-orbit", "--p", "1.3", "--q", "0.8", "--s0", "0.4", "--t0", "-1.1",
+            "--steps", "50", "--format", "json"]
+    code, out, _ = _run(capsys, argv + ["--out", str(target)])
+    assert code == 0 and out == ""
+    code, out, _ = _run(capsys, argv)
+    assert code == 0
+    want = export_json(iterate_orbit(Params(1.3, 0.8), OrbitKind.TROPICAL, (0.4, -1.1), 50))
+    assert len(want) % 7 and out == want
+    assert target.read_bytes() == out.encode("ascii")
 
 
 def test_cli_truncated_orbit_exits_two_with_prefix(capsys):

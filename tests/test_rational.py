@@ -29,6 +29,7 @@ from mutdyn.rational import (
     symplectic_residual,
     to_uv,
 )
+from mutdyn.tropical import PointPL, hat_mu1, hat_mu2
 
 
 def _random_params(rng, lo=0.3, hi=3.0):
@@ -133,6 +134,27 @@ def test_log_step_tracks_direct_step():
         img = mu_x(params, pt)
         assert abs(a - math.log(img.x)) <= 1e-11 * max(1.0, abs(math.log(img.x)))
         assert abs(b - math.log(img.y)) <= 1e-11 * max(1.0, abs(math.log(img.y)))
+
+
+def test_log_step_lies_within_log_2_above_its_tropicalization():
+    # softplus(u) - max(0, u) lies in (0, log 2] and softplus is
+    # increasing and 1-Lipschitz, so the first log coordinate exceeds
+    # hat_mu1's by at most log 2, and the second exceeds hat_mu2's by
+    # at most p log 2 carried over plus its own log 2
+    rng = np.random.default_rng(51)
+    log2 = math.log(2.0)
+    worst = [0.0, 0.0]
+    for _ in range(5000):
+        params = Params(*np.exp(rng.uniform(-2.0, 2.0, 2)).tolist())
+        a, b = (rng.choice([-1.0, 1.0], 2) * 10.0 ** rng.uniform(-3.0, 4.0, 2)).tolist()
+        a1, b1 = mu_x_log(params, (a, b))
+        pl = hat_mu2(params, hat_mu1(params, PointPL(a, b)))
+        slack = 1e-12 * max(1.0, abs(a), abs(b))
+        for k, (gap, top) in enumerate(((a1 - pl.s, log2), (b1 - pl.t, (1.0 + params.p) * log2))):
+            assert -slack <= gap <= top + slack, (params, a, b, k, gap)
+            worst[k] = max(worst[k], gap / top)
+    # the draws come close to both bounds, so neither is loose by much
+    assert worst[0] > 0.99 and worst[1] > 0.5
 
 
 def test_log_step_survives_where_direct_overflows():
