@@ -161,10 +161,6 @@ def _emit(obj, end: str = "") -> str:
     return "".join(out)
 
 
-def _emit_array(a: np.ndarray) -> str:
-    return _emit(a)
-
-
 def _verdict_dict(verdict: GrowthVerdict) -> dict:
     return {
         "kind": verdict.kind.value,

@@ -247,19 +247,24 @@ def _pl_step(p, q, s, t):
     return np.where(t1 > 0.0, ns + q * t1, ns), -t1
 
 
-# iterates _blocks hands over at a time, steps _record takes between
-# two range checks, and steps detect_period records at a time
+# most iterates _blocks hands over at a time, steps _record takes
+# between two range checks, and steps detect_period records at a time
 _STEP_BLOCK = 64
+# most numbers a _blocks buffer holds, so that a wide pass takes fewer
+# rows and its block temporaries keep one size whatever its width
+_BLOCK_NUMBERS = 8192
 
 
 def _blocks(step, a, b, steps: int):
     # iterates 1..steps of step, a map of column pairs, from the columns
     # a, b, handed over as (first step, a rows, b rows) in blocks of
-    # _STEP_BLOCK rows, the last one shorter.  The block buffers are
-    # reused, so a consumer reads each block before asking for the next;
-    # callers silence their step's overflow.  A pass that reduces per
-    # block makes its numpy calls once per block instead of once per step
-    ba = np.empty((min(_STEP_BLOCK, steps),) + np.shape(a))
+    # _STEP_BLOCK rows and _BLOCK_NUMBERS numbers at most (a row at the
+    # least), the last one shorter.  The block buffers are reused, so a
+    # consumer reads each block before asking for the next; callers
+    # silence their step's overflow.  A pass that reduces per block
+    # makes its numpy calls once per block instead of once per step
+    rows = min(_STEP_BLOCK, steps, max(1, _BLOCK_NUMBERS // max(1, np.size(a))))
+    ba = np.empty((rows,) + np.shape(a))
     bb = np.empty_like(ba)
     first = 1
     while first <= steps:

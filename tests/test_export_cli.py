@@ -14,7 +14,7 @@ import mutdyn.export
 from mutdyn.cli import main
 from mutdyn.errors import DomainError
 from mutdyn.exchange import ExtendedExchangeMatrix, mutation_class
-from mutdyn.export import _emit_array, _fmt_col, export_csv, export_json, fmt_float, parse_scan_json
+from mutdyn.export import _emit, _fmt_col, export_csv, export_json, fmt_float, parse_scan_json
 from mutdyn.orbits import OrbitKind, StartPolicy, iterate_orbit, scan_grid
 from mutdyn.params import Params
 from mutdyn.svg import render_svg
@@ -242,8 +242,8 @@ def test_emit_array_nests_like_the_lists_it_holds(shape, rows, monkeypatch):
         monkeypatch.setattr(mutdyn.export, "_ROWS", rows)
     values = [0.5, -0.0, math.nan, 3.0, 0.5, math.inf, 1e20, 0.0]
     a = np.resize(values, math.prod(shape)).reshape(shape)
-    assert _emit_array(a) == _rule_nested(a.tolist())
-    json.loads(_emit_array(a))
+    assert _emit(a) == _rule_nested(a.tolist())
+    json.loads(_emit(a))
 
 
 @pytest.mark.parametrize("rows", [None, 1, 3], ids=["default", "rows1", "rows3"])

@@ -1,5 +1,6 @@
 """Orbit storage, growth verdicts, drift and angle audits, scans."""
 import math
+import tracemalloc
 import warnings
 from functools import partial
 
@@ -720,15 +721,45 @@ def _array_passes(steps):
     return got + [d.tobytes() for d in _phi_drift_pass(tp, tq, s, t, steps, (1e3, None))]
 
 
-@pytest.mark.parametrize("block", [1, 3, 64])
-def test_array_passes_do_not_depend_on_the_step_block(monkeypatch, block):
+@pytest.mark.parametrize("block, numbers", [
+    pytest.param(block, numbers, id=f"{block}" + (f"-numbers{numbers}" if numbers else ""))
+    for numbers in (None, 1, 100) for block in (1, 3, 64)
+])  # fmt: skip
+def test_array_passes_do_not_depend_on_the_step_block(monkeypatch, block, numbers):
     # the block buffers are reused, so a pass that read a row after its
     # block, or a step that wrote into a row it still reads, would change
-    # bits most at small blocks
+    # bits most at small blocks; a budget of numbers gives each pass its
+    # own rows by its width (one row for the 60-column passes at 100)
     want = {steps: _array_passes(steps) for steps in (15, 64, 65, 200)}
     monkeypatch.setattr(tropical, "_STEP_BLOCK", block)
+    if numbers:
+        monkeypatch.setattr(tropical, "_BLOCK_NUMBERS", numbers)
     for steps, passes in want.items():
         assert _array_passes(steps) == passes, steps
+
+
+def test_wide_array_passes_hold_blocks_of_a_fixed_size():
+    # a block holds at most tropical._BLOCK_NUMBERS numbers, so a pass's
+    # temporaries do not grow with its width.  Traced peaks, blocks of 64
+    # rows against the budget: a 4000-column drift pass 17 against 0.8 MB,
+    # a 4096-orbit rational scan 25.6 against 3.3 MB (its table included)
+    rng = np.random.default_rng(505)
+    p, q = rng.uniform(0.3, 3.0, (2, 4000))
+    s, t = rng.uniform(-2.0, 2.0, (2, 4000))
+    policy = StartPolicy(seed=1, count=4)
+    passes = (
+        (lambda: phi_drift_batch(p, q, s, t, 200), 4e6),
+        (lambda: scan_grid((0.5, 3.0), (0.5, 3.0), 32, OrbitKind.RATIONAL, 200, policy), 8e6),
+    )
+    for run, bound in passes:
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            run()
+            peak = tracemalloc.get_traced_memory()[1] - start
+        finally:
+            tracemalloc.stop()
+        assert peak <= bound, (peak, bound)
 
 
 def test_drift_pass_starts_where_the_cross_term_meets_an_overflowing_product():

@@ -381,6 +381,43 @@ def test_exact_orbits_at_pq_four_keep_their_invariant():
                 assert invariant(*pt) == value
 
 
+class _Dual:
+    # a rational value with its exact gradient in the start (x, y):
+    # forward-mode differentiation over Fraction, enough for _exact_step
+    def __init__(self, value, grad):
+        self.value, self.grad = value, grad
+
+    def __add__(self, other):  # other is an int
+        return _Dual(self.value + other, self.grad)
+
+    __radd__ = __add__
+
+    def __mul__(self, other):
+        grad = tuple(self.value * b + other.value * a for a, b in zip(self.grad, other.grad))
+        return _Dual(self.value * other.value, grad)
+
+    def __pow__(self, n):  # n is a positive int
+        return self if n == 1 else self * self ** (n - 1)
+
+    def __truediv__(self, other):
+        value = self.value / other.value
+        grad = tuple((a - value * b) / other.value for a, b in zip(self.grad, other.grad))
+        return _Dual(value, grad)
+
+
+def test_exact_jacobian_preserves_the_log_symplectic_form():
+    # mu_x preserves dx dy / (x y): its exact Jacobian has det J x y =
+    # x' y' at every point, for finite (pq < 4), critical (pq = 4) and
+    # hyperbolic (pq > 4) integer pairs alike
+    rng = np.random.default_rng(84)
+    for p in (1, 2, 3):
+        for q in (1, 2, 4, 5):
+            for x, y in _rational_starts(rng, 50):
+                nx, ny = _exact_step(p, q, _Dual(x, (1, 0)), _Dual(y, (0, 1)))
+                (a, b), (c, d) = nx.grad, ny.grad
+                assert (a * d - b * c) * x * y == nx.value * ny.value, (p, q, x, y)
+
+
 def test_float_orbits_stay_within_measured_ulps_of_the_exact_orbits():
     # each float start is a rational, so its exact orbit is the oracle.
     # Over 600 starts per pair in [0.5, 2]^2 the largest gaps seen were
