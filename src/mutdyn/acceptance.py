@@ -21,7 +21,7 @@ import subprocess
 import sys
 import time
 from dataclasses import dataclass
-from functools import reduce
+from functools import partial, reduce
 
 import numpy as np
 
@@ -31,19 +31,20 @@ from .orbits import (
     OrbitKind,
     StartPolicy,
     GrowthKind,
-    _ANGLE_SLACK,
+    _first_rises,
     _phi_drift_pass,
-    _tropical_orbits,
     iterate_orbit,
-    monotonic_angle_audit,
     scan_grid,
 )
 from .params import Params, _kappa, _nu, kappa_nu, theta_of
 from .rational import PointPos, mu_x_log, symplectic_residual
 from .tropical import (
     PointPL,
+    _blocks,
     _closed_forms,
     _conserved,
+    _lift,
+    _pl_step,
     _quad_coefs,
     _record_orbit,
     _sign_coherent_indices,
@@ -229,26 +230,32 @@ def _c7_angle_and_signs():
     nonneg = negative = 0
     witness = None
     for (p, q), row in zip(pairs, starts):
-        params = Params(p, q)
+        # a pair's orbits, one column each; none leaves float range or
+        # meets the origin (the map fixes it), so every angle is defined
         s0, t0 = np.array([start.as_tuple() for start in row]).T
+        ss, ts = np.empty((2, 201, len(row)))
+        ss[0], ts[0] = s0, t0
+        for first, bs, bt in _blocks(partial(_pl_step, p, q), s0, t0, 200):
+            ss[first : first + len(bs)], ts[first : first + len(bt)] = bs, bt
         values = _conserved(_quad_coefs(p, q), s0, t0).tolist()
-        for start, value, orbit in zip(row, values, _tropical_orbits(params, s0, t0, 200)):
+        rises = _first_rises(_lift(Params(p, q), ss, ts)[0])
+        # negation is exact, so a rise of -atan2 is a fall of atan2
+        falls = _first_rises(-np.arctan2(ts, ss))
+        fourth = ((ss > 0.0) & (ts < 0.0)).all(axis=0).tolist()
+        for start, value, rise, fell, inside in zip(row, values, rises, falls, fourth):
             where = f"p={p} q={q} start={start.as_tuple()}"
             if value >= 0.0:
                 nonneg += 1
-                bad = monotonic_angle_audit(orbit)
-                if bad is not None:
-                    return False, f"angle rose at step {bad} from value {value:.3g} >= 0, {where}"
+                if rise is not None:
+                    return False, f"angle rose at step {rise} from value {value:.3g} >= 0, {where}"
             else:
                 negative += 1
-                s, t = orbit.points[:, 0], orbit.points[:, 1]
-                if not ((s > 0.0) & (t < 0.0)).all():
+                if not inside:
                     return False, f"value {value:.3g} < 0 left the open fourth quadrant, {where}"
-                fell = np.nonzero(np.diff(np.arctan2(t, s)) < -_ANGLE_SLACK)[0]
-                if len(fell):
-                    return False, f"unlifted angle fell at step {fell[0] + 1}, {where}"
+                if fell is not None:
+                    return False, f"unlifted angle fell at step {fell}, {where}"
                 if witness is None:
-                    witness = (p, q, start.as_tuple(), value, monotonic_angle_audit(orbit))
+                    witness = (p, q, start.as_tuple(), value, rise)
             n0 = next(coherent)
             if n0 is None:
                 return False, f"no sign coherence by 500 for {where}"

@@ -24,10 +24,11 @@ class RangeError(MutdynError, OverflowError):
 def _count(value, name: str, low: int) -> int:
     # every count argument's check: an integral value (an int, a numpy
     # integer or an integral float) of at least low, returned as an int;
-    # int() alone would truncate 2.5 and raise a bare error on nan or inf
+    # int() alone would truncate 2.5 and raise a bare error on nan, inf
+    # or None
     try:
         n = int(value)
-    except (ValueError, OverflowError):
+    except (TypeError, ValueError, OverflowError):
         n = None
     if n is None or n != value:
         raise DomainError(f"{name} must be an integer, got {value!r}")

@@ -240,25 +240,6 @@ def iterate_orbit(params: Params, kind: OrbitKind, start, steps: int) -> Orbit:
     return Orbit(params=params, kind=kind, points=pts, requested_steps=steps, truncated_at=trunc)
 
 
-def _tropical_orbits(params: Params, s0, t0, steps: int) -> list:
-    # iterate_orbit's tropical orbits for the 1-D starts s0, t0, recorded
-    # in one array pass with the scalar recorder's bits; an orbit ends
-    # before its first row that is not finite, which is its truncation
-    p, q, s, t = _columns(params.p, params.q, s0, t0)
-    ss = np.empty((steps + 1,) + s.shape)
-    ts = np.empty_like(ss)
-    ss[0], ts[0] = s, t
-    with np.errstate(over="ignore", invalid="ignore"):
-        for row, bs, bt in _blocks(partial(_pl_step, p, q), s, t, steps):
-            ss[row : row + len(bs)], ts[row : row + len(bt)] = bs, bt
-    bad = ~(np.isfinite(ss) & np.isfinite(ts))
-    truncs = [int(i) if hit else None for i, hit in zip(bad.argmax(axis=0), bad.any(axis=0))]
-    return [
-        Orbit(params, OrbitKind.TROPICAL, np.column_stack([ss[:k, j], ts[:k, j]]), steps, k)
-        for j, k in enumerate(truncs)
-    ]
-
-
 def growth_classification(orbit: Orbit) -> GrowthVerdict:
     """Classify tail growth of the radius over the final half of an orbit.
 
@@ -417,8 +398,15 @@ def monotonic_angle_audit(orbit: Orbit):
     th = orbit.polar
     if np.isnan(th).any():
         raise DomainError("orbit passes through the origin, angle undefined there")
-    bad = np.nonzero(np.diff(th) > _ANGLE_SLACK)[0]
-    return int(bad[0] + 1) if len(bad) else None
+    return _first_rises(th[:, None])[0]
+
+
+def _first_rises(theta) -> list:
+    # monotonic_angle_audit's rule on each column of a (steps + 1, N)
+    # angle array: the first step whose angle beats the step before by
+    # more than _ANGLE_SLACK, or None where no step does
+    rose = np.diff(theta, axis=0, prepend=theta[:1]) > _ANGLE_SLACK
+    return [int(i) if hit else None for i, hit in zip(rose.argmax(axis=0), rose.any(axis=0))]
 
 
 def phi_drift_batch(p, q, s0, t0, steps: int, scale_cap: float | None = None):

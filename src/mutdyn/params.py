@@ -23,7 +23,7 @@ from enum import Enum, auto
 
 import numpy as np
 
-from .errors import RangeError, RegimeError, _real
+from .errors import RangeError, RegimeError, _count, _real
 from .floatops import EQ_TOL, close_rel
 
 __all__ = [
@@ -126,6 +126,7 @@ def detect_m(params: Params, cap: int = 10**6):
     the inversion.  Returns None when no integer at or below ``cap``
     matches, and always None at or above the critical product.
     """
+    cap = _count(cap, "cap", 1)
     pq = params.pq
     if pq >= 4.0:
         return None

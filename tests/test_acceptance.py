@@ -10,7 +10,7 @@ import time
 
 import pytest
 
-from mutdyn import acceptance
+from mutdyn import acceptance, tropical
 from mutdyn.acceptance import CRITERIA, Criterion, run_all
 
 
@@ -68,6 +68,14 @@ def test_criterion_detail_is_pinned(verdicts, cid):
     _, detail = verdicts[cid]
     # the last "; " opens the timing suffix
     assert detail.rpartition("; ")[0] == PINNED_DETAILS[cid]
+
+
+@pytest.mark.parametrize("name, value", [("_STEP_BLOCK", 1), ("_STEP_BLOCK", 3), ("_BLOCK_NUMBERS", 100)])
+def test_c7_detail_does_not_depend_on_the_block(monkeypatch, name, value):
+    # C7 copies each block of its orbits out before the next one
+    # overwrites it; a budget of 100 numbers makes every block one row
+    monkeypatch.setattr(tropical, name, value)
+    assert acceptance._c7_angle_and_signs() == (True, PINNED_DETAILS["C7"])
 
 
 def _slow(ok, detail):

@@ -11,8 +11,8 @@ from mutdyn import orbits, tropical
 from mutdyn.errors import DomainError, RangeError
 from mutdyn.export import export_json
 from mutdyn.orbits import (
+    _first_rises,
     _phi_drift_pass,
-    _tropical_orbits,
     MAX_ORBIT_POINTS,
     GrowthKind,
     GrowthVerdict,
@@ -82,30 +82,6 @@ def test_truncation_on_float_range_exit():
     assert orbit.points.shape == (1, 2)
     assert orbit.steps == 0
     assert orbit.requested_steps == 50
-
-
-def test_batched_tropical_orbits_equal_iterate_orbit_bit_for_bit():
-    # one array pass over many starts gives each start's iterate_orbit
-    # orbit: points (signed zeros included), truncation and horizon
-    rng = np.random.default_rng(78)
-    starts = [(1e300, -2e299), (2e299, 1e300), (-1e300, 5e299), (0.0, 0.0), (-0.0, 0.0)]
-    starts += [(0.0, -0.0), (-0.0, -0.0), (1.0, -0.0)]
-    starts += [tuple(float(v) for v in rng.uniform(-3.0, 3.0, 2)) for _ in range(40)]
-    s0, t0 = (np.array(v) for v in zip(*starts))
-    for params in (Params(3.0, 3.0), Params(1.0, 9.0), Params(1.0, 1.0), Params(0.7, 2.1)):
-        for steps in (0, 1, 120):
-            batched = _tropical_orbits(params, s0, t0, steps)
-            assert len(batched) == len(starts)
-            for start, got in zip(starts, batched):
-                want = iterate_orbit(params, OrbitKind.TROPICAL, start, steps)
-                assert got.points.tobytes() == want.points.tobytes()
-                assert got.points.shape == want.points.shape
-                assert got.truncated_at == want.truncated_at
-                assert got.requested_steps == want.requested_steps == steps
-                assert got.kind is OrbitKind.TROPICAL and got.params == params
-                assert np.array_equal(got.phi, want.phi, equal_nan=True)
-    # the near-range starts at pq = 9 do truncate
-    assert all(o.truncated for o in _tropical_orbits(Params(3.0, 3.0), s0[:3], t0[:3], 120))
 
 
 def _mu_x_orbit(params, start, steps):
@@ -345,6 +321,32 @@ def test_angle_audit_passes_nonnegative_conserved_start():
     boundary = iterate_orbit(Params(2, 2), OrbitKind.TROPICAL, (1, -1), 50)
     assert float(boundary.phi[0]) == 0.0
     assert monotonic_angle_audit(boundary) is None
+
+
+def test_first_rises_of_columns_are_the_audit_of_each_orbit():
+    # escape orbits from starts of both signs of the conserved value, one
+    # column each: the column reduction gives each orbit's audit, and the
+    # first index of the rule written out step by step; negated atan2
+    # gives the first fall of the plain angle the same way
+    rng = np.random.default_rng(707)
+    starts = [(1.0, -1.0), (1.0, 0.0)] + [tuple(rng.uniform(-2.0, 2.0, 2)) for _ in range(40)]
+    signs, found = set(), set()
+    for params in (Params(3.0, 3.0), Params(2.0, 2.0), Params(1.3, 4.1)):
+        for steps in (0, 1, 60):
+            runs = [iterate_orbit(params, OrbitKind.TROPICAL, pt, steps) for pt in starts]
+            polar = np.column_stack([o.polar for o in runs])
+            plain = np.column_stack([np.arctan2(o.points[:, 1], o.points[:, 0]) for o in runs])
+            for theta in (polar, -plain):
+                rose = [np.nonzero(np.diff(col) > 1e-12)[0] for col in theta.T]
+                assert _first_rises(theta) == [int(r[0]) + 1 if len(r) else None for r in rose]
+            rises = _first_rises(polar)
+            assert rises == [monotonic_angle_audit(o) for o in runs]
+            signs.update(float(o.phi[0]) < 0.0 for o in runs)
+            found.update(r is not None for r in rises)
+            if params == Params(3.0, 3.0) and steps == 60:
+                # from (1, -1) the lifted angle first rises at step 2
+                assert rises[0] == 2
+    assert signs == found == {True, False}
 
 
 def test_angle_audit_domain_errors():
@@ -710,14 +712,13 @@ def test_blocked_drift_pass_equals_the_per_step_loop_bit_for_bit():
 
 
 def _array_passes(steps):
-    # what the three array passes over tropical._blocks return, as bytes
+    # what the two array passes over tropical._blocks return, as bytes
     p, q, x, y = (np.array(v) for v in zip(*_rational_columns()))
     rng = np.random.default_rng(404)
     tp, tq = rng.uniform(0.3, 6.0, (2, 60))
     s, t = rng.uniform(-2.0, 2.0, (2, 60))
     s[:10] *= 1e150  # orbits that truncate, quadratics that overflow
     got = [_verdict_bits(v) for v in orbits._rational_verdicts(p, q, x, y, steps)]
-    got += [(o.points.tobytes(), o.truncated_at) for o in _tropical_orbits(Params(2.5, 3.0), s, t, steps)]
     return got + [d.tobytes() for d in _phi_drift_pass(tp, tq, s, t, steps, (1e3, None))]
 
 

@@ -18,6 +18,7 @@ from mutdyn import (
     StartPolicy,
     V_dist,
     chebyshev_u,
+    detect_m,
     detect_period,
     first_sign_coherent_index,
     fixed_curves,
@@ -80,13 +81,14 @@ COUNTS = {
     "mutation_class": (lambda n: mutation_class(ExtendedExchangeMatrix(((0, 1), (-1, 0))), n), "cap", 1),
     "levelset_points": (lambda n: levelset_points(_ONE, 1.0, n), "samples_per_piece", 2),
     "mutate": (lambda n: mutate(ExtendedExchangeMatrix(((0, 1), (-1, 0))), n), "mutation direction", 1),
+    "detect_m": (lambda n: detect_m(_ONE, n), "cap", 1),
 }
 
 
 @pytest.mark.parametrize("entry", COUNTS)
 def test_count_arguments_are_integers_at_or_above_their_least_value(entry):
     call, name, low = COUNTS[entry]
-    for bad in (math.nan, math.inf, -math.inf, 2.5, -0.5):
+    for bad in (math.nan, math.inf, -math.inf, 2.5, -0.5, None, "2"):
         with pytest.raises(DomainError) as err:
             call(bad)
         assert str(err.value) == f"{name} must be an integer, got {bad!r}"

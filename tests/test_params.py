@@ -95,6 +95,16 @@ def test_detect_m_rejects_generic_and_escape():
     assert detect_m(Params(1.0, 3.99999), cap=100) is None
 
 
+def test_detect_m_checks_its_cap_on_both_sides_of_the_critical_product():
+    # the cap is checked before the early return at pq >= 4, so a bad cap
+    # fails the same way whatever the product
+    for params in (Params(1.0, 1.0), Params(3.0, 3.0)):
+        for bad in ("10", None, 2.5, math.nan, -1):
+            with pytest.raises(DomainError):
+                detect_m(params, cap=bad)
+        detect_m(params, cap=3.0)
+
+
 def test_detect_m_brute_force_oracle():
     # independent check: scan all m up to a bound instead of inverting
     cand_m = np.arange(3, 2001)

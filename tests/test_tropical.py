@@ -7,7 +7,7 @@ import pytest
 from mutdyn.errors import DomainError, RangeError, RegimeError
 from mutdyn.floatops import EQ_TOL, close_rel, det2
 from mutdyn import tropical
-from mutdyn.orbits import OrbitKind, _tropical_orbits, iterate_orbit
+from mutdyn.orbits import OrbitKind, iterate_orbit
 from mutdyn.params import Params
 from mutdyn.tropical import (
     PointPL,
@@ -580,32 +580,6 @@ def _recorder_cases():
         s0, t0 = (float(v) for v in rng.uniform(-3.0, 3.0, 2))
         cases.append((p, q, s0, t0))
     return cases
-
-
-def test_record_orbits_columns_equal_the_scalar_recorder_bit_for_bit():
-    # the array recorder of the tropical orbits, one Params at a time:
-    # each orbit is the scalar recorder's, truncation included
-    cases = _recorder_cases()
-    for steps in (0, 1, 150):
-        for pj, qj, sj, tj in cases:
-            params = Params(pj, qj)
-            (orbit,) = _tropical_orbits(params, np.array([sj]), np.array([tj]), steps)
-            want_s, want_t, want_trunc = tropical._record_orbit(params, sj, tj, steps)
-            assert orbit.truncated_at == want_trunc
-            assert _bits(orbit.points[:, 0]) == _bits(want_s)
-            assert _bits(orbit.points[:, 1]) == _bits(want_t)
-    # the near-range starts truncate, at different steps
-    truncs = [
-        _tropical_orbits(Params(pj, qj), np.array([sj]), np.array([tj]), 150)[0].truncated_at
-        for pj, qj, sj, tj in cases[:4]
-    ]
-    assert None not in truncs and len(set(truncs)) > 1
-    # many starts of one Params in one pass
-    _, _, s0, t0 = (np.array(v) for v in zip(*cases))
-    for orbit, sj, tj in zip(_tropical_orbits(Params(2.0, 3.0), s0, t0, 20), s0, t0):
-        want_s, want_t, _ = tropical._record_orbit(Params(2.0, 3.0), float(sj), float(tj), 20)
-        assert _bits(orbit.points[:, 0]) == _bits(want_s)
-        assert _bits(orbit.points[:, 1]) == _bits(want_t)
 
 
 def _per_step_record(params, s, t, steps):
