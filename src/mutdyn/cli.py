@@ -8,13 +8,12 @@ from __future__ import annotations
 
 import argparse
 import sys
-from contextlib import nullcontext
 
 import numpy as np
 
 from .errors import DomainError, RangeError, RegimeError
 from .exchange import ExtendedExchangeMatrix, mutation_class
-from .export import _csv, _emit, export_csv, export_json
+from .export import _csv, _document, _orbit_csv, _payload
 from .levelset import levelset_points
 from .orbits import OrbitKind, StartPolicy, iterate_orbit, scan_grid
 from .params import Params
@@ -34,19 +33,16 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
-# characters handed to the encoder per write, so that no encoded copy
-# of a whole long export is made
-_WRITE_CHARS = 1 << 20
-
-
-def _write_out(text: str, path):
+def _write_out(pieces, path):
+    # each piece is written as it is made, so no whole document is held
     if path is None:
-        out = nullcontext(sys.stdout)
-    else:
-        out = open(path, "w", encoding="utf-8", newline="\n")
-    with out as fh:
-        for lo in range(0, len(text), _WRITE_CHARS):
-            fh.write(text[lo : lo + _WRITE_CHARS])
+        sys.stdout.writelines(pieces)
+        return
+    try:
+        with open(path, "w", encoding="utf-8", newline="\n") as fh:
+            fh.writelines(pieces)
+    except OSError as exc:
+        raise DomainError(f"cannot write {path}: {exc.strerror or exc}") from None
 
 
 def _add_params_args(sp):
@@ -59,12 +55,12 @@ def _add_output_args(sp):
     sp.add_argument("--out", default=None, help="output path (default stdout)")
 
 
-def _orbit_text(orbit, fmt: str) -> str:
+def _orbit_text(orbit, fmt: str):
     if fmt == "csv":
-        return export_csv(orbit)
+        return _orbit_csv(orbit)
     if fmt == "json":
-        return export_json(orbit)
-    return render_svg(orbit)
+        return _document(_payload(orbit))
+    return [render_svg(orbit)]
 
 
 def _cmd_orbit(args) -> int:
@@ -132,7 +128,7 @@ def _cmd_scan(args) -> int:
         args.steps,
         policy,
     )
-    _write_out(export_json(table), args.out)
+    _write_out(_document(_payload(table)), args.out)
     return 0
 
 
@@ -141,16 +137,16 @@ def _cmd_levelset(args) -> int:
         Params(args.p, args.q), args.level, samples_per_piece=args.samples
     )
     if args.format == "svg":
-        text = render_svg(pieces)
+        doc = [render_svg(pieces)]
     elif args.format == "json":
         arrays = [np.array(piece, dtype=float).reshape(-1, 2) for piece in pieces]
-        text = _emit({"level": float(args.level), "pieces": arrays}, "\n")
+        doc = _document({"level": float(args.level), "pieces": arrays})
     else:
         pts = np.array([pt for piece in pieces for pt in piece], dtype=float).reshape(-1, 2)
         which = [pi for pi, piece in enumerate(pieces) for _ in piece]
         index = [idx for piece in pieces for idx in range(len(piece))]
-        text = _csv("piece,index,s,t", [which, index, pts[:, 0], pts[:, 1]])
-    _write_out(text, args.out)
+        doc = _csv("piece,index,s,t", [which, index, pts[:, 0], pts[:, 1]])
+    _write_out(doc, args.out)
     return 0
 
 
@@ -164,11 +160,8 @@ def _cmd_matclass(args) -> int:
         args.p, args.q, rows=_parse_rows(args.rows), negated=args.negated
     )
     result = mutation_class(seed, cap=args.cap)
-    if args.full:
-        text = export_json(result)
-    else:
-        text = _emit({"size": result.size, "complete": result.complete}, "\n")
-    _write_out(text, args.out)
+    payload = _payload(result) if args.full else {"size": result.size, "complete": result.complete}
+    _write_out(_document(payload), args.out)
     return 0
 
 

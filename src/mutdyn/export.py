@@ -18,8 +18,8 @@ from .orbits import GrowthKind, GrowthVerdict, Orbit, OrbitKind, ScanCell, ScanT
 
 __all__ = ["fmt_float", "export_csv", "export_json", "parse_scan_json"]
 
-# rows formatted and joined per chunk of a long export: the chunk's
-# texts are all that is held beside the finished pieces
+# rows formatted and joined into each piece of a long export: the CLI
+# writes each piece as it is made, so it holds one piece's texts
 _ROWS = 4096
 
 
@@ -76,13 +76,24 @@ def fmt_float(v: float) -> str:
     return _fmt_col(np.array([float(v)]))[0]
 
 
-def _csv(header: str, columns) -> str:
-    """CSV text: the header, then one row per entry of the equal-length columns."""
-    chunks = [header, "\n"]
+def _csv(header: str, columns):
+    """CSV text as pieces: the header, then one row per entry of the equal-length columns."""
+    yield header
+    yield "\n"
     for lo in range(0, len(columns[0]), _ROWS):
         cells = [_fmt_col(c[lo : lo + _ROWS]) for c in columns]
-        chunks += ("\n".join(map(",".join, zip(*cells))), "\n")
-    return "".join(chunks)
+        yield "\n".join(map(",".join, zip(*cells)))
+        yield "\n"
+
+
+def _orbit_csv(orbit: Orbit):
+    # the pieces of export_csv; the step column is a range, so no whole
+    # integer column is allocated
+    pts = orbit.points
+    columns = [range(len(pts)), pts[:, 0], pts[:, 1]]
+    if orbit.kind is OrbitKind.TROPICAL:
+        return _csv("step,s,t,phi", columns + [orbit.phi])
+    return _csv("step,x,y", columns)
 
 
 def export_csv(orbit: Orbit) -> str:
@@ -90,11 +101,7 @@ def export_csv(orbit: Orbit) -> str:
 
     Tropical orbits add the conserved quadratic as a final column.
     """
-    pts = orbit.points
-    columns = [np.arange(len(pts)), pts[:, 0], pts[:, 1]]
-    if orbit.kind is OrbitKind.TROPICAL:
-        return _csv("step,s,t,phi", columns + [orbit.phi])
-    return _csv("step,x,y", columns)
+    return "".join(_orbit_csv(orbit))
 
 
 def _nest(a: np.ndarray) -> str:
@@ -114,51 +121,49 @@ def _nest(a: np.ndarray) -> str:
     return ",".join(items)
 
 
-def _put(obj, out: list) -> None:
-    # append the JSON text of obj to out as pieces: a container appends
-    # its children's pieces, so no level copies a child's text
+def _put(obj):
+    # the JSON text of obj as pieces: a container yields its children's
+    # pieces, so no level copies a child's text
     if isinstance(obj, np.ndarray):
         # _ROWS entries of axis 0 at a time, so no text per number of
         # the whole array is held at once
-        out.append("[")
+        yield "["
         for lo in range(0, len(obj), _ROWS):
             if lo:
-                out.append(",")
-            out.append(_nest(obj[lo : lo + _ROWS]))
-        out.append("]")
+                yield ","
+            yield _nest(obj[lo : lo + _ROWS])
+        yield "]"
     elif isinstance(obj, dict):
-        out.append("{")
+        yield "{"
         for i, (k, v) in enumerate(obj.items()):
-            out.append(("," if i else "") + json.dumps(k) + ":")
-            _put(v, out)
-        out.append("}")
+            yield ("," if i else "") + json.dumps(k) + ":"
+            yield from _put(v)
+        yield "}"
     elif isinstance(obj, (list, tuple)):
-        out.append("[")
+        yield "["
         for i, v in enumerate(obj):
             if i:
-                out.append(",")
-            _put(v, out)
-        out.append("]")
+                yield ","
+            yield from _put(v)
+        yield "]"
     elif isinstance(obj, bool):
-        out.append("true" if obj else "false")
+        yield "true" if obj else "false"
     elif obj is None:
-        out.append("null")
+        yield "null"
     elif isinstance(obj, int):
-        out.append(str(obj))
+        yield str(obj)
     elif isinstance(obj, float):
-        out.append(_fmt_col(np.array([obj]), quote=True)[0])
+        yield _fmt_col(np.array([obj]), quote=True)[0]
     elif isinstance(obj, str):
-        out.append(json.dumps(obj))
+        yield json.dumps(obj)
     else:
         raise DomainError(f"cannot serialize {type(obj).__name__}")
 
 
-def _emit(obj, end: str = "") -> str:
-    """JSON text of obj followed by end, joined once from its pieces."""
-    out = []
-    _put(obj, out)
-    out.append(end)
-    return "".join(out)
+def _document(payload):
+    # the pieces of a JSON document: the payload, then one newline
+    yield from _put(payload)
+    yield "\n"
 
 
 def _verdict_dict(verdict: GrowthVerdict) -> dict:
@@ -209,21 +214,24 @@ def _class_dict(result: MutationClassResult) -> dict:
     }
 
 
+def _payload(obj) -> dict:
+    # the JSON payload of an orbit, a scan table or a mutation class
+    if isinstance(obj, Orbit):
+        return _orbit_dict(obj)
+    if isinstance(obj, ScanTable):
+        return _scan_dict(obj)
+    if isinstance(obj, MutationClassResult):
+        return _class_dict(obj)
+    raise DomainError(f"no JSON export for {type(obj).__name__}")
+
+
 def export_json(obj) -> str:
     """Canonical JSON text for an orbit, a scan table or a mutation class.
 
     Keys appear in a fixed order and numbers use the same formatting
     rule as the CSV export.  A trailing newline terminates the text.
     """
-    if isinstance(obj, Orbit):
-        payload = _orbit_dict(obj)
-    elif isinstance(obj, ScanTable):
-        payload = _scan_dict(obj)
-    elif isinstance(obj, MutationClassResult):
-        payload = _class_dict(obj)
-    else:
-        raise DomainError(f"no JSON export for {type(obj).__name__}")
-    return _emit(payload, "\n")
+    return "".join(_document(_payload(obj)))
 
 
 def _parse_verdict(d: dict) -> GrowthVerdict:

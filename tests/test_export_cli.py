@@ -14,7 +14,8 @@ import mutdyn.export
 from mutdyn.cli import main
 from mutdyn.errors import DomainError
 from mutdyn.exchange import ExtendedExchangeMatrix, mutation_class
-from mutdyn.export import _emit, _fmt_col, export_csv, export_json, fmt_float, parse_scan_json
+from mutdyn.export import _fmt_col, _put, export_csv, export_json, fmt_float, parse_scan_json
+from mutdyn.levelset import levelset_points
 from mutdyn.orbits import OrbitKind, StartPolicy, iterate_orbit, scan_grid
 from mutdyn.params import Params
 from mutdyn.svg import render_svg
@@ -242,12 +243,18 @@ def test_emit_array_nests_like_the_lists_it_holds(shape, rows, monkeypatch):
         monkeypatch.setattr(mutdyn.export, "_ROWS", rows)
     values = [0.5, -0.0, math.nan, 3.0, 0.5, math.inf, 1e20, 0.0]
     a = np.resize(values, math.prod(shape)).reshape(shape)
-    assert _emit(a) == _rule_nested(a.tolist())
-    json.loads(_emit(a))
+    text = "".join(_put(a))
+    assert text == _rule_nested(a.tolist())
+    json.loads(text)
 
 
-@pytest.mark.parametrize("rows", [None, 1, 3], ids=["default", "rows1", "rows3"])
-def test_periodic_lattice_orbit_exports_follow_the_number_rule(capsys, monkeypatch, rows):
+_ROWS_IDS = ["default", "rows1", "rows3", "rows7"]
+
+
+@pytest.mark.parametrize("rows", [None, 1, 3, 7], ids=_ROWS_IDS)
+def test_periodic_lattice_orbit_exports_follow_the_number_rule(
+    capsys, monkeypatch, tmp_path, rows
+):
     if rows:
         monkeypatch.setattr(mutdyn.export, "_ROWS", rows)
     # p = q = 1 is the finite-type case: an integer start repeats with
@@ -257,9 +264,62 @@ def test_periodic_lattice_orbit_exports_follow_the_number_rule(capsys, monkeypat
     assert all(len(np.unique(col)) <= 5 for col in (*orbit.points.T, orbit.phi))
     argv = ["trop-orbit", "--p", "1", "--q", "1", "--s0", "3", "--t0", "-2", "--steps", "1000"]
     for fmt, rule in (("json", _rule_json), ("csv", _rule_csv)):
-        code, out, _ = _run(capsys, argv + ["--format", fmt])
-        assert code == 0
-        assert out == rule(orbit)
+        assert _cli_bytes(capsys, tmp_path, argv + ["--format", fmt]) == rule(orbit)
+
+
+def _cli_bytes(capsys, tmp_path, argv):
+    # the text a command prints, checked equal to the bytes it writes to --out
+    code, out, _ = _run(capsys, argv)
+    assert code == 0
+    target = tmp_path / "out"
+    code, printed, _ = _run(capsys, argv + ["--out", str(target)])
+    assert code == 0 and printed == ""
+    assert target.read_bytes() == out.encode("ascii")
+    return out
+
+
+def _levelset_rule(level, pieces, fmt):
+    arrays = [np.array(piece, dtype=float).reshape(-1, 2).tolist() for piece in pieces]
+    if fmt == "json":
+        return '{"level":%s,"pieces":%s}\n' % (_rule_num(level), _rule_nested(arrays))
+    rows = [
+        f"{k},{i},{_rule_num(s)},{_rule_num(t)}"
+        for k, piece in enumerate(arrays) for i, (s, t) in enumerate(piece)
+    ]
+    return "\n".join(["piece,index,s,t"] + rows) + "\n"
+
+
+@pytest.mark.parametrize("rows", [None, 1, 3, 7], ids=_ROWS_IDS)
+def test_cli_documents_equal_the_in_process_text(capsys, monkeypatch, tmp_path, rows):
+    # every document kind the CLI streams, printed and written to a file,
+    # is the text of the same object exported in process
+    if rows:
+        monkeypatch.setattr(mutdyn.export, "_ROWS", rows)
+    cases = []
+    for kind, argv, start in (
+        (OrbitKind.TROPICAL, ["trop-orbit", "--s0", "0.4", "--t0", "-1.1"], (0.4, -1.1)),
+        (OrbitKind.RATIONAL, ["orbit", "--x0", "0.4", "--y0", "1.1"], (0.4, 1.1)),
+    ):
+        orbit = iterate_orbit(Params(1.3, 0.8), kind, start, 50)
+        argv = argv + ["--p", "1.3", "--q", "0.8", "--steps", "50", "--format"]
+        cases += [(argv + ["json"], export_json(orbit)), (argv + ["csv"], export_csv(orbit))]
+    for kind in ("rational", "tropical"):
+        table = scan_grid((0.5, 3.0), (0.5, 3.0), 3, OrbitKind(kind), 40, StartPolicy(seed=1, count=2))
+        argv = ["scan", "--p-min", "0.5", "--p-max", "3", "--q-min", "0.5", "--q-max", "3",
+                "--resolution", "3", "--steps", "40", "--kind", kind, "--seed", "1", "--count", "2"]
+        cases.append((argv, export_json(table)))
+    seed = ExtendedExchangeMatrix.from_exponents(1, 3, rows=((1, 1),))
+    result = mutation_class(seed)
+    argv = ["matclass", "--p", "1", "--q", "3", "--rows", "1,1"]
+    cases.append((argv + ["--full"], export_json(result)))
+    summary = {"size": result.size, "complete": result.complete}
+    cases.append((argv, json.dumps(summary, separators=(",", ":")) + "\n"))
+    pieces = levelset_points(Params(3, 3), -3.0, samples_per_piece=12)
+    argv = ["levelset", "--p", "3", "--q", "3", "--level", "-3", "--samples", "12", "--format"]
+    for fmt in ("json", "csv"):
+        cases.append((argv + [fmt], _levelset_rule(-3.0, pieces, fmt)))
+    for argv, want in cases:
+        assert _cli_bytes(capsys, tmp_path, argv) == want, argv
 
 
 def test_exports_hold_no_text_per_number_of_a_whole_column():
@@ -279,6 +339,25 @@ def test_exports_hold_no_text_per_number_of_a_whole_column():
         finally:
             tracemalloc.stop()
         assert peak <= bound * len(text), (export.__name__, peak / len(text))
+
+
+def test_cli_writes_each_piece_as_it_is_made(tmp_path):
+    # a 4x longer orbit has the same traced peak through the CLI's
+    # writer: the whole text held would quadruple it
+    peaks = {}
+    for steps in (16000, 64000):
+        orbit = iterate_orbit(Params(1.3, 0.8), OrbitKind.TROPICAL, (0.4, -1.1), steps)
+        assert all(len(d) for d in (orbit.log_radius, orbit.phi, orbit.polar, orbit.signs))
+        for fmt in ("csv", "json"):
+            tracemalloc.start()
+            try:
+                start = tracemalloc.get_traced_memory()[0]
+                mutdyn.cli._write_out(mutdyn.cli._orbit_text(orbit, fmt), tmp_path / "orbit")
+                peaks[steps, fmt] = tracemalloc.get_traced_memory()[1] - start
+            finally:
+                tracemalloc.stop()
+    for fmt in ("csv", "json"):
+        assert peaks[64000, fmt] <= 1.1 * peaks[16000, fmt], (fmt, peaks)
 
 
 def test_json_rejects_unsupported_objects():
@@ -410,7 +489,7 @@ def test_render_svg_widens_a_flat_box_by_one():
     assert svg.count("<line ") == 2
 
 
-def test_cli_out_writes_file(capsys, tmp_path, monkeypatch):
+def test_cli_out_writes_file(capsys, tmp_path):
     target = tmp_path / "orbit.csv"
     code, out, _ = _run(capsys, [
         "trop-orbit", "--p", "1", "--q", "1", "--s0", "1", "--t0", "0",
@@ -419,8 +498,7 @@ def test_cli_out_writes_file(capsys, tmp_path, monkeypatch):
     assert code == 0
     assert out == ""
     assert target.read_text() == "step,s,t,phi\n0,1,0,1\n1,0,-1,1\n"
-    # a text longer than one write goes out in slices, to a file as to stdout
-    monkeypatch.setattr(mutdyn.cli, "_WRITE_CHARS", 7)
+    # a file holds the bytes the same command prints
     argv = ["trop-orbit", "--p", "1.3", "--q", "0.8", "--s0", "0.4", "--t0", "-1.1",
             "--steps", "50", "--format", "json"]
     code, out, _ = _run(capsys, argv + ["--out", str(target)])
@@ -428,8 +506,19 @@ def test_cli_out_writes_file(capsys, tmp_path, monkeypatch):
     code, out, _ = _run(capsys, argv)
     assert code == 0
     want = export_json(iterate_orbit(Params(1.3, 0.8), OrbitKind.TROPICAL, (0.4, -1.1), 50))
-    assert len(want) % 7 and out == want
+    assert out == want
     assert target.read_bytes() == out.encode("ascii")
+
+
+@pytest.mark.parametrize("cmd", [
+    ["trop-orbit", "--p", "1", "--q", "1", "--s0", "1", "--t0", "0", "--steps", "5"],
+    ["scan", "--resolution", "2", "--steps", "40"],
+])
+def test_cli_unwritable_out_is_an_error(capsys, tmp_path, cmd):
+    for target in (tmp_path / "missing" / "x.csv", tmp_path):
+        code, out, err = _run(capsys, cmd + ["--out", str(target)])
+        assert code == 1 and out == ""
+        assert err.startswith(f"error: cannot write {target}: ")
 
 
 def test_cli_truncated_orbit_exits_two_with_prefix(capsys):
