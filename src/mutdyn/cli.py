@@ -7,6 +7,7 @@ prefix before exiting with 2).
 from __future__ import annotations
 
 import argparse
+import contextlib
 import sys
 
 import numpy as np
@@ -33,14 +34,17 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
-def _write_out(pieces, path):
-    # each piece is written as it is made, so no whole document is held
+@contextlib.contextmanager
+def _out(path):
+    # the --out file, opened before the command's work as a shell's > opens
+    # it, so an unwritable path fails at once; stdout when there is none.
+    # Commands write each piece as it is made, so no whole document is held
     if path is None:
-        sys.stdout.writelines(pieces)
+        yield sys.stdout
         return
     try:
         with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.writelines(pieces)
+            yield fh
     except OSError as exc:
         raise DomainError(f"cannot write {path}: {exc.strerror or exc}") from None
 
@@ -65,7 +69,7 @@ def _orbit_text(orbit, fmt: str):
 
 def _cmd_orbit(args) -> int:
     orbit = iterate_orbit(Params(args.p, args.q), args.kind, (args.a0, args.b0), args.steps)
-    _write_out(_orbit_text(orbit, args.format), args.out)
+    args.out.writelines(_orbit_text(orbit, args.format))
     if orbit.truncated:
         print(
             f"orbit left float range at step {orbit.truncated_at}; "
@@ -128,7 +132,7 @@ def _cmd_scan(args) -> int:
         args.steps,
         policy,
     )
-    _write_out(_document(_payload(table)), args.out)
+    args.out.writelines(_document(_payload(table)))
     return 0
 
 
@@ -146,7 +150,7 @@ def _cmd_levelset(args) -> int:
         which = [pi for pi, piece in enumerate(pieces) for _ in piece]
         index = [idx for piece in pieces for idx in range(len(piece))]
         doc = _csv("piece,index,s,t", [which, index, pts[:, 0], pts[:, 1]])
-    _write_out(doc, args.out)
+    args.out.writelines(doc)
     return 0
 
 
@@ -161,7 +165,7 @@ def _cmd_matclass(args) -> int:
     )
     result = mutation_class(seed, cap=args.cap)
     payload = _payload(result) if args.full else {"size": result.size, "complete": result.complete}
-    _write_out(_document(payload), args.out)
+    args.out.writelines(_document(payload))
     return 0
 
 
@@ -248,7 +252,8 @@ def main(argv=None) -> int:
             # the file's values become defaults, so flags given as well win
             _apply_scan_config(args.config, args.config_flags)
             args = parser.parse_args(argv)
-        return args.func(args)
+        with _out(getattr(args, "out", None)) as args.out:
+            return args.func(args)
     except _UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1

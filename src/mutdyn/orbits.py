@@ -5,6 +5,7 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property, partial
+from itertools import product
 
 import numpy as np
 
@@ -539,39 +540,25 @@ _SEVERITY = {
 }
 
 
-def _more_severe(best, verdict):
-    # a cell's verdict so far, updated by its next start's: the first of
-    # the most severe kind stays
-    if best is None or _SEVERITY[verdict.kind] > _SEVERITY[best.kind]:
-        return verdict
-    return best
+def _rational_cells(columns, steps: int):
+    # scan_grid's (cell, verdict) per column of the birational map, from
+    # one batched pass over every column
+    cell_of, *values = zip(*((c, prm.p, prm.q, pt.x, pt.y) for c, prm, pt in columns))
+    return zip(cell_of, _rational_verdicts(*map(np.array, values), steps))
 
 
-def _rational_cells(cells, steps: int) -> list:
-    # scan_grid's verdicts of the birational map for its checked cells
-    # [(Params, starts)], from one batched pass over every (cell, start)
-    columns = [(c, prm.p, prm.q, pt.x, pt.y) for c, (prm, pts) in enumerate(cells) for pt in pts]
-    cell_of, *values = zip(*columns)
-    best = [None] * len(cells)
-    for cell, verdict in zip(cell_of, _rational_verdicts(*map(np.array, values), steps)):
-        best[cell] = _more_severe(best[cell], verdict)
-    return best
-
-
-def _tropical_cells(cells, steps: int) -> list:
-    # scan_grid's verdicts of the piecewise-linear map, one orbit per
-    # start; no later start outranks an exponential one, but below
-    # _MIN_POINTS points a later start may still raise
-    best = []
-    for params, starts in cells:
-        verdict = None
-        for start in starts:
-            orbit = iterate_orbit(params, OrbitKind.TROPICAL, start, steps)
-            verdict = _more_severe(verdict, growth_classification(orbit))
+def _tropical_cells(columns, steps: int):
+    # scan_grid's (cell, verdict) per column of the piecewise-linear map,
+    # one orbit per column; no later start outranks an exponential one,
+    # so from _MIN_POINTS points on the rest of its cell is skipped (below
+    # that a later start may still raise)
+    done = None
+    for cell, params, start in columns:
+        if cell != done:
+            verdict = growth_classification(iterate_orbit(params, OrbitKind.TROPICAL, start, steps))
             if verdict.kind is GrowthKind.EXPONENTIAL and steps + 1 >= _MIN_POINTS:
-                break
-        best.append(verdict)
-    return best
+                done = cell
+            yield cell, verdict
 
 
 def scan_grid(
@@ -614,16 +601,23 @@ def scan_grid(
         start_policy = StartPolicy(points=((1.0, 1.0),))
     p_values = tuple(float(v) for v in np.linspace(lo.p, hi.p, resolution))
     q_values = tuple(float(v) for v in np.linspace(lo.q, hi.q, resolution))
-    cells = [
-        (Params(p, q), [point(*start) for start in start_policy.starts_for(kind, i, j)])
-        for i, p in enumerate(p_values)
-        for j, q in enumerate(q_values)
+    # every start of every cell as one column, checked in row-major order
+    columns = [
+        (cell, params, point(*start))
+        for cell, (p, q) in enumerate(product(p_values, q_values))
+        for params in [Params(p, q)]
+        for start in start_policy.starts_for(kind, *divmod(cell, resolution))
     ]
-    verdicts = evaluate(cells, steps)
+    # each cell keeps its first verdict of the most severe kind
+    verdicts = [None] * resolution**2
+    for cell, verdict in evaluate(columns, steps):
+        best = verdicts[cell]
+        if best is None or _SEVERITY[verdict.kind] > _SEVERITY[best.kind]:
+            verdicts[cell] = verdict
     return ScanTable(
         p_values=p_values,
         q_values=q_values,
         kind=kind,
         steps=steps,
-        cells=tuple(ScanCell(params.p, params.q, v) for (params, _), v in zip(cells, verdicts)),
+        cells=tuple(ScanCell(p, q, v) for (p, q), v in zip(product(p_values, q_values), verdicts)),
     )

@@ -2,6 +2,7 @@
 import itertools
 import math
 from collections import deque
+from functools import partial
 from fractions import Fraction
 
 import numpy as np
@@ -11,7 +12,7 @@ from mutdyn.acceptance import _CLASS_SIZES
 from mutdyn.errors import DomainError, RangeError
 from mutdyn.exchange import ExtendedExchangeMatrix, mutate, mutation_class
 from mutdyn.params import Params
-from mutdyn.tropical import PointPL, detect_period, mu1_c, mu2_c
+from mutdyn.tropical import PointPL, _finite_point, detect_period, mu1_c, mu2_c, mu_c_inv
 
 
 def _q_for_m(m: int) -> float:
@@ -341,6 +342,54 @@ def test_hyperbolic_class_is_the_seed_and_its_two_chains():
     result = mutation_class(seed, cap=10**4)
     assert not result.complete and result.size == 2946
     assert [_bits(m) for m in result.matrices] == [_bits(m) for m in [seed] + interleaved]
+
+
+def _pl_chain(halves, pt):
+    # pt's images under the half-steps taken in turn until one leaves
+    # float range
+    out = []
+    for k in itertools.count():
+        try:
+            pt = halves[k % 2](pt)
+        except RangeError:
+            return out
+        out.append(pt)
+
+
+# the first row is C9's class, 1 + 1471 + 1474 = 2946 members
+@pytest.mark.parametrize("p, q, row, lengths", [
+    (1.0, 5.0, (1.0, 1.0), (1471, 1474)),
+    (2.0, 3.0, (1.0, -0.5), (1077, 1080)),
+    (0.5, 12.0, (-2.0, 0.25), (1077, 1076)),
+    (1.5, 4.0, (0.3, -1.7), (1079, 1076)),
+    (3.0, 3.0, (-1.0, -1.0), (738, 736)),
+])  # fmt: skip
+def test_mutation_chains_are_pl_half_steps(p, q, row, lengths):
+    # a hyperbolic class is the seed and two chains; on the extra row the
+    # direction-1 chain takes mu1_c and mu2_c in turn, and the direction-2
+    # chain takes the two halves of mu_c_inv, the second factor's inverse
+    # first, so the chains end where those half-steps leave float range
+    params, start = Params(p, q), PointPL(*row)
+
+    def undo2(pt):
+        s = pt.s - q * -pt.t if -pt.t > 0.0 else pt.s
+        return _finite_point(s, -pt.t, "undo2")
+
+    def undo1(pt):
+        t = pt.t - p * -pt.s if -pt.s > 0.0 else pt.t
+        return _finite_point(-pt.s, t, "undo1")
+
+    forward = _pl_chain((partial(mu1_c, params), partial(mu2_c, params)), start)
+    backward = _pl_chain((undo2, undo1), start)
+    assert (len(forward), len(backward)) == lengths
+    for before, after in zip([start] + backward[1::2], backward[1::2]):
+        assert mu_c_inv(params, before) == after
+    seed = ExtendedExchangeMatrix.from_exponents(p, q, rows=(row,))
+    result = mutation_class(seed)
+    assert not result.complete and result.size == 1 + len(forward) + len(backward)
+    pairs = itertools.zip_longest(forward, backward)
+    interleaved = [start] + [pt for pair in pairs for pt in pair if pt is not None]
+    assert [mat.entries[2] for mat in result.matrices] == [pt.as_tuple() for pt in interleaved]
 
 
 def _exact_mutate(rows, k):

@@ -352,7 +352,8 @@ def test_cli_writes_each_piece_as_it_is_made(tmp_path):
             tracemalloc.start()
             try:
                 start = tracemalloc.get_traced_memory()[0]
-                mutdyn.cli._write_out(mutdyn.cli._orbit_text(orbit, fmt), tmp_path / "orbit")
+                with mutdyn.cli._out(tmp_path / "orbit") as fh:
+                    fh.writelines(mutdyn.cli._orbit_text(orbit, fmt))
                 peaks[steps, fmt] = tracemalloc.get_traced_memory()[1] - start
             finally:
                 tracemalloc.stop()
@@ -514,11 +515,26 @@ def test_cli_out_writes_file(capsys, tmp_path):
     ["trop-orbit", "--p", "1", "--q", "1", "--s0", "1", "--t0", "0", "--steps", "5"],
     ["scan", "--resolution", "2", "--steps", "40"],
 ])
-def test_cli_unwritable_out_is_an_error(capsys, tmp_path, cmd):
+def test_cli_unwritable_out_is_an_error(capsys, monkeypatch, tmp_path, cmd):
+    # --out is opened before the work, so an unwritable path fails at once
+    def unreached(*args):
+        raise AssertionError("the command ran before --out was opened")
+
+    monkeypatch.setattr(mutdyn.cli, "scan_grid", unreached)
+    monkeypatch.setattr(mutdyn.cli, "iterate_orbit", unreached)
     for target in (tmp_path / "missing" / "x.csv", tmp_path):
         code, out, err = _run(capsys, cmd + ["--out", str(target)])
         assert code == 1 and out == ""
         assert err.startswith(f"error: cannot write {target}: ")
+
+
+def test_cli_failing_command_leaves_its_out_file_empty(capsys, tmp_path):
+    target = tmp_path / "scan.json"
+    target.write_text("old")
+    code, out, err = _run(capsys, ["scan", "--p-max", "inf", "--resolution", "2",
+                                   "--steps", "40", "--out", str(target)])
+    assert code == 1 and out == "" and err.startswith("error:")
+    assert target.read_text() == ""
 
 
 def test_cli_truncated_orbit_exits_two_with_prefix(capsys):

@@ -654,20 +654,38 @@ def test_scan_errors_are_the_per_orbit_loops():
 
 
 def test_tropical_scan_skips_the_starts_after_an_exponential_one(monkeypatch):
+    # the rule: a cell iterates its starts in order up to and including
+    # its first exponential one, from 16 points on; below 16 points it
+    # iterates all of them, since a later start may still raise
     calls = []
 
-    def counted(*args):
-        calls.append(args)
-        return iterate_orbit(*args)
+    def counted(params, kind, start, steps):
+        calls.append((params, start))
+        return iterate_orbit(params, kind, start, steps)
 
     monkeypatch.setattr(orbits, "iterate_orbit", counted)
-    for steps, policy in ((15, StartPolicy(seed=8, count=4)), (400, StartPolicy(seed=9, count=4)),
-                          (400, StartPolicy(points=((1.0, 1.0), (0.0, 0.0))))):  # fmt: skip
-        args = ((0.5, 3.0), (0.5, 3.0), 4, OrbitKind.TROPICAL, steps, policy)
+    leaving = StartPolicy(points=((1e308, 1e308), (-1e308, 1e308)))
+    cases = [((0.5, 3.0), 15, StartPolicy(seed=8, count=4)),
+             ((0.5, 3.0), 400, StartPolicy(seed=9, count=4)),
+             ((0.5, 3.0), 400, StartPolicy(points=((1.0, 1.0), (0.0, 0.0)))),
+             ((1.5, 3.0), 3, leaving)]  # fmt: skip
+    for ends, steps, policy in cases:
+        want = []
+        for i, p in enumerate(np.linspace(*ends, 4)):
+            for j, q in enumerate(np.linspace(*ends, 4)):
+                for start in policy.starts_for(OrbitKind.TROPICAL, i, j):
+                    want.append((Params(p, q), PointPL(*start)))
+                    orbit = iterate_orbit(Params(p, q), OrbitKind.TROPICAL, start, steps)
+                    if growth_classification(orbit).kind is GrowthKind.EXPONENTIAL and steps >= 15:
+                        break
+        args = (ends, ends, 4, OrbitKind.TROPICAL, steps, policy)
         calls.clear()
         got = scan_grid(*args)
+        assert calls == want, steps
         assert export_json(got) == export_json(_per_orbit_scan(*args))
-        assert len(calls) < 16 * len(policy.starts_for(OrbitKind.TROPICAL, 0, 0))
+        # some cell skips a start from 16 points on, and none below
+        skipped = len(want) < 16 * len(policy.starts_for(OrbitKind.TROPICAL, 0, 0))
+        assert skipped == (steps >= 15), steps
     # the start after an exponential one is still checked
     policy = StartPolicy(points=((1e300, 1e300), (math.inf, 0.0)))
     with pytest.raises(DomainError, match="must be finite"):

@@ -436,6 +436,60 @@ def test_exact_pl_orbits_conserve_phi_exactly():
                 assert _exact_phi(p, q, *pt) == value, (p, q, start)
 
 
+def _exact_in_cone(a, b, s, t):
+    # the coherent cone K of p = a^2, q = b^2: s > 0, t < 0, as + bt >= 0
+    return s > 0 and t < 0 and a * s + b * t >= 0
+
+
+def test_exact_coherent_cone_is_forward_invariant():
+    # for pq >= 4 both factors take their growth branch on K, and the
+    # image keeps all three inequalities, so an orbit that enters K stays
+    # in it (C5 applies tau there for that reason).  Square exponents
+    # make K rational; ab = 2 is the critical product
+    roots = [(1, 2), (Fraction(1, 2), 4), (Fraction(2, 3), 3), (1, Fraction(5, 2)),
+             (Fraction(3, 2), Fraction(3, 2)), (3, 3)]  # fmt: skip
+    rng = np.random.default_rng(87)
+    for a, b in roots:
+        assert a * b >= 2
+        p, q = a * a, b * b
+        # the ray on K's edge as + bt = 0 starts inside
+        starts = _rational_plane_starts(rng, 40) + [(b, -a), (3 * b, -3 * a)]
+        entered = 0
+        for start in starts:
+            pt, inside = start, False
+            for _ in range(40):
+                now = _exact_in_cone(a, b, *pt)
+                assert now or not inside, (a, b, start, pt)
+                inside = now
+                pt = _exact_pl_step(p, q, *pt)
+            entered += inside
+        assert entered > len(starts) // 2, (a, b)
+
+
+def test_float_orbits_enter_the_coherent_cone_and_stay():
+    # p in [0.5, 3] and pq in [4, 9], every tenth pair at q = 4/p: every
+    # orbit enters K = {s > 0, t < 0, sqrt(p)s + sqrt(q)t >= 0}, leaves it
+    # at no finite point, and is sign coherent from its entry at the latest
+    rng = np.random.default_rng(88)
+    n, steps = 3000, 500
+    p = rng.uniform(0.5, 3.0, n)
+    q = np.where(np.arange(n) % 10 == 0, 4.0 / p, rng.uniform(4.0, 9.0, n) / p)
+    s0, t0 = rng.uniform(-3.0, 3.0, (2, n))
+    entries = []
+    for pa, qa, s, t in zip(p.tolist(), q.tolist(), s0.tolist(), t0.tolist()):
+        S, T = iterate_orbit(Params(pa, qa), OrbitKind.TROPICAL, (s, t), steps).points.T
+        # scaled by 1/8 so that no finite point overflows the sum; a power
+        # of two leaves its sign alone
+        edge = (math.sqrt(pa) * 0.125) * S + (math.sqrt(qa) * 0.125) * T
+        inside = (S > 0.0) & (T < 0.0) & (edge >= 0.0)
+        entry = int(inside.argmax())
+        assert inside[entry] and inside[entry:].all(), (pa, qa, s, t)
+        entries.append(entry)
+    # first_sign_coherent_index's reduction, for every start at once
+    coherent = tropical._sign_coherent_indices(p, q, s0, t0, steps)
+    assert all(c is not None and c <= e for c, e in zip(coherent, entries))
+
+
 def test_float_pl_orbits_stay_within_measured_ulps_of_the_exact_orbits():
     # measured in ulps of the exact orbit's sup norm, since coordinates
     # pass near 0, where an ulp of the coordinate itself means nothing.
