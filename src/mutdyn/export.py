@@ -9,12 +9,14 @@ from __future__ import annotations
 
 import json
 import math
+from functools import partial
 
 import numpy as np
 
 from .errors import DomainError, _count, _real
 from .exchange import MutationClassResult
 from .orbits import GrowthKind, GrowthVerdict, Orbit, OrbitKind, ScanCell, ScanTable
+from .orbits import _log_radius, _phi, _polar, _signs
 
 __all__ = ["fmt_float", "export_csv", "export_json", "parse_scan_json"]
 
@@ -76,6 +78,18 @@ def fmt_float(v: float) -> str:
     return _fmt_col(np.array([float(v)]))[0]
 
 
+class _Column:
+    # an orbit's diagnostic, evaluated on each slice an export takes, never whole
+    def __init__(self, diagnostic, points):
+        self.diagnostic, self.points = diagnostic, points
+
+    def __len__(self):
+        return len(self.points)
+
+    def __getitem__(self, rows):
+        return self.diagnostic(self.points[rows])
+
+
 def _csv(header: str, columns):
     """CSV text as pieces: the header, then one row per entry of the equal-length columns."""
     yield header
@@ -87,12 +101,11 @@ def _csv(header: str, columns):
 
 
 def _orbit_csv(orbit: Orbit):
-    # the pieces of export_csv; the step column is a range, so no whole
-    # integer column is allocated
+    # the pieces of export_csv; no whole step or phi column is allocated
     pts = orbit.points
     columns = [range(len(pts)), pts[:, 0], pts[:, 1]]
     if orbit.kind is OrbitKind.TROPICAL:
-        return _csv("step,s,t,phi", columns + [orbit.phi])
+        return _csv("step,s,t,phi", columns + [_Column(partial(_phi, orbit.params), pts)])
     return _csv("step,x,y", columns)
 
 
@@ -121,10 +134,21 @@ def _nest(a: np.ndarray) -> str:
     return ",".join(items)
 
 
-def _put(obj):
+def _floats(obj) -> list:
+    # the scalar floats of a payload, in the order _put writes them
+    if isinstance(obj, (dict, list, tuple)):
+        return [v for c in (obj.values() if isinstance(obj, dict) else obj) for v in _floats(c)]
+    return [obj] if isinstance(obj, float) else []
+
+
+def _put(obj, texts=None):
     # the JSON text of obj as pieces: a container yields its children's
-    # pieces, so no level copies a child's text
-    if isinstance(obj, np.ndarray):
+    # pieces, and texts the texts of its scalar floats, formatted in one
+    # call that skips _fmt_col's repeat search: for a few hundred numbers
+    # its sort would page in numpy code that a scan otherwise never runs
+    if texts is None:
+        texts = iter(_fmt_each(np.array(_floats(obj), dtype=float), True))
+    if isinstance(obj, (np.ndarray, _Column)):
         # _ROWS entries of axis 0 at a time, so no text per number of
         # the whole array is held at once
         yield "["
@@ -137,14 +161,14 @@ def _put(obj):
         yield "{"
         for i, (k, v) in enumerate(obj.items()):
             yield ("," if i else "") + json.dumps(k) + ":"
-            yield from _put(v)
+            yield from _put(v, texts)
         yield "}"
     elif isinstance(obj, (list, tuple)):
         yield "["
         for i, v in enumerate(obj):
             if i:
                 yield ","
-            yield from _put(v)
+            yield from _put(v, texts)
         yield "]"
     elif isinstance(obj, bool):
         yield "true" if obj else "false"
@@ -153,7 +177,7 @@ def _put(obj):
     elif isinstance(obj, int):
         yield str(obj)
     elif isinstance(obj, float):
-        yield _fmt_col(np.array([obj]), quote=True)[0]
+        yield next(texts)
     elif isinstance(obj, str):
         yield json.dumps(obj)
     else:
@@ -185,11 +209,11 @@ def _orbit_dict(orbit: Orbit) -> dict:
         "truncation_reason": orbit.truncation_reason,
         "points": orbit.points,
     }
-    diag = {"log_radius": orbit.log_radius}
+    diag = {"log_radius": _Column(_log_radius, orbit.points)}
     if orbit.kind is OrbitKind.TROPICAL:
-        diag["phi"] = orbit.phi
-        diag["polar_angle"] = orbit.polar
-        diag["sign_pairs"] = orbit.signs
+        diag["phi"] = _Column(partial(_phi, orbit.params), orbit.points)
+        diag["polar_angle"] = _Column(partial(_polar, orbit.params), orbit.points)
+        diag["sign_pairs"] = _Column(_signs, orbit.points)
     out["diagnostics"] = diag
     return out
 

@@ -13,6 +13,7 @@ from .errors import DomainError, _count, _float, _pair
 from .params import Params, Regime, classify_regime
 from .rational import PointPos
 from .tropical import (
+    _BLOCK_NUMBERS,
     PointPL,
     _banded_signs,
     _blocks,
@@ -59,16 +60,36 @@ class OrbitKind(Enum):
     TROPICAL = "tropical"
 
 
+def _log_radius(points):
+    # -inf at a tropical orbit's origin hit
+    with np.errstate(divide="ignore"):
+        return np.log(_sup_norm(*points.T))
+
+
+def _phi(params: Params, points):
+    with np.errstate(over="ignore", invalid="ignore"):
+        return _conserved(_quad_coefs(params.p, params.q), points[:, 0], points[:, 1])
+
+
+def _polar(params: Params, points):
+    S, T = points.T
+    return np.where((S == 0.0) & (T == 0.0), math.nan, _lift(params, S, T)[0])
+
+
+def _signs(points):
+    return np.column_stack(_banded_signs(*points.T, _sup_norm(*points.T))).astype(np.int8)
+
+
 @dataclass(frozen=True, eq=False)
 class Orbit:
     """A stored trajectory; its per-point diagnostics derive from it.
 
     points holds the start and every computed iterate, shape (n+1, 2).
-    The diagnostics are computed from points on first read and kept:
-    log_radius is the log of the infinity norm per point.  For
-    tropical orbits, phi holds the conserved quadratic, polar the
-    lifted polar angle (nan at an origin hit) and signs the banded
-    sign pairs; rational orbits carry None for those three.
+    The diagnostics are computed from points on first read and kept
+    (exports compute them a slice at a time): log_radius is the log of
+    the infinity norm per point.  For tropical orbits, phi holds the
+    conserved quadratic, polar the lifted polar angle (nan at an origin
+    hit) and signs the banded sign pairs; rational orbits carry None.
 
     A trajectory that leaves float range is truncated at the offending
     step: points keeps only finite entries, truncated_at records the
@@ -99,32 +120,19 @@ class Orbit:
 
     @cached_property
     def log_radius(self) -> np.ndarray:
-        # a tropical orbit through the origin has log radius -inf there
-        with np.errstate(divide="ignore"):
-            return np.log(_sup_norm(*self.points.T))
+        return _log_radius(self.points)
 
     @cached_property
     def phi(self) -> np.ndarray | None:
-        if self.kind is not OrbitKind.TROPICAL:
-            return None
-        with np.errstate(over="ignore", invalid="ignore"):
-            coefs = _quad_coefs(self.params.p, self.params.q)
-            return _conserved(coefs, self.points[:, 0], self.points[:, 1])
+        return _phi(self.params, self.points) if self.kind is OrbitKind.TROPICAL else None
 
     @cached_property
     def polar(self) -> np.ndarray | None:
-        if self.kind is not OrbitKind.TROPICAL:
-            return None
-        S, T = self.points.T
-        return np.where((S == 0.0) & (T == 0.0), math.nan, _lift(self.params, S, T)[0])
+        return _polar(self.params, self.points) if self.kind is OrbitKind.TROPICAL else None
 
     @cached_property
     def signs(self) -> np.ndarray | None:
-        if self.kind is not OrbitKind.TROPICAL:
-            return None
-        S, T = self.points.T
-        signs = _banded_signs(S, T, _sup_norm(S, T))
-        return np.column_stack(signs).astype(np.int8)
+        return _signs(self.points) if self.kind is OrbitKind.TROPICAL else None
 
 
 class GrowthKind(Enum):
@@ -159,7 +167,7 @@ class GrowthVerdict:
             raise DomainError(f"inconsistent growth verdict {self!r}")
 
 
-def _iterate_rational(params: Params, start: PointPos, steps: int):
+def _iterate_rational(params: Params, x: float, y: float, steps: int):
     # the birational step, recorded by _record, with fpow's branch for p
     # and q chosen once for the whole orbit: a step divides a sum of at
     # least 1 by a positive float, so a coordinate leaves (0, inf) only
@@ -174,9 +182,7 @@ def _iterate_rational(params: Params, start: PointPos, steps: int):
             ys.append(y)
         return x, y
 
-    return _record(
-        run, lambda x, y: 0.0 < x < math.inf and 0.0 < y < math.inf, start.x, start.y, steps
-    )
+    return _record(run, lambda x, y: 0.0 < x < math.inf and 0.0 < y < math.inf, x, y, steps)
 
 
 def _column_power(expo):
@@ -231,13 +237,22 @@ def iterate_orbit(params: Params, kind: OrbitKind, start, steps: int) -> Orbit:
     steps = _horizon(steps)
     if kind is OrbitKind.RATIONAL:
         pt = start if isinstance(start, PointPos) else PointPos(*_pair(start, "start"))
-        xs, ys, trunc = _iterate_rational(params, pt, steps)
+        record, a, b = partial(_iterate_rational, params), pt.x, pt.y
     elif kind is OrbitKind.TROPICAL:
         pt = start if isinstance(start, PointPL) else PointPL(*_pair(start, "start"))
-        xs, ys, trunc = _record_orbit(params, pt.s, pt.t, steps)
+        record, a, b = partial(_record_orbit, params), pt.s, pt.t
     else:
         raise DomainError(f"unknown orbit kind {kind!r}")
-    pts = np.column_stack([np.asarray(xs, dtype=float), np.asarray(ys, dtype=float)])
+    # filled in runs of _BLOCK_NUMBERS // 2 steps, so no list of the whole
+    # orbit is held; a truncated orbit keeps a copy of its finite rows
+    pts = np.empty((steps + 1, 2))
+    pts[0], done, trunc = (a, b), 0, None
+    while done < steps and trunc is None:
+        xs, ys, trunc = record(a, b, min(_BLOCK_NUMBERS // 2, steps - done))
+        pts[done : done + len(xs)].T[:] = xs, ys
+        done, a, b = done + len(xs) - 1, xs[-1], ys[-1]
+    if trunc is not None:
+        pts, trunc = pts[: done + 1].copy(), done + 1
     return Orbit(params=params, kind=kind, points=pts, requested_steps=steps, truncated_at=trunc)
 
 

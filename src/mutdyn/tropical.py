@@ -279,12 +279,13 @@ def _blocks(step, a, b, steps: int):
 def _record(run, inside, a, b, steps: int):
     # a scalar orbit with every iterate kept: lists of both coordinates
     # from the start on, and the 1-based step that left range (None if
-    # none did; the lists end before it).  run(a, b, n, seq_a, seq_b)
-    # takes n steps from a, b, appends each iterate and returns the last;
-    # its loop is written out by the caller, because a call per step
-    # costs measurably in long loops.  Range, inside(a, b), is checked
-    # once per _STEP_BLOCK steps, which needs a map whose pairs stay out
-    # of range once they leave it: a block that ends inside never left
+    # none did; the lists end before it), which iterate_orbit copies into
+    # its points a run at a time.  run(a, b, n, seq_a, seq_b) takes n
+    # steps from a, b, appends each iterate and returns the last; its loop
+    # is written out by the caller, because a call per step costs
+    # measurably in long loops.  Range, inside(a, b), is checked once per
+    # _STEP_BLOCK steps, which needs a map whose pairs stay out of range
+    # once they leave it: a block that ends inside never left
     seq_a, seq_b = [a], [b]
     done = 0
     while done < steps:

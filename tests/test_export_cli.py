@@ -167,6 +167,47 @@ def test_orbit_exports_follow_the_number_rule_byte_for_byte(monkeypatch):
             assert export_json(orbit) == _rule_json(orbit)
 
 
+def _whole_column_texts(orbit):
+    # the JSON and CSV texts with every diagnostic read whole from the
+    # cached Orbit arrays, as the exports read them before they took one
+    # slice of points at a time
+    payload = mutdyn.export._orbit_dict(orbit)
+    pts = orbit.points
+    columns = [range(len(pts)), pts[:, 0], pts[:, 1]]
+    payload["diagnostics"] = {"log_radius": orbit.log_radius}
+    if orbit.kind is OrbitKind.TROPICAL:
+        payload["diagnostics"].update(
+            phi=orbit.phi, polar_angle=orbit.polar, sign_pairs=orbit.signs
+        )
+        csv = mutdyn.export._csv("step,s,t,phi", columns + [orbit.phi])
+    else:
+        csv = mutdyn.export._csv("step,x,y", columns)
+    return "".join(mutdyn.export._document(payload)), "".join(csv)
+
+
+@pytest.mark.parametrize("rows, steps", [(7, 400), (4096, 16000)])
+def test_chunked_diagnostics_equal_the_whole_cached_arrays(monkeypatch, rows, steps):
+    # each orbit spans several chunks of rows; pq = 9 leaves float range
+    # after about 340 steps and pq = 4.002 after about 15800
+    escape = Params(3.0, 3.0) if rows == 7 else Params(2.001, 2.0)
+    orbits = [
+        iterate_orbit(Params(1.3, 0.8), OrbitKind.TROPICAL, (0.4, -1.1), steps),
+        iterate_orbit(Params(1.3, 0.8), OrbitKind.RATIONAL, (1.1, 0.9), steps),
+        # a lattice orbit of period 5, and one through the origin
+        iterate_orbit(Params(1.0, 1.0), OrbitKind.TROPICAL, (3.0, -2.0), steps),
+        iterate_orbit(Params(3.0, 3.0), OrbitKind.TROPICAL, (0.0, -0.0), steps),
+        iterate_orbit(escape, OrbitKind.TROPICAL, (1.0, -0.5), steps),
+    ]
+    assert np.isnan(orbits[3].polar).all() and np.isneginf(orbits[3].log_radius).all()
+    assert orbits[4].truncated
+    monkeypatch.setattr(mutdyn.export, "_ROWS", rows)
+    for orbit in orbits:
+        assert len(orbit.points) > 3 * rows
+        want_json, want_csv = _whole_column_texts(orbit)
+        assert export_json(orbit) == want_json
+        assert export_csv(orbit) == want_csv
+
+
 def test_class_export_follows_the_number_rule_byte_for_byte(monkeypatch):
     results = [mutation_class(seed) for seed in (
         ExtendedExchangeMatrix.from_exponents(1, 1, rows=((1, 0),), negated=True),
@@ -232,6 +273,26 @@ def _rule_nested(x):
 
 
 _SHAPES = [(0,), (0, 2), (2, 0), (3, 2), (0, 2, 2), (2, 0, 2), (2, 2, 0), (3, 2, 2)]
+
+
+def test_document_scalars_keep_their_order_and_the_number_rule():
+    # a document's scalar floats are formatted in one call and handed out
+    # in walk order, around arrays, ints, bools, None and strings
+    scalars = [math.nan, 0.5, -math.inf, -0.0, 1e16, 2.0, 0.5, math.inf, _NEG_NAN, 0.1]
+    payload = {
+        "a": scalars[0],
+        "b": [scalars[1], 3, True, None, "x", (scalars[2], scalars[3])],
+        "c": np.array([[1.5, math.nan]]),
+        "d": {"e": scalars[4], "f": [], "g": {"h": scalars[5]}, "i": scalars[6:8]},
+        "j": [[scalars[8]], scalars[9]],
+    }
+    text = "".join(_put(payload))
+    want = '{"a":%s,"b":[%s,3,true,null,"x",[%s,%s]],"c":[[1.5,"nan"]],' % tuple(
+        _rule_num(v, quote=True) for v in scalars[:4]
+    ) + '"d":{"e":%s,"f":[],"g":{"h":%s},"i":[%s,%s]},"j":[[%s],%s]}' % tuple(
+        _rule_num(v, quote=True) for v in scalars[4:]
+    )
+    assert text == want
 
 
 @pytest.mark.parametrize("shape, rows", [

@@ -140,6 +140,27 @@ def test_float_power_rounds_as_python_pow_bit_for_bit():
         assert got.tobytes() == np.ascontiguousarray(want.T).tobytes()
 
 
+def test_log_and_arctan2_of_slices_have_the_whole_arrays_bits():
+    # the exports evaluate log radius and the lifted angle on slices of an
+    # orbit's points, on the premise that np.log and np.arctan2 give each
+    # element the bits they give it within the whole array, whatever SIMD
+    # lanes and tails the slice falls into
+    rng = np.random.default_rng(53)
+    n = 20011
+    points = rng.uniform(-10.0, 10.0, (n, 2)) * 10.0 ** rng.integers(-320, 300, (n, 2))
+    points[:7] = [(0.0, 0.0), (-0.0, 1.0), (1.0, -0.0), (math.inf, 1.0), (1.0, -math.inf),
+                  (5e-324, -5e-324), (math.nan, 2.0)]  # fmt: skip
+    s, t = points.T
+    radius = np.maximum(np.abs(s), np.abs(t))
+    with np.errstate(divide="ignore"):
+        whole = np.log(radius), np.arctan2(t, s)
+        for size in (4096, 1000, 7, 1):
+            for lo in (0, 1, 3, 4097, n - size - 5):
+                rows = slice(lo, lo + size)
+                assert np.log(radius[rows]).tobytes() == whole[0][rows].tobytes()
+                assert np.arctan2(t[rows], s[rows]).tobytes() == whole[1][rows].tobytes()
+
+
 def test_softplus_oracle():
     zs = np.concatenate(
         [np.linspace(-40.0, 40.0, 401), np.array([-745.0, -1000.0, 700.0, 1e4])]

@@ -155,6 +155,33 @@ def test_rational_truncation_step_does_not_depend_on_the_range_check_block(monke
             assert orbit.points.tobytes() == points.tobytes()
 
 
+@pytest.mark.parametrize("run", [1, 3, 7])
+def test_rational_orbit_runs_have_mu_xs_bits(monkeypatch, run):
+    # iterate_orbit records _BLOCK_NUMBERS // 2 steps at a time into its
+    # points, each run from the last iterate of the one before; starts
+    # from 1 to 1e300 at the critical product leave float range inside a
+    # run, at a run's last step and just after one
+    monkeypatch.setattr(orbits, "_BLOCK_NUMBERS", 2 * run)
+    params = Params(2.0, 2.0)
+    seen = set()
+    for e in np.arange(0.0, 300.0, 0.25):
+        start = (float(10.0**e), 1.0)
+        orbit = iterate_orbit(params, OrbitKind.RATIONAL, start, 250)
+        points, trunc = _mu_x_orbit(params, start, 250)
+        assert orbit.truncated_at == trunc, start
+        assert orbit.points.tobytes() == points.tobytes(), start
+        seen.add(trunc)
+    # residue 0 is a run's last step, 1 the step after a run
+    assert {k % run for k in seen - {None}} == set(range(run))
+    # horizons that end inside a run, at its end and just past it
+    for steps in (0, 1, run - 1, run, run + 1, 2 * run + 1):
+        for start in ((1.3, 0.4), (1e10, 1e-5), (1e150, 1e150)):
+            points, trunc = _mu_x_orbit(Params(1.0, 3.0), start, steps)
+            orbit = iterate_orbit(Params(1.0, 3.0), OrbitKind.RATIONAL, start, steps)
+            assert orbit.truncated_at == trunc
+            assert orbit.points.tobytes() == points.tobytes()
+
+
 def test_log_radius_is_the_log_of_each_points_max_norm():
     orbits = [
         iterate_orbit(Params(1.3, 0.8), OrbitKind.TROPICAL, (-0.0, 1e150), 200),

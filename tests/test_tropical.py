@@ -6,7 +6,7 @@ import pytest
 
 from mutdyn.errors import DomainError, RangeError, RegimeError
 from mutdyn.floatops import EQ_TOL, close_rel, det2
-from mutdyn import tropical
+from mutdyn import orbits, tropical
 from mutdyn.orbits import OrbitKind, iterate_orbit
 from mutdyn.params import Params
 from mutdyn.tropical import (
@@ -674,6 +674,44 @@ def test_scalar_recorder_checked_per_block_has_the_per_step_bits(monkeypatch, bl
             want = _per_step_record(Params(p, q), s0, t0, steps)
             assert got[2] == want[2]
             assert _bits(got[0]) == _bits(want[0]) and _bits(got[1]) == _bits(want[1])
+
+
+@pytest.mark.parametrize("run", [1, 3, 100])
+def test_iterate_orbit_runs_have_the_per_step_bits(monkeypatch, run):
+    # iterate_orbit records _BLOCK_NUMBERS // 2 steps at a time into its
+    # points; starts from 1 to 1e308 at pq = 9 leave float range at every
+    # step from 1 to about 340, so inside a run, at a run's last step and
+    # at the step just after one
+    monkeypatch.setattr(orbits, "_BLOCK_NUMBERS", 2 * run)
+    params = Params(3.0, 3.0)
+    seen = set()
+    for e in np.arange(0.0, 308.0, 0.5):
+        for s0, t0 in ((float(10.0**e), 1.0), (-1.0, -float(10.0**e))):
+            orbit = iterate_orbit(params, OrbitKind.TROPICAL, (s0, t0), 400)
+            ss, ts, trunc = _per_step_record(params, s0, t0, 400)
+            assert orbit.truncated_at == trunc, (s0, t0)
+            assert orbit.points.tobytes() == _bits(np.column_stack([ss, ts]))
+            seen.add(trunc)
+    # residue 0 is a run's last step, 1 the step after a run
+    assert {k % run for k in seen - {None}} == set(range(run))
+    # horizons that end inside a run, at its end and just past it
+    for steps in (0, 1, run - 1, run, run + 1, 2 * run + 1):
+        for p, q, s0, t0 in _recorder_cases():
+            orbit = iterate_orbit(Params(p, q), OrbitKind.TROPICAL, (s0, t0), steps)
+            ss, ts, trunc = _per_step_record(Params(p, q), s0, t0, steps)
+            assert orbit.truncated_at == trunc and orbit.requested_steps == steps
+            assert orbit.points.tobytes() == _bits(np.column_stack([ss, ts]))
+
+
+def test_truncated_orbit_holds_only_its_finite_prefix():
+    # the points of a 10**6-point horizon are recorded into one buffer; an
+    # orbit that leaves float range keeps a copy of its rows, not a view
+    orbit = iterate_orbit(Params(3.0, 3.0), OrbitKind.TROPICAL, (1.0, -0.5), 10**6 - 1)
+    assert orbit.truncated_at == len(orbit.points) < 1000
+    assert orbit.points.nbytes == 16 * len(orbit.points)
+    assert orbit.points.base is None
+    whole = iterate_orbit(Params(1.0, 1.0), OrbitKind.TROPICAL, (3.0, -2.0), 10000)
+    assert not whole.truncated and whole.points.base is None
 
 
 def test_mu_c_leaves_float_range_at_the_orbit_truncation_step():
