@@ -17,11 +17,13 @@ raw full-horizon figure is reported alongside for transparency.
 from __future__ import annotations
 
 import math
+import os
 import subprocess
 import sys
 import time
 from dataclasses import dataclass
 from functools import partial, reduce
+from itertools import chain
 
 import numpy as np
 
@@ -170,8 +172,9 @@ def _c5_escape():
                 return False, f"p={p} q={q} never passed 1e6 within 200 steps"
         floor = kappa_nu(params)[0] - 1.0 - 1e-6
         for _ in range(20):
-            ss, ts, _ = _record_orbit(params, *_draw_start(rng), 299)
-            for s, t in zip(ss, ts):
+            start = _draw_start(rng)
+            runs = _record_orbit(params, *start, 299)
+            for s, t in chain([start], *(zip(ss, ts) for _, ss, ts in runs)):
                 if s > 0.0 and t < 0.0 and math.sqrt(p) * s + math.sqrt(q) * t >= 0.0:
                     break
             else:
@@ -402,10 +405,14 @@ def _c11_golden_outputs():
         "100",
         "--format",
     ]
+    # the children import this package first, however this process found it
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    path = os.pathsep.join(filter(None, [root, os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": path}
     sizes = {}
     for fmt in ("csv", "json", "svg"):
         runs = [
-            subprocess.run(base + [fmt], capture_output=True, check=False) for _ in range(2)
+            subprocess.run(base + [fmt], capture_output=True, env=env) for _ in range(2)
         ]
         for r in runs:
             if r.returncode != 0:

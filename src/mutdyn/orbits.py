@@ -13,7 +13,6 @@ from .errors import DomainError, _count, _float, _pair
 from .params import Params, Regime, classify_regime
 from .rational import PointPos
 from .tropical import (
-    _BLOCK_NUMBERS,
     PointPL,
     _banded_signs,
     _blocks,
@@ -92,15 +91,14 @@ class Orbit:
     hit) and signs the banded sign pairs; rational orbits carry None.
 
     A trajectory that leaves float range is truncated at the offending
-    step: points keeps only finite entries, truncated_at records the
-    1-based step that failed and truncation_reason says why.
+    step: points keeps only the finite rows, so truncated_at, the 1-based
+    step that failed, is len(points), and truncation_reason says why.
     """
 
     params: Params
     kind: OrbitKind
     points: np.ndarray
     requested_steps: int
-    truncated_at: int | None
 
     @property
     def start(self) -> tuple:
@@ -112,11 +110,15 @@ class Orbit:
 
     @property
     def truncated(self) -> bool:
-        return self.truncated_at is not None
+        return self.steps < self.requested_steps
+
+    @property
+    def truncated_at(self) -> int | None:
+        return len(self.points) if self.truncated else None
 
     @property
     def truncation_reason(self) -> str | None:
-        return None if self.truncated_at is None else "left float range"
+        return "left float range" if self.truncated else None
 
     @cached_property
     def log_radius(self) -> np.ndarray:
@@ -168,7 +170,7 @@ class GrowthVerdict:
 
 
 def _iterate_rational(params: Params, x: float, y: float, steps: int):
-    # the birational step, recorded by _record, with fpow's branch for p
+    # the birational step's runs from _record, with fpow's branch for p
     # and q chosen once for the whole orbit: a step divides a sum of at
     # least 1 by a positive float, so a coordinate leaves (0, inf) only
     # for inf or nan, and from there the pair reaches nan and stays
@@ -182,7 +184,7 @@ def _iterate_rational(params: Params, x: float, y: float, steps: int):
             ys.append(y)
         return x, y
 
-    return _record(run, lambda x, y: 0.0 < x < math.inf and 0.0 < y < math.inf, x, y, steps)
+    return _record(run, x, y, steps)
 
 
 def _column_power(expo):
@@ -243,17 +245,15 @@ def iterate_orbit(params: Params, kind: OrbitKind, start, steps: int) -> Orbit:
         record, a, b = partial(_record_orbit, params), pt.s, pt.t
     else:
         raise DomainError(f"unknown orbit kind {kind!r}")
-    # filled in runs of _BLOCK_NUMBERS // 2 steps, so no list of the whole
-    # orbit is held; a truncated orbit keeps a copy of its finite rows
+    # filled a run at a time; a truncated orbit keeps a copy of its rows
     pts = np.empty((steps + 1, 2))
-    pts[0], done, trunc = (a, b), 0, None
-    while done < steps and trunc is None:
-        xs, ys, trunc = record(a, b, min(_BLOCK_NUMBERS // 2, steps - done))
-        pts[done : done + len(xs)].T[:] = xs, ys
-        done, a, b = done + len(xs) - 1, xs[-1], ys[-1]
-    if trunc is not None:
-        pts, trunc = pts[: done + 1].copy(), done + 1
-    return Orbit(params=params, kind=kind, points=pts, requested_steps=steps, truncated_at=trunc)
+    pts[0], end = (a, b), 1
+    for first, xs, ys in record(a, b, steps):
+        end = first + len(xs)
+        pts[first:end].T[:] = xs, ys
+    if end <= steps:
+        pts = pts[:end].copy()
+    return Orbit(params=params, kind=kind, points=pts, requested_steps=steps)
 
 
 def growth_classification(orbit: Orbit) -> GrowthVerdict:

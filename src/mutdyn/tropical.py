@@ -247,11 +247,11 @@ def _pl_step(p, q, s, t):
     return np.where(t1 > 0.0, ns + q * t1, ns), -t1
 
 
-# most iterates _blocks hands over at a time, steps _record takes
-# between two range checks, and steps detect_period records at a time
+# most iterates _blocks hands over at a time, and steps _record takes
+# between two range checks
 _STEP_BLOCK = 64
-# most numbers a _blocks buffer holds, so that a wide pass takes fewer
-# rows and its block temporaries keep one size whatever its width
+# most numbers a _blocks buffer or a _record run holds, so that a wide
+# pass takes fewer rows and its block temporaries keep one size
 _BLOCK_NUMBERS = 8192
 
 
@@ -276,29 +276,27 @@ def _blocks(step, a, b, steps: int):
         first += n
 
 
-def _record(run, inside, a, b, steps: int):
-    # a scalar orbit with every iterate kept: lists of both coordinates
-    # from the start on, and the 1-based step that left range (None if
-    # none did; the lists end before it), which iterate_orbit copies into
-    # its points a run at a time.  run(a, b, n, seq_a, seq_b) takes n
-    # steps from a, b, appends each iterate and returns the last; its loop
-    # is written out by the caller, because a call per step costs
-    # measurably in long loops.  Range, inside(a, b), is checked once per
-    # _STEP_BLOCK steps, which needs a map whose pairs stay out of range
-    # once they leave it: a block that ends inside never left
-    seq_a, seq_b = [a], [b]
-    done = 0
-    while done < steps:
-        n = min(_STEP_BLOCK, steps - done)
-        a, b = run(a, b, n, seq_a, seq_b)
-        done += n
-        if not inside(a, b):
-            i = done - n + 1
-            while inside(seq_a[i], seq_b[i]):
-                i += 1
-            del seq_a[i:], seq_b[i:]
-            return seq_a, seq_b, i
-    return seq_a, seq_b, None
+def _record(run, a, b, steps: int):
+    # a scalar orbit's iterates 1..steps in non-empty (first step, a list,
+    # b list) runs of _BLOCK_NUMBERS // 2 at most, ending before the first
+    # iterate that is not finite.  run(a, b, n, seq_a, seq_b) takes n steps,
+    # appends each iterate and returns the last, its loop written out as a
+    # call per step costs measurably.  Range is checked once per
+    # _STEP_BLOCK steps, so a pair once not finite must stay so
+    size = max(1, _BLOCK_NUMBERS // 2)
+    for first in range(1, steps + 1, size):
+        seq_a, seq_b = [], []
+        n = min(size, steps + 1 - first)
+        for done in range(0, n, _STEP_BLOCK):
+            a, b = run(a, b, min(_STEP_BLOCK, n - done), seq_a, seq_b)
+            if not (math.isfinite(a) and math.isfinite(b)):
+                i = done
+                while math.isfinite(seq_a[i]) and math.isfinite(seq_b[i]):
+                    i += 1
+                if i:
+                    yield first, seq_a[:i], seq_b[:i]
+                return
+        yield first, seq_a, seq_b
 
 
 def chebyshev_u(n: int, x: float) -> float:
@@ -422,22 +420,17 @@ def detect_period(params: Params, pt: PointPL, max_steps: int):
     max_steps = _count(max_steps, "max_steps", 1)
     s0, t0 = pt.s, pt.t
     bound = PERIOD_TOL * max(1.0, abs(s0), abs(t0))
-    # recorded block by block, so a long horizon holds one block at a time
-    s, t, done = s0, t0, 0
-    while done < max_steps:
-        ss, ts, trunc = _record_orbit(params, s, t, min(_STEP_BLOCK, max_steps - done))
-        for k in range(1, len(ss)):
+    # a run at a time, so a long horizon holds one run; a short period
+    # still pays for its whole run, up to 4096 steps or a few ms
+    for first, ss, ts in _record_orbit(params, s0, t0, max_steps):
+        for k in range(len(ss)):
             if abs(ss[k] - s0) <= bound and abs(ts[k] - t0) <= bound:
-                return done + k
-        if trunc is not None:
-            return None
-        done += len(ss) - 1
-        s, t = ss[-1], ts[-1]
+                return first + k
     return None
 
 
 def _record_orbit(params: Params, s: float, t: float, steps: int):
-    # the composed step, recorded by _record: once a coordinate is not
+    # the composed step's runs from _record: once a coordinate is not
     # finite, one of the two stays so at every later step
     def run(s, t, n, ss, ts):
         p, q = params.p, params.q
@@ -450,7 +443,7 @@ def _record_orbit(params: Params, s: float, t: float, steps: int):
             ts.append(t)
         return s, t
 
-    return _record(run, lambda s, t: math.isfinite(s) and math.isfinite(t), s, t, steps)
+    return _record(run, s, t, steps)
 
 
 def sign_pair(pt: PointPL, scale: float | None = None) -> SignPair:

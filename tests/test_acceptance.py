@@ -5,11 +5,14 @@ cached verdicts so the suite stays fast and the per-criterion lines
 stay visible in failure output.
 """
 import io
+import os
 import re
+import subprocess
 import time
 
 import pytest
 
+import mutdyn
 from mutdyn import acceptance, tropical
 from mutdyn.acceptance import CRITERIA, Criterion, run_all
 
@@ -76,6 +79,23 @@ def test_c7_detail_does_not_depend_on_the_block(monkeypatch, name, value):
     # overwrites it; a budget of 100 numbers makes every block one row
     monkeypatch.setattr(tropical, name, value)
     assert acceptance._c7_angle_and_signs() == (True, PINNED_DETAILS["C7"])
+
+
+def test_c11_children_import_the_running_package(monkeypatch):
+    # the package's parent directory leads the children's PYTHONPATH,
+    # ahead of the entries this process was given
+    envs = []
+
+    def run(args, **kwargs):
+        envs.append(kwargs["env"])
+        return subprocess.CompletedProcess(args, 0, stdout=b"x" * 200, stderr=b"")
+
+    monkeypatch.setenv("PYTHONPATH", os.pathsep.join(["elsewhere", "other"]))
+    monkeypatch.setattr(acceptance.subprocess, "run", run)
+    assert acceptance._c11_golden_outputs()[0]
+    root = os.path.dirname(os.path.dirname(os.path.abspath(mutdyn.__file__)))
+    assert len(envs) == 6
+    assert all(env["PYTHONPATH"].split(os.pathsep) == [root, "elsewhere", "other"] for env in envs)
 
 
 def _slow(ok, detail):

@@ -1,5 +1,7 @@
 """Orbit storage, growth verdicts, drift and angle audits, scans."""
+import dataclasses
 import math
+import sys
 import tracemalloc
 import warnings
 from functools import partial
@@ -82,6 +84,14 @@ def test_truncation_on_float_range_exit():
     assert orbit.points.shape == (1, 2)
     assert orbit.steps == 0
     assert orbit.requested_steps == 50
+    # the truncation is read from the points: a short orbit truncated
+    # after its last point, a whole one not at all
+    assert [f.name for f in dataclasses.fields(Orbit)] == ["params", "kind", "points", "requested_steps"]
+    later = iterate_orbit(Params(2, 2), OrbitKind.RATIONAL, (1e10, 1.0), 50)
+    assert later.truncated and later.truncated_at == len(later.points) == 10
+    whole = iterate_orbit(Params(1, 1), OrbitKind.RATIONAL, (1.0, 1.0), 50)
+    assert not whole.truncated and len(whole.points) == 51
+    assert whole.truncated_at is None and whole.truncation_reason is None
 
 
 def _mu_x_orbit(params, start, steps):
@@ -153,15 +163,32 @@ def test_rational_truncation_step_does_not_depend_on_the_range_check_block(monke
             orbit = iterate_orbit(Params(1.0, 3.0), OrbitKind.RATIONAL, start, steps)
             assert orbit.truncated_at == trunc
             assert orbit.points.tobytes() == points.tobytes()
+    # starts at the edges of float range, for integer and libm power
+    # branches: the recorder checks only that both coordinates are
+    # finite, and the orbit still ends where mu_x first leaves (0, inf);
+    # a quotient below the least normal float stays in range
+    big, tiny = sys.float_info.max, 5e-324
+    starts = [(big, 1.0), (1.0, big), (big, big), (big, tiny), (tiny, big), (1.0, tiny)]
+    starts += [(tiny, 1.0), (tiny, tiny), (1.3e154, 1.0), (1.0, 1.4e154)]
+    seen, subnormal = set(), False
+    for p, q in ((2.0, 3.0), (1.0, 1.0), (2.5, 0.7), (0.5, 4.5)):
+        for start in starts:
+            points, trunc = _mu_x_orbit(Params(p, q), start, 20)
+            orbit = iterate_orbit(Params(p, q), OrbitKind.RATIONAL, start, 20)
+            assert orbit.truncated_at == trunc, (p, q, start)
+            assert orbit.points.tobytes() == points.tobytes(), (p, q, start)
+            seen.add(trunc)
+            subnormal |= bool((orbit.points[1:] < sys.float_info.min).any())
+    assert {None, 1, 2, 3} <= seen and subnormal
 
 
 @pytest.mark.parametrize("run", [1, 3, 7])
 def test_rational_orbit_runs_have_mu_xs_bits(monkeypatch, run):
-    # iterate_orbit records _BLOCK_NUMBERS // 2 steps at a time into its
-    # points, each run from the last iterate of the one before; starts
-    # from 1 to 1e300 at the critical product leave float range inside a
-    # run, at a run's last step and just after one
-    monkeypatch.setattr(orbits, "_BLOCK_NUMBERS", 2 * run)
+    # iterate_orbit copies the recorder's runs of _BLOCK_NUMBERS // 2
+    # steps into its points, each run from the last iterate of the one
+    # before; starts from 1 to 1e300 at the critical product leave float
+    # range inside a run, at a run's last step and just after one
+    monkeypatch.setattr(tropical, "_BLOCK_NUMBERS", 2 * run)
     params = Params(2.0, 2.0)
     seen = set()
     for e in np.arange(0.0, 300.0, 0.25):

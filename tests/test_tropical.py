@@ -6,7 +6,7 @@ import pytest
 
 from mutdyn.errors import DomainError, RangeError, RegimeError
 from mutdyn.floatops import EQ_TOL, close_rel, det2
-from mutdyn import orbits, tropical
+from mutdyn import tropical
 from mutdyn.orbits import OrbitKind, iterate_orbit
 from mutdyn.params import Params
 from mutdyn.tropical import (
@@ -357,19 +357,32 @@ def test_detect_period_examples():
 
 
 def test_detect_period_does_not_depend_on_its_block_size(monkeypatch):
-    # the horizon is recorded block by block; returns found in a later
-    # block, and the None of an escape, come out as with one block
+    # the horizon is recorded a run at a time and checked for range a
+    # block at a time; returns found in a later run, and the None of an
+    # escape, come out as with one run.  Periods 3 to 9, and escapes at
+    # pq = 9 from starts up to 1e306, land inside a run, on a run's last
+    # step and just after one
     rng = np.random.default_rng(55)
     cases = []
     for m in (3, 5, 7, 10):
         params = Params(1.0, 4.0 * math.cos(math.pi / m) ** 2)
         cases += [(params, PointPL(*rng.uniform(-3.0, 3.0, 2))) for _ in range(20)]
+    cases += [(Params(1.0, 2.0), PointPL(1.0, 0.5)), (Params(1.0, 3.0), PointPL(1.0, 0.5))]
     cases += [(Params(3.0, 3.0), PointPL(1.0, 1.0)), (Params(2.0, 2.0), PointPL(1.0, 1.0))]
     want = [detect_period(params, pt, 40) for params, pt in cases]
     assert want.count(None) == 2
-    monkeypatch.setattr(tropical, "_STEP_BLOCK", 3)
-    assert [detect_period(params, pt, 40) for params, pt in cases] == want
-    assert detect_period(Params(3.0, 3.0), PointPL(1.0, 1.0), 1000) is None
+    escape = Params(3.0, 3.0)
+    starts = [(float(10.0**e), 1.0) for e in np.arange(0.0, 308.0, 2.0)]
+    escapes = {_per_step_record(escape, s0, t0, 400)[2] for s0, t0 in starts}
+    for block, run in ((3, 3), (64, 4), (2, 5)):
+        monkeypatch.setattr(tropical, "_STEP_BLOCK", block)
+        monkeypatch.setattr(tropical, "_BLOCK_NUMBERS", 2 * run)
+        assert [detect_period(params, pt, 40) for params, pt in cases] == want
+        assert all(detect_period(escape, PointPL(s0, t0), 400) is None for s0, t0 in starts)
+        assert detect_period(escape, PointPL(1.0, 1.0), 1000) is None
+        # residue 0 is a run's last step, 1 the step after a run
+        assert {k % run for k in want if k} == set(range(run))
+        assert {k % run for k in escapes} == set(range(run))
 
 
 def test_detect_period_none_in_escape_regimes():
@@ -652,16 +665,34 @@ def _per_step_record(params, s, t, steps):
     return ss, ts, None
 
 
+def _recorded(params, s, t, steps):
+    # _record_orbit's runs joined behind the start, in _per_step_record's
+    # form, with a short total read as the truncation step; every run but
+    # the last is full, and each starts at the step after the one before
+    ss, ts = [s], [t]
+    size = max(1, tropical._BLOCK_NUMBERS // 2)
+    lengths = []
+    for first, run_s, run_t in tropical._record_orbit(params, s, t, steps):
+        assert first == len(ss) and 0 < len(run_s) == len(run_t) <= size
+        lengths.append(len(run_s))
+        ss += run_s
+        ts += run_t
+    assert all(n == size for n in lengths[:-1])
+    return ss, ts, (len(ss) if len(ss) <= steps else None)
+
+
 @pytest.mark.parametrize("block", [1, 3, 64])
 def test_scalar_recorder_checked_per_block_has_the_per_step_bits(monkeypatch, block):
     # starts from 1 to 1e308 at pq = 9 leave float range at every step
-    # from 1 to about 340, so at every place in a block
+    # from 1 to about 340, so at every place in a block; runs of
+    # 2 block + 1 iterates end a check block inside each run
     monkeypatch.setattr(tropical, "_STEP_BLOCK", block)
+    monkeypatch.setattr(tropical, "_BLOCK_NUMBERS", 2 * (2 * block + 1))
     params = Params(3.0, 3.0)
     seen = set()
     for e in np.arange(0.0, 308.0, 0.5):
         for s0, t0 in ((float(10.0**e), 1.0), (-1.0, -float(10.0**e))):
-            got = tropical._record_orbit(params, s0, t0, 400)
+            got = _recorded(params, s0, t0, 400)
             want = _per_step_record(params, s0, t0, 400)
             assert got[2] == want[2], (s0, t0)
             assert _bits(got[0]) == _bits(want[0]) and _bits(got[1]) == _bits(want[1])
@@ -670,7 +701,7 @@ def test_scalar_recorder_checked_per_block_has_the_per_step_bits(monkeypatch, bl
     # horizons that end inside a block, at its end and just past it
     for steps in (0, 1, block - 1, block, block + 1, 2 * block + 1):
         for p, q, s0, t0 in _recorder_cases():
-            got = tropical._record_orbit(Params(p, q), s0, t0, steps)
+            got = _recorded(Params(p, q), s0, t0, steps)
             want = _per_step_record(Params(p, q), s0, t0, steps)
             assert got[2] == want[2]
             assert _bits(got[0]) == _bits(want[0]) and _bits(got[1]) == _bits(want[1])
@@ -678,11 +709,12 @@ def test_scalar_recorder_checked_per_block_has_the_per_step_bits(monkeypatch, bl
 
 @pytest.mark.parametrize("run", [1, 3, 100])
 def test_iterate_orbit_runs_have_the_per_step_bits(monkeypatch, run):
-    # iterate_orbit records _BLOCK_NUMBERS // 2 steps at a time into its
-    # points; starts from 1 to 1e308 at pq = 9 leave float range at every
-    # step from 1 to about 340, so inside a run, at a run's last step and
-    # at the step just after one
-    monkeypatch.setattr(orbits, "_BLOCK_NUMBERS", 2 * run)
+    # iterate_orbit copies the recorder's runs of _BLOCK_NUMBERS // 2
+    # steps into its points; starts from 1 to 1e308 at pq = 9 leave float
+    # range at every step from 1 to about 340, so inside a run, at a
+    # run's last step and at the step just after one.  A budget of one
+    # number still makes runs of one step
+    monkeypatch.setattr(tropical, "_BLOCK_NUMBERS", 1 if run == 1 else 2 * run)
     params = Params(3.0, 3.0)
     seen = set()
     for e in np.arange(0.0, 308.0, 0.5):
@@ -809,7 +841,7 @@ def test_sign_coherence_reduction_equals_the_scalar_loop():
     renormalized = sum(
         1
         for params, pt in cases
-        if np.max(np.abs(tropical._record_orbit(params, pt.s, pt.t, 500)[:2])) > 1e100
+        if np.max(np.abs(_recorded(params, pt.s, pt.t, 500)[:2])) > 1e100
     )
     assert renormalized > 30
     p, q, s0, t0 = (np.array(v) for v in zip(*((c.p, c.q, pt.s, pt.t) for c, pt in cases)))
