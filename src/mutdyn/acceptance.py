@@ -174,7 +174,7 @@ def _c5_escape():
         for _ in range(20):
             start = _draw_start(rng)
             runs = _record_orbit(params, *start, 299)
-            for s, t in chain([start], *(zip(ss, ts) for _, ss, ts in runs)):
+            for s, t in chain([start], chain.from_iterable(zip(ss, ts) for _, ss, ts in runs)):
                 if s > 0.0 and t < 0.0 and math.sqrt(p) * s + math.sqrt(q) * t >= 0.0:
                     break
             else:

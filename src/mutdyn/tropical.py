@@ -240,15 +240,14 @@ def _columns(*values):
 
 
 def _pl_step(p, q, s, t):
-    # the composed step on arrays, the same arithmetic as _record_orbit's
-    # scalar loop; callers silence the overflow the unused branch can hit
+    # the composed step on arrays, the same IEEE operations as _record_orbit's
+    # loop (its q * t - s is -s + q * t); callers silence unused-branch overflow
     ns = -s
     t1 = np.where(s > 0.0, t + p * s, t)
     return np.where(t1 > 0.0, ns + q * t1, ns), -t1
 
 
-# most iterates _blocks hands over at a time, and steps _record takes
-# between two range checks
+# most iterates _blocks hands over at a time; steps between _record's range checks
 _STEP_BLOCK = 64
 # most numbers a _blocks buffer or a _record run holds, so that a wide
 # pass takes fewer rows and its block temporaries keep one size
@@ -278,25 +277,27 @@ def _blocks(step, a, b, steps: int):
 
 def _record(run, a, b, steps: int):
     # a scalar orbit's iterates 1..steps in non-empty (first step, a list,
-    # b list) runs of _BLOCK_NUMBERS // 2 at most, ending before the first
-    # iterate that is not finite.  run(a, b, n, seq_a, seq_b) takes n steps,
-    # appends each iterate and returns the last, its loop written out as a
-    # call per step costs measurably.  Range is checked once per
-    # _STEP_BLOCK steps, so a pair once not finite must stay so
-    size = max(1, _BLOCK_NUMBERS // 2)
-    for first in range(1, steps + 1, size):
+    # b list) runs of _BLOCK_NUMBERS // 2 at most (one at the least), the
+    # last ending before the first iterate that is not finite.  run(a, b,
+    # n, seq_a, seq_b) appends n steps' iterates and returns the last (a
+    # call per step costs measurably).  Range is checked every _STEP_BLOCK
+    # steps, so a pair once not finite must stay so
+    isfinite, first = math.isfinite, 1
+    while first <= steps:
         seq_a, seq_b = [], []
-        n = min(size, steps + 1 - first)
-        for done in range(0, n, _STEP_BLOCK):
+        n, done = min(_BLOCK_NUMBERS // 2 or 1, steps + 1 - first), 0
+        while done < n:
             a, b = run(a, b, min(_STEP_BLOCK, n - done), seq_a, seq_b)
-            if not (math.isfinite(a) and math.isfinite(b)):
+            if not (isfinite(a) and isfinite(b)):
                 i = done
-                while math.isfinite(seq_a[i]) and math.isfinite(seq_b[i]):
+                while isfinite(seq_a[i]) and isfinite(seq_b[i]):
                     i += 1
                 if i:
                     yield first, seq_a[:i], seq_b[:i]
                 return
+            done += _STEP_BLOCK
         yield first, seq_a, seq_b
+        first += n
 
 
 def chebyshev_u(n: int, x: float) -> float:
@@ -420,11 +421,10 @@ def detect_period(params: Params, pt: PointPL, max_steps: int):
     max_steps = _count(max_steps, "max_steps", 1)
     s0, t0 = pt.s, pt.t
     bound = PERIOD_TOL * max(1.0, abs(s0), abs(t0))
-    # a run at a time, so a long horizon holds one run; a short period
-    # still pays for its whole run, up to 4096 steps or a few ms
+    # a run at a time; a short period still pays for its run, up to 4096 steps
     for first, ss, ts in _record_orbit(params, s0, t0, max_steps):
         for k in range(len(ss)):
-            if abs(ss[k] - s0) <= bound and abs(ts[k] - t0) <= bound:
+            if -bound <= ss[k] - s0 <= bound and -bound <= ts[k] - t0 <= bound:
                 return first + k
     return None
 
@@ -437,7 +437,7 @@ def _record_orbit(params: Params, s: float, t: float, steps: int):
         for _ in range(n):
             if s > 0.0:
                 t += p * s
-            s = -s + q * t if t > 0.0 else -s
+            s = q * t - s if t > 0.0 else -s
             t = -t
             ss.append(s)
             ts.append(t)

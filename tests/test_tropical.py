@@ -670,7 +670,7 @@ def _recorded(params, s, t, steps):
     # form, with a short total read as the truncation step; every run but
     # the last is full, and each starts at the step after the one before
     ss, ts = [s], [t]
-    size = max(1, tropical._BLOCK_NUMBERS // 2)
+    size = tropical._BLOCK_NUMBERS // 2
     lengths = []
     for first, run_s, run_t in tropical._record_orbit(params, s, t, steps):
         assert first == len(ss) and 0 < len(run_s) == len(run_t) <= size
@@ -712,9 +712,8 @@ def test_iterate_orbit_runs_have_the_per_step_bits(monkeypatch, run):
     # iterate_orbit copies the recorder's runs of _BLOCK_NUMBERS // 2
     # steps into its points; starts from 1 to 1e308 at pq = 9 leave float
     # range at every step from 1 to about 340, so inside a run, at a
-    # run's last step and at the step just after one.  A budget of one
-    # number still makes runs of one step
-    monkeypatch.setattr(tropical, "_BLOCK_NUMBERS", 1 if run == 1 else 2 * run)
+    # run's last step and at the step just after one
+    monkeypatch.setattr(tropical, "_BLOCK_NUMBERS", 2 * run)
     params = Params(3.0, 3.0)
     seen = set()
     for e in np.arange(0.0, 308.0, 0.5):
