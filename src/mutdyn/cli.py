@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import re
 import sys
 
 import numpy as np
@@ -29,7 +30,12 @@ class _UsageError(Exception):
 
 
 class _Parser(argparse.ArgumentParser):
-    # argparse exits with 2 on bad usage; route it through our codes
+    # argparse exits with 2 on bad usage; route it through our codes.  Its
+    # own matcher reads -1 and -1.5 as numbers but -1e-3 and -.5 as options
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(r"^-\.?\d")
+
     def error(self, message):
         raise _UsageError(message)
 
@@ -179,21 +185,17 @@ def _build_parser() -> _Parser:
     parser = _Parser(prog="mutdyn", description="Planar exchange-map dynamics toolkit")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    sp = sub.add_parser("orbit", help="iterate the birational map on the positive quadrant")
-    _add_params_args(sp)
-    sp.add_argument("--x0", dest="a0", metavar="X0", type=float, required=True)
-    sp.add_argument("--y0", dest="b0", metavar="Y0", type=float, required=True)
-    sp.add_argument("--steps", type=int, required=True)
-    _add_output_args(sp)
-    sp.set_defaults(func=_cmd_orbit, kind=OrbitKind.RATIONAL)
-
-    sp = sub.add_parser("trop-orbit", help="iterate the piecewise-linear map on the plane")
-    _add_params_args(sp)
-    sp.add_argument("--s0", dest="a0", metavar="S0", type=float, required=True)
-    sp.add_argument("--t0", dest="b0", metavar="T0", type=float, required=True)
-    sp.add_argument("--steps", type=int, required=True)
-    _add_output_args(sp)
-    sp.set_defaults(func=_cmd_orbit, kind=OrbitKind.TROPICAL)
+    for name, kind, a0, b0, text in (
+        ("orbit", OrbitKind.RATIONAL, "X0", "Y0", "the birational map on the positive quadrant"),
+        ("trop-orbit", OrbitKind.TROPICAL, "S0", "T0", "the piecewise-linear map on the plane"),
+    ):
+        sp = sub.add_parser(name, help=f"iterate {text}")
+        _add_params_args(sp)
+        sp.add_argument(f"--{a0.lower()}", dest="a0", metavar=a0, type=float, required=True)
+        sp.add_argument(f"--{b0.lower()}", dest="b0", metavar=b0, type=float, required=True)
+        sp.add_argument("--steps", type=int, required=True)
+        _add_output_args(sp)
+        sp.set_defaults(func=_cmd_orbit, kind=kind)
 
     sp = sub.add_parser("period", help="detect the period of a piecewise-linear orbit")
     _add_params_args(sp)

@@ -228,6 +228,15 @@ def _horizon(steps) -> int:
     return steps
 
 
+def _map_of(kind: OrbitKind):
+    # a kind's point type, recorder of one orbit's runs and scan producer
+    if kind is OrbitKind.RATIONAL:
+        return PointPos, _iterate_rational, _rational_cells
+    if kind is OrbitKind.TROPICAL:
+        return PointPL, _record_orbit, _tropical_cells
+    raise DomainError(f"unknown orbit kind {kind!r}")
+
+
 def iterate_orbit(params: Params, kind: OrbitKind, start, steps: int) -> Orbit:
     """Iterate the chosen map from start, recording every point.
 
@@ -237,18 +246,13 @@ def iterate_orbit(params: Params, kind: OrbitKind, start, steps: int) -> Orbit:
     helpers exist for those.
     """
     steps = _horizon(steps)
-    if kind is OrbitKind.RATIONAL:
-        pt = start if isinstance(start, PointPos) else PointPos(*_pair(start, "start"))
-        record, a, b = partial(_iterate_rational, params), pt.x, pt.y
-    elif kind is OrbitKind.TROPICAL:
-        pt = start if isinstance(start, PointPL) else PointPL(*_pair(start, "start"))
-        record, a, b = partial(_record_orbit, params), pt.s, pt.t
-    else:
-        raise DomainError(f"unknown orbit kind {kind!r}")
+    point, record, _ = _map_of(kind)
+    pt = start if isinstance(start, point) else point(*_pair(start, "start"))
+    a, b = pt.as_tuple()
     # filled a run at a time; a truncated orbit keeps a copy of its rows
     pts = np.empty((steps + 1, 2))
     pts[0], end = (a, b), 1
-    for first, xs, ys in record(a, b, steps):
+    for first, xs, ys in record(params, a, b, steps):
         end = first + len(xs)
         pts[first:end].T[:] = xs, ys
     if end <= steps:
@@ -514,16 +518,13 @@ class StartPolicy:
     def starts_for(self, kind: OrbitKind, i: int, j: int):
         if self.points is not None:
             return self.points
+        lo, hi, floor = (0.5, 2.0, 0.0) if kind is OrbitKind.RATIONAL else (-2.0, 2.0, 0.1)
         rng = np.random.default_rng([self.seed, i, j])
         out = []
         while len(out) < self.count:
-            if kind is OrbitKind.RATIONAL:
-                a, b = rng.uniform(0.5, 2.0, size=2)
+            a, b = rng.uniform(lo, hi, size=2)
+            if max(abs(a), abs(b)) >= floor:
                 out.append((float(a), float(b)))
-            else:
-                a, b = rng.uniform(-2.0, 2.0, size=2)
-                if max(abs(a), abs(b)) >= 0.1:
-                    out.append((float(a), float(b)))
         return tuple(out)
 
 
@@ -599,12 +600,7 @@ def scan_grid(
     "needs at least 16 points" comes last.
     """
     steps = _horizon(steps)
-    if kind is OrbitKind.RATIONAL:
-        point, evaluate = PointPos, _rational_cells
-    elif kind is OrbitKind.TROPICAL:
-        point, evaluate = PointPL, _tropical_cells
-    else:
-        raise DomainError(f"unknown orbit kind {kind!r}")
+    point, _, evaluate = _map_of(kind)
     # the range ends are exponents too, checked before linspace turns an
     # infinite one into nan
     (lo_p, hi_p), (lo_q, hi_q) = _pair(p_range, "p_range"), _pair(q_range, "q_range")

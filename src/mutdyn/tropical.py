@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import chain
 from typing import NamedTuple
 
 import numpy as np
@@ -487,27 +488,26 @@ def first_sign_coherent_index(params: Params, pt: PointPL, cap: int = 500):
 
 
 def _sign_coherent_indices(p, q, s0, t0, cap: int) -> list:
-    # first_sign_coherent_index for many starts at once, one column per
-    # start after p, q, s0 and t0 broadcast.  The infinity norm of the
-    # current iterates serves both the band and the renormalization;
-    # each column past 1e100 is divided by its own norm, after which its
-    # larger coordinate is exactly +-1.
+    # first_sign_coherent_index per column of p, q, s0, t0 broadcast.  A
+    # step divides a column past 1e100 by its infinity norm, leaving its
+    # larger coordinate exactly +-1 and its band EQ_TOL
     p, q, s, t = _columns(p, q, s0, t0)
+
+    def step(s, t):
+        s, t = _pl_step(p, q, s, t)
+        norm = _sup_norm(s, t)
+        big = norm > 1e100
+        if big.any():
+            s, t = np.where(big, s / norm, s), np.where(big, t / norm, t)
+        return s, t
+
     last_bad = np.full(s.shape, -1)
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        norm = _sup_norm(s, t)
-        for n in range(cap + 1):
-            band = _band(norm)
-            last_bad[~((s > band) & (t < -band))] = n
-            if n == cap:
-                break
-            s, t = _pl_step(p, q, s, t)
-            norm = _sup_norm(s, t)
-            big = norm > 1e100
-            if big.any():
-                s = np.where(big, s / norm, s)
-                t = np.where(big, t / norm, t)
-                norm = np.where(big, 1.0, norm)
+        for first, ss, ts in chain([(0, s[None], t[None])], _blocks(step, s, t, cap)):
+            band = _band(_sup_norm(ss, ts))
+            bad = ~((ss > band) & (ts < -band))
+            last = first + len(bad) - 1 - bad[::-1].argmax(axis=0)
+            last_bad = np.where(bad.any(axis=0), last, last_bad)
     return [int(b) + 1 if b < cap else None for b in last_bad.ravel()]
 
 

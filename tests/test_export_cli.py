@@ -524,6 +524,23 @@ def test_cli_svg_golden_digest(capsys, argv):
     assert hashlib.sha256(out.encode()).hexdigest() == SVG_SHA256[argv]
 
 
+# seeded scans: the digests pin both kinds' drawn starts and verdicts
+SCAN_SHA256 = {
+    "rational": "045d0a6d3242e4b54c19b17a15778125c5e2c56aaefde250f3c0ff2e8fc4c9d4",
+    "tropical": "7aae4674a051bdb8bae3fe6ff27fea7fa8e7a245f21b627ebb6b7b07ca88df4e",
+}
+
+
+@pytest.mark.parametrize("kind", list(SCAN_SHA256))
+def test_cli_seeded_scan_golden_digest(capsys, kind):
+    code, out, _ = _run(capsys, [
+        "scan", "--kind", kind, "--resolution", "4", "--count", "2", "--seed", "3",
+        "--steps", "200",
+    ])
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == SCAN_SHA256[kind]
+
+
 def test_render_svg_refuses_what_it_cannot_draw():
     for content in (5, [5]):
         with pytest.raises(DomainError, match="must be an Orbit or point sequences"):
@@ -613,6 +630,27 @@ def test_cli_period(capsys):
     code, out, _ = _run(capsys, ["period", "--p", "2", "--q", "2", "--s0", "1", "--t0", "0",
                                  "--max-steps", "200"])
     assert code == 0 and out == "none\n"
+
+
+def test_cli_reads_negative_values_in_exponent_form(capsys):
+    # argparse's own matcher takes -1e-3 for an option; here a value that
+    # starts with a minus and a digit, or a minus, a point and a digit, is
+    # a number, read as the --flag=value form (always a value) reads it
+    trop = ["trop-orbit", "--p", "1", "--q", "1", "--s0", "1", "--steps", "2"]
+    for argv, flag, value in (
+        (trop, "--t0", "-1e-3"),
+        (trop, "--t0", "-.5"),
+        (trop, "--t0", "-1E+2"),
+        (["period", "--p", "1", "--q", "1", "--t0", "1"], "--s0", "-2.5e0"),
+        (["levelset", "--p", "3", "--q", "3", "--samples", "4"], "--level", "-5.2e0"),
+    ):
+        code, out, err = _run(capsys, [*argv, flag, value])
+        assert (code, err) == (0, ""), (argv, value)
+        assert (code, out, err) == _run(capsys, [*argv, f"{flag}={value}"]), (argv, value)
+    # a minus before anything else is still an option, so --t0 lacks its value
+    code, _, err = _run(capsys, [*trop, "--t0", "-x"])
+    assert code == 1
+    assert err == "usage error: argument --t0: expected one argument\n"
 
 
 def test_cli_usage_errors(capsys):

@@ -784,14 +784,15 @@ def test_blocked_drift_pass_equals_the_per_step_loop_bit_for_bit():
 
 
 def _array_passes(steps):
-    # what the two array passes over tropical._blocks return, as bytes
+    # what the three array passes over tropical._blocks return, as bytes or ints
     p, q, x, y = (np.array(v) for v in zip(*_rational_columns()))
     rng = np.random.default_rng(404)
     tp, tq = rng.uniform(0.3, 6.0, (2, 60))
     s, t = rng.uniform(-2.0, 2.0, (2, 60))
-    s[:10] *= 1e150  # orbits that truncate, quadratics that overflow
+    s[:10] *= 1e150  # orbits that truncate, quadratics that overflow, signs renormalised
     got = [_verdict_bits(v) for v in orbits._rational_verdicts(p, q, x, y, steps)]
-    return got + [d.tobytes() for d in _phi_drift_pass(tp, tq, s, t, steps, (1e3, None))]
+    got += [d.tobytes() for d in _phi_drift_pass(tp, tq, s, t, steps, (1e3, None))]
+    return got + tropical._sign_coherent_indices(tp, tq, s, t, steps)
 
 
 @pytest.mark.parametrize("block, numbers", [
