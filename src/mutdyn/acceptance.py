@@ -45,10 +45,11 @@ from .tropical import (
     _blocks,
     _closed_forms,
     _conserved,
+    _cut,
+    _first_returns,
     _lift,
     _pl_step,
     _quad_coefs,
-    _record_orbit,
     _sign_coherent_indices,
     _tau_step,
     _trig_forms,
@@ -71,11 +72,14 @@ def _rng(offset: int) -> np.random.Generator:
     return np.random.default_rng(_BASE_SEED + offset)
 
 
-def _draw_start(rng):
-    while True:
-        s, t = rng.uniform(-3.0, 3.0, size=2)
-        if max(abs(s), abs(t)) >= 0.1:
-            return float(s), float(t)
+def _draw_starts(rng, n: int) -> list:
+    # n starts in [-3, 3]^2, a pair under 0.1 in both sizes drawn again: the
+    # stream of drawing a pair at a time, a batch at a time, up to the n-th
+    starts = []
+    while len(starts) < n:
+        pairs = rng.uniform(-3.0, 3.0, size=(n - len(starts), 2)).tolist()
+        starts += [(s, t) for s, t in pairs if max(abs(s), abs(t)) >= 0.1]
+    return starts
 
 
 def _q_for_m(m: int) -> float:
@@ -87,18 +91,18 @@ def _expected_period(m: int) -> int:
 
 
 def _c1_period_table():
-    rng = _rng(1)
-    checked = 0
-    for m in range(3, 31):
-        params = Params(1.0, _q_for_m(m))
-        expect = _expected_period(m)
-        for _ in range(100):
-            start = PointPL(*_draw_start(rng))
-            got = detect_period(params, start, expect + 10)
-            if got != expect:
-                return False, f"m={m} start={start.as_tuple()} period {got} != {expect}"
-            checked += 1
-    return True, f"{checked} orbits across m=3..30 all at the predicted period"
+    ms = range(3, 31)
+    starts = _draw_starts(_rng(1), 100 * len(ms))
+    s0, t0 = np.array(starts).T
+    # one pass to the largest horizon; each start's own is its period + 10
+    step = partial(_pl_step, 1.0, np.repeat([_q_for_m(m) for m in ms], 100))
+    with np.errstate(over="ignore", invalid="ignore"):
+        got = _first_returns(s0, t0, _blocks(step, s0, t0, max(map(_expected_period, ms)) + 10))
+    for m, start, k in zip(np.repeat(ms, 100).tolist(), starts, got.tolist()):
+        want = _expected_period(m)
+        if k != want:
+            return False, f"m={m} start={start} period {k if 0 < k <= want + 10 else None} != {want}"
+    return True, f"{len(starts)} orbits across m=3..30 all at the predicted period"
 
 
 def _c2_named_periods():
@@ -156,38 +160,49 @@ def _c4_hand_orbits():
 def _c5_escape():
     rng = _rng(5)
     log_goal = math.log(1e6)
-    worst_steps = 0
+    # every input drawn first, in the order of the checks below
+    pairs, logs, starts = [], [], []
     for _ in range(10):
         p = float(rng.uniform(0.8, 3.0))
-        q = float(rng.uniform(4.5, 12.0)) / p
-        params = Params(p, q)
-        for _ in range(20):
-            a, b = (math.log(v) for v in rng.uniform(0.5, 3.0, 2))
+        pairs.append((p, float(rng.uniform(4.5, 12.0)) / p))
+        logs.append([[math.log(v) for v in rng.uniform(0.5, 3.0, 2)] for _ in range(20)])
+        starts += _draw_starts(rng, 20)
+    # each tropical start up to its first point in the coherent cone, then
+    # 100 steps of the linearization from there, renormalized past 1e100
+    p, q = np.repeat(pairs, 20, axis=0).T
+    s, t = s0, t0 = np.array(starts).T
+    entered = np.zeros(len(starts), dtype=bool)
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        for _, ss, ts in chain([(0, s0[None], t0[None])], _blocks(partial(_pl_step, p, q), s0, t0, 299)):
+            # a point out of float range ends its orbit (the cone test passes s = inf)
+            cone = (ss > 0.0) & (ss < math.inf) & (ts < 0.0) & (np.sqrt(p) * ss + np.sqrt(q) * ts >= 0.0)
+            new, row = cone.any(axis=0) & ~entered, cone.argmax(axis=0)
+            s, t = np.where(new, ss[row, range(len(row))], s), np.where(new, ts[row, range(len(row))], t)
+            entered |= new
+            if entered.all():
+                break
+        floor = np.repeat([kappa_nu(Params(*pair))[0] - 1.0 - 1e-6 for pair in pairs], 20)
+        ratio = np.full(len(starts), math.nan)
+        for _ in range(100):
+            s2, t2 = _tau_step(p, q, s, t)
+            ratio = np.where(np.isnan(ratio) & (abs(t2) < floor * abs(t)), abs(t2) / abs(t), ratio)
+            norm = np.maximum(abs(s2), abs(t2))
+            s, t = np.where(norm > 1e100, s2 / norm, s2), np.where(norm > 1e100, t2 / norm, t2)
+    worst_steps = 0
+    for i, ((p, q), pair_logs) in enumerate(zip(pairs, logs)):
+        for a, b in pair_logs:
             for step in range(1, 201):
-                a, b = mu_x_log(params, (a, b))
-                if params.p * a > log_goal:
+                a, b = mu_x_log(Params(p, q), (a, b))
+                if p * a > log_goal:
                     worst_steps = max(worst_steps, step)
                     break
             else:
                 return False, f"p={p} q={q} never passed 1e6 within 200 steps"
-        floor = kappa_nu(params)[0] - 1.0 - 1e-6
-        for _ in range(20):
-            start = _draw_start(rng)
-            runs = _record_orbit(params, *start, 299)
-            for s, t in chain([start], chain.from_iterable(zip(ss, ts) for _, ss, ts in runs)):
-                if s > 0.0 and t < 0.0 and math.sqrt(p) * s + math.sqrt(q) * t >= 0.0:
-                    break
-            else:
+        for j in range(20 * i, 20 * i + 20):
+            if not entered[j]:
                 return False, f"p={p} q={q} start never reached the coherent cone"
-            for _ in range(100):
-                s2, t2 = _tau_step(p, q, s, t)
-                if abs(t2) < (floor * abs(t)):
-                    return False, f"p={p} q={q}: growth ratio {abs(t2)/abs(t):.6f} < {floor:.6f}"
-                s, t = s2, t2
-                norm = max(abs(s), abs(t))
-                if norm > 1e100:
-                    s /= norm
-                    t /= norm
+            if not np.isnan(ratio[j]):
+                return False, f"p={p} q={q}: growth ratio {ratio[j]:.6f} < {floor[j]:.6f}"
     return True, f"all escapes within {worst_steps} steps; tropical ratios held"
 
 
@@ -225,44 +240,45 @@ def _c7_angle_and_signs():
         p = float(rng.uniform(0.8, 2.8))
         q = float(rng.uniform(4.2, 9.0)) / p
         pairs.append((p, q))
-    # nothing below draws, so every start can be drawn first
-    starts = [[PointPL(*_draw_start(rng)) for _ in range(100)] for _ in pairs]
-    flat = [(p, q, start.s, start.t) for (p, q), row in zip(pairs, starts) for start in row]
-    coherent = iter(_sign_coherent_indices(*np.array(flat).T, 500))
+    # one column per start, all drawn first
+    flat = [(p, q, s, t) for p, q in pairs for s, t in _draw_starts(rng, 100)]
+    p, q, s0, t0 = np.array(flat).T
+    cut = np.repeat([_cut(*pair) for pair in pairs], 100)
+    fourth = np.ones(len(flat), dtype=bool)
+
+    def angles():
+        # one pass over every orbit; none leaves float range or meets the
+        # origin (the map fixes it), so every angle is defined
+        for first, ss, ts in chain([(0, s0[None], t0[None])], _blocks(partial(_pl_step, p, q), s0, t0, 200)):
+            fourth[...] &= ((ss > 0.0) & (ts < 0.0)).all(axis=0)
+            lifted, raw = _lift(cut, ss, ts)
+            # negation is exact, so a rise of -atan2 is a fall of atan2
+            yield first, np.concatenate([lifted, -raw], axis=1)
+
+    rises = _first_rises(angles())
+    values = _conserved(_quad_coefs(p, q), s0, t0).tolist()
     worst_n = -1
     nonneg = negative = 0
     witness = None
-    for (p, q), row in zip(pairs, starts):
-        # a pair's orbits, one column each; none leaves float range or
-        # meets the origin (the map fixes it), so every angle is defined
-        s0, t0 = np.array([start.as_tuple() for start in row]).T
-        ss, ts = np.empty((2, 201, len(row)))
-        ss[0], ts[0] = s0, t0
-        for first, bs, bt in _blocks(partial(_pl_step, p, q), s0, t0, 200):
-            ss[first : first + len(bs)], ts[first : first + len(bt)] = bs, bt
-        values = _conserved(_quad_coefs(p, q), s0, t0).tolist()
-        rises = _first_rises(_lift(Params(p, q), ss, ts)[0])
-        # negation is exact, so a rise of -atan2 is a fall of atan2
-        falls = _first_rises(-np.arctan2(ts, ss))
-        fourth = ((ss > 0.0) & (ts < 0.0)).all(axis=0).tolist()
-        for start, value, rise, fell, inside in zip(row, values, rises, falls, fourth):
-            where = f"p={p} q={q} start={start.as_tuple()}"
-            if value >= 0.0:
-                nonneg += 1
-                if rise is not None:
-                    return False, f"angle rose at step {rise} from value {value:.3g} >= 0, {where}"
-            else:
-                negative += 1
-                if not inside:
-                    return False, f"value {value:.3g} < 0 left the open fourth quadrant, {where}"
-                if fell is not None:
-                    return False, f"unlifted angle fell at step {fell}, {where}"
-                if witness is None:
-                    witness = (p, q, start.as_tuple(), value, rise)
-            n0 = next(coherent)
-            if n0 is None:
-                return False, f"no sign coherence by 500 for {where}"
-            worst_n = max(worst_n, n0)
+    for (p, q, s, t), value, rise, fell, inside, n0 in zip(
+        flat, values, rises, rises[len(flat) :], fourth.tolist(), _sign_coherent_indices(p, q, s0, t0, 500)
+    ):
+        where = f"p={p} q={q} start={(s, t)}"
+        if value >= 0.0:
+            nonneg += 1
+            if rise is not None:
+                return False, f"angle rose at step {rise} from value {value:.3g} >= 0, {where}"
+        else:
+            negative += 1
+            if not inside:
+                return False, f"value {value:.3g} < 0 left the open fourth quadrant, {where}"
+            if fell is not None:
+                return False, f"unlifted angle fell at step {fell}, {where}"
+            if witness is None:
+                witness = (p, q, (s, t), value, rise)
+        if n0 is None:
+            return False, f"no sign coherence by 500 for {where}"
+        worst_n = max(worst_n, n0)
     if not (nonneg and negative):
         return False, f"a population is empty: {nonneg} starts with value >= 0, {negative} below"
     p, q, (s0, t0), value, rise = witness

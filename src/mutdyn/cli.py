@@ -31,10 +31,11 @@ class _UsageError(Exception):
 
 class _Parser(argparse.ArgumentParser):
     # argparse exits with 2 on bad usage; route it through our codes.  Its
-    # own matcher reads -1 and -1.5 as numbers but -1e-3 and -.5 as options
+    # own matcher reads -1 and -1.5 as numbers but -1e-3, -.5 and -inf as
+    # options; here the non-finite spellings float() takes are numbers too
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
-        self._negative_number_matcher = re.compile(r"^-\.?\d")
+        self._negative_number_matcher = re.compile(r"^-(\.?\d|(inf|infinity|nan)$)", re.IGNORECASE)
 
     def error(self, message):
         raise _UsageError(message)

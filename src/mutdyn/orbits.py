@@ -18,6 +18,7 @@ from .tropical import (
     _blocks,
     _columns,
     _conserved,
+    _cut,
     _lift,
     _pl_step,
     _quad_coefs,
@@ -72,7 +73,7 @@ def _phi(params: Params, points):
 
 def _polar(params: Params, points):
     S, T = points.T
-    return np.where((S == 0.0) & (T == 0.0), math.nan, _lift(params, S, T)[0])
+    return np.where((S == 0.0) & (T == 0.0), math.nan, _lift(_cut(params.p, params.q), S, T)[0])
 
 
 def _signs(points):
@@ -418,15 +419,20 @@ def monotonic_angle_audit(orbit: Orbit):
     th = orbit.polar
     if np.isnan(th).any():
         raise DomainError("orbit passes through the origin, angle undefined there")
-    return _first_rises(th[:, None])[0]
+    return _first_rises([(0, th[:, None])])[0]
 
 
-def _first_rises(theta) -> list:
-    # monotonic_angle_audit's rule on each column of a (steps + 1, N)
-    # angle array: the first step whose angle beats the step before by
-    # more than _ANGLE_SLACK, or None where no step does
-    rose = np.diff(theta, axis=0, prepend=theta[:1]) > _ANGLE_SLACK
-    return [int(i) if hit else None for i, hit in zip(rose.argmax(axis=0), rose.any(axis=0))]
+def _first_rises(blocks) -> list:
+    # monotonic_angle_audit's rule on each column of an angle array handed
+    # over in (first row, rows) blocks from row 0: the first row whose angle
+    # beats the row before, carried across blocks, by more than
+    # _ANGLE_SLACK, or None where no row does
+    found, prev = -1, math.inf
+    for first, theta in blocks:
+        rose = np.diff(theta, axis=0, prepend=prev) > _ANGLE_SLACK
+        found = np.where((found < 0) & rose.any(axis=0), first + rose.argmax(axis=0), found)
+        prev = theta[-1:]
+    return [int(i) if i >= 0 else None for i in found]
 
 
 def phi_drift_batch(p, q, s0, t0, steps: int, scale_cap: float | None = None):

@@ -400,16 +400,21 @@ def polar_angle(params: Params, pt: PointPL) -> PolarAngle:
     """
     if pt.s == 0.0 and pt.t == 0.0:
         raise DomainError("polar angle undefined at the origin")
-    theta, cut = _lift(params, pt.s, pt.t)
-    return PolarAngle(float(theta), cut)
+    cut = _cut(params.p, params.q)
+    return PolarAngle(float(_lift(cut, pt.s, pt.t)[0]), cut)
 
 
-def _lift(params: Params, s, t):
-    # atan2 lifted over the cut; np.arctan2 serves floats and arrays
-    # alike, so a single point and a whole orbit get the same bits
-    cut = math.atan(-float(_nu(params.p, params.q)))
+def _cut(p: float, q: float) -> float:
+    # the lift's cut angle, from math.atan
+    return math.atan(-float(_nu(p, q)))
+
+
+def _lift(cut, s, t):
+    # atan2 lifted over the cut, a float or one per column, and atan2
+    # itself; np.arctan2 serves floats and arrays alike, so a single
+    # point and a whole orbit get the same bits
     raw = np.arctan2(t, s)
-    return np.where(raw > cut, raw, raw + 2.0 * math.pi), cut
+    return np.where(raw > cut, raw, raw + 2.0 * math.pi), raw
 
 
 def detect_period(params: Params, pt: PointPL, max_steps: int):
@@ -420,14 +425,23 @@ def detect_period(params: Params, pt: PointPL, max_steps: int):
     float range also end the search with None.
     """
     max_steps = _count(max_steps, "max_steps", 1)
-    s0, t0 = pt.s, pt.t
-    bound = PERIOD_TOL * max(1.0, abs(s0), abs(t0))
     # a run at a time; a short period still pays for its run, up to 4096 steps
-    for first, ss, ts in _record_orbit(params, s0, t0, max_steps):
-        for k in range(len(ss)):
-            if -bound <= ss[k] - s0 <= bound and -bound <= ts[k] - t0 <= bound:
-                return first + k
-    return None
+    return int(_first_returns(pt.s, pt.t, _record_orbit(params, pt.s, pt.t, max_steps))) or None
+
+
+def _first_returns(s0, t0, runs):
+    # detect_period's search per column of the starts s0, t0 over the (first
+    # step, s, t) runs of its iterates, lists or rows: the first step back
+    # within PERIOD_TOL max(1, start norm) in both coordinates (never at a
+    # value that is not finite), 0 for none; stops once every column is back
+    bound = PERIOD_TOL * np.maximum(1.0, _sup_norm(s0, t0))
+    found = np.zeros(np.shape(s0), dtype=int)
+    for first, ss, ts in runs:
+        back = (abs(np.subtract(ss, s0)) <= bound) & (abs(np.subtract(ts, t0)) <= bound)
+        found = np.where((found > 0) | ~back.any(axis=0), found, first + back.argmax(axis=0))
+        if found.all():
+            break
+    return found
 
 
 def _record_orbit(params: Params, s: float, t: float, steps: int):

@@ -75,10 +75,13 @@ def test_criterion_detail_is_pinned(verdicts, cid):
 
 @pytest.mark.parametrize("name, value", [("_STEP_BLOCK", 1), ("_STEP_BLOCK", 3), ("_BLOCK_NUMBERS", 100)])
 def test_c7_detail_does_not_depend_on_the_block(monkeypatch, name, value):
-    # C7 copies each block of its orbits out before the next one
-    # overwrites it; a budget of 100 numbers makes every block one row
+    # C7, and C1 and C5 with it, read each block of their one pass before
+    # the next one overwrites it, and carry what they found across blocks;
+    # a budget of 100 numbers makes every block one row
     monkeypatch.setattr(tropical, name, value)
-    assert acceptance._c7_angle_and_signs() == (True, PINNED_DETAILS["C7"])
+    for crit in CRITERIA:
+        if crit.cid in ("C1", "C5", "C7"):
+            assert crit.fn() == (True, PINNED_DETAILS[crit.cid])
 
 
 def test_c11_children_import_the_running_package(monkeypatch):

@@ -653,6 +653,27 @@ def test_cli_reads_negative_values_in_exponent_form(capsys):
     assert err == "usage error: argument --t0: expected one argument\n"
 
 
+def test_cli_reads_negative_non_finite_values(capsys):
+    # -inf and -nan in any spelling float() takes are values too, so they
+    # reach the finiteness check as the --flag=value form does
+    trop = ["trop-orbit", "--p", "1", "--q", "1", "--s0", "1", "--steps", "2"]
+    levelset = ["levelset", "--p", "3", "--q", "3", "--samples", "4"]
+    for argv, flag, value in (
+        (trop, "--t0", "-inf"),
+        (trop, "--t0", "-nan"),
+        (trop, "--t0", "-Infinity"),
+        (trop, "--t0", "-NaN"),
+        (levelset, "--level", "-inf"),
+    ):
+        code, out, err = _run(capsys, [*argv, flag, value])
+        assert code == 1 and "must be finite" in err, (argv, value, err)
+        assert (code, out, err) == _run(capsys, [*argv, f"{flag}={value}"]), (argv, value)
+    # a word that only starts like one is still an option
+    for value in ("-in", "-nanx", "-infinite"):
+        code, _, err = _run(capsys, [*trop, "--t0", value])
+        assert (code, err) == (1, "usage error: argument --t0: expected one argument\n"), value
+
+
 def test_cli_usage_errors(capsys):
     for argv in ([], ["orbit", "--p", "1"], ["nope"], ["orbit", "--p", "x"]):
         code, _, err = _run(capsys, argv)

@@ -7,7 +7,7 @@ import pytest
 
 from mutdyn.errors import DomainError, RangeError, RegimeError
 from mutdyn.floatops import JAC_STEP, ulp_gap
-from mutdyn.orbits import OrbitKind, iterate_orbit
+from mutdyn.orbits import OrbitKind, _rational_step, iterate_orbit
 from mutdyn.params import Params
 from mutdyn.rational import (
     H_dist,
@@ -31,7 +31,7 @@ from mutdyn.rational import (
     symplectic_residual,
     to_uv,
 )
-from mutdyn.tropical import PointPL, hat_mu1, hat_mu2
+from mutdyn.tropical import PointPL, _blocks, hat_mu1, hat_mu2
 
 
 def _random_params(rng, lo=0.3, hi=3.0):
@@ -381,6 +381,68 @@ def test_exact_orbits_at_pq_four_keep_their_invariant():
             for _ in range(10):
                 pt = _exact_step(p, q, *pt)
                 assert invariant(*pt) == value
+
+
+# hyperbolic integer pairs (pq > 4).  From (1, 1) the orbit is the rank-2
+# cluster recurrence z_{k+1} z_{k-1} = 1 + z_k^b, b alternating between q
+# and p, so by the Laurent phenomenon (Fomin and Zelevinsky, Cluster
+# algebras I, 2002) every iterate is a positive integer
+HYPERBOLIC = ((1, 5), (5, 1), (2, 3), (3, 2), (1, 6), (6, 1), (3, 3))
+
+
+def _growth_rate(p, q):
+    # lambda, the larger eigenvalue of the linearization at pq > 4
+    return (p * q - 2 + math.sqrt(p * q * (p * q - 4))) / 2
+
+
+def test_hyperbolic_orbits_of_one_one_are_integers():
+    for p, q in HYPERBOLIC:
+        pt = (Fraction(1), Fraction(1))
+        for k in range(7):
+            pt = _exact_step(p, q, *pt)
+            assert all(v.denominator == 1 and v > 1 for v in pt), (p, q, k)
+
+
+def test_float_orbits_of_one_one_are_the_integers_below_two_to_the_53():
+    # while every value a step makes, numerators included, stays below
+    # 2^53, each operation is exact in floats (powers up to 4 multiply,
+    # higher ones take libm's pow, exact on a representable result), so
+    # the scalar recorder and the batched step give the integers bit for
+    # bit.  That holds through 2 or 3 steps at these pairs
+    for p, q in HYPERBOLIC:
+        exact, (x, y) = [(1, 1)], (1, 1)
+        while True:
+            top, x = 1 + y**q, (1 + y**q) // x
+            top, y = max(top, 1 + x**p), (1 + x**p) // y
+            if top >= 2**53:
+                break
+            exact.append((x, y))
+        steps = len(exact) - 1
+        assert steps >= 2, (p, q)
+        want = [[float(x), float(y)] for x, y in exact]
+        orbit = iterate_orbit(Params(p, q), OrbitKind.RATIONAL, (1.0, 1.0), steps)
+        assert orbit.points.tolist() == want, (p, q)
+        step = _rational_step(np.array([float(p)]), np.array([float(q)]))
+        rows = [[1.0, 1.0]]
+        for _, xs, ys in _blocks(step, np.ones(1), np.ones(1), steps):
+            rows += np.column_stack([xs[:, 0], ys[:, 0]]).tolist()
+        assert rows == want, (p, q)
+
+
+def test_exact_log_ratio_approaches_the_growth_rate():
+    # the birational map grows doubly exponentially: log x_{k+1} / log x_k
+    # tends to lambda(pq), the PL map's growth rate.  The exact integers
+    # show it, their gap shrinking at every step from the second; at step
+    # 7 it was at most 3.9e-5 (relative) over these pairs, 8.5e-10 at (3, 3)
+    for p, q in HYPERBOLIC:
+        logs, pt = [], (Fraction(1), Fraction(1))
+        for _ in range(7):
+            pt = _exact_step(p, q, *pt)
+            # math.log takes an integer of any size, which str would refuse
+            logs.append(math.log(pt[0].numerator))
+        gaps = [abs(b / a / _growth_rate(p, q) - 1) for a, b in zip(logs, logs[1:])]
+        assert all(later < earlier for earlier, later in zip(gaps[1:], gaps[2:])), (p, q, gaps)
+        assert gaps[-1] <= 1e-4, (p, q, gaps)
 
 
 class _Dual:

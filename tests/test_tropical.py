@@ -1,5 +1,6 @@
 import math
 from fractions import Fraction
+from functools import partial
 
 import numpy as np
 import pytest
@@ -383,6 +384,32 @@ def test_detect_period_does_not_depend_on_its_block_size(monkeypatch):
         # residue 0 is a run's last step, 1 the step after a run
         assert {k % run for k in want if k} == set(range(run))
         assert {k % run for k in escapes} == set(range(run))
+
+
+def test_batched_return_search_is_detect_period_per_column():
+    # one _blocks pass over mixed columns to the largest horizon, each
+    # column's own horizon applied afterwards, gives detect_period column
+    # by column: periods 3 to 15 under horizons that cut some of them
+    # off, no return in reach, and hyperbolic orbits that leave float
+    # range (a value out of range is never back, so they read None)
+    rng = np.random.default_rng(31)
+    columns = []
+    for m in (3, 4, 5, 7, 10, 13):
+        q = 4.0 * math.cos(math.pi / m) ** 2
+        columns += [(1.0, q, *rng.uniform(-3.0, 3.0, 2), int(rng.integers(1, 30))) for _ in range(8)]
+    columns += [(1.0, 1.05, 1.0, 0.0, 60), (3.0, 3.0, 1.0, -0.5, 2000), (1e100, 1e100, 1.0, 1.0, 60)]
+    p, q, s0, t0, horizon = (np.array(v) for v in zip(*columns))
+    step = partial(tropical._pl_step, p, q)
+    with np.errstate(over="ignore", invalid="ignore"):
+        found = tropical._first_returns(s0, t0, tropical._blocks(step, s0, t0, int(horizon.max())))
+    got = [int(k) if 0 < k <= n else None for k, n in zip(found, horizon)]
+    want = [detect_period(Params(*c[:2]), PointPL(*c[2:4]), c[4]) for c in columns]
+    assert got == want
+    assert got[-3:] == [None] * 3
+    for p, q, s, t, n in columns[-2:]:
+        assert iterate_orbit(Params(p, q), OrbitKind.TROPICAL, (s, t), n).truncated
+    # some periods are found, some fall past their column's horizon
+    assert None in got[:-3] and len({k for k in got if k}) >= 5
 
 
 def test_detect_period_none_in_escape_regimes():
