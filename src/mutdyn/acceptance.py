@@ -6,13 +6,13 @@ line per criterion.  The same list backs the test suite and the
 ``mutdyn verify`` command.
 
 Conserved-quantity note (criterion 3).  The drift bound is checked
-over the full horizon in the rotation regime.  In the growing regimes
-the quadratic is a difference of terms that reach the square of the
-orbit scale, so once an orbit passes roughly 1e3 the 64-bit evaluation
-cancels to fewer digits than the bound asks for; measured drift there
-is rounding noise of the evaluation, not of the dynamics.  The bound
-is therefore enforced while orbits remain inside that window, and the
-raw full-horizon figure is reported alongside for transparency.
+over the full horizon in the rotation regime and, in the growing
+regimes, while an orbit's infinity norm stays within 1e3; the raw
+full-horizon figure is reported alongside.  Past that window the drift
+is not only rounding of the evaluation: at the critical product the
+64-bit evaluation reads ten times the exact drift of the computed
+orbit, but a hyperbolic orbit's own rounding (about eps r a step)
+moves it off its level set, and its exact drift is as large, order 1.
 """
 from __future__ import annotations
 
@@ -425,19 +425,24 @@ def _c11_golden_outputs():
     root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
     path = os.pathsep.join(filter(None, [root, os.environ.get("PYTHONPATH")]))
     env = {**os.environ, "PYTHONPATH": path}
+    # all six started together and read before the checks, which keep the order of runs in turn
+    pipe = subprocess.PIPE
+    started = {
+        fmt: [subprocess.Popen(base + [fmt], stdout=pipe, stderr=pipe, env=env) for _ in range(2)]
+        for fmt in ("csv", "json", "svg")
+    }
+    runs = {fmt: [(*proc.communicate(), proc.returncode) for proc in procs] for fmt, procs in started.items()}
     sizes = {}
-    for fmt in ("csv", "json", "svg"):
-        runs = [
-            subprocess.run(base + [fmt], capture_output=True, env=env) for _ in range(2)
-        ]
-        for r in runs:
-            if r.returncode != 0:
-                return False, f"{fmt} run exited {r.returncode}: {r.stderr.decode()[:200]}"
-        if runs[0].stdout != runs[1].stdout:
+    for fmt, pair in runs.items():
+        for _, err, code in pair:
+            if code != 0:
+                return False, f"{fmt} run exited {code}: {err.decode()[:200]}"
+        (out, _, _), (again, _, _) = pair
+        if out != again:
             return False, f"{fmt} output differs between identical runs"
-        if len(runs[0].stdout) < 200:
-            return False, f"{fmt} output suspiciously small ({len(runs[0].stdout)} bytes)"
-        sizes[fmt] = len(runs[0].stdout)
+        if len(out) < 200:
+            return False, f"{fmt} output suspiciously small ({len(out)} bytes)"
+        sizes[fmt] = len(out)
     listing = ", ".join(f"{k} {v}B" for k, v in sizes.items())
     return True, f"byte-identical reruns for {listing}"
 

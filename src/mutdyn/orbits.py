@@ -20,6 +20,7 @@ from .tropical import (
     _conserved,
     _cut,
     _lift,
+    _ONE,
     _pl_step,
     _quad_coefs,
     _record,
@@ -202,18 +203,18 @@ def _column_power(expo):
 def _rational_step(p, q):
     # _iterate_rational's step on columns for _blocks, for exponent
     # columns p and q that each share one branch of _power.  Every power
-    # is a fresh array, so each quotient is written into its own
-    # numerator; callers silence the overflow and the nan of an orbit
-    # that left float range
+    # is a fresh array, so x and y are read before the rows that may be
+    # them are written; callers silence the overflow and the nan of an
+    # orbit that left float range
     pow_p, pow_q = _column_power(p), _column_power(q)
 
-    def step(x, y):
+    def step(x, y, out_x, out_y):
         num = pow_q(y)
-        num += 1.0
-        x = np.divide(num, x, out=num)
+        num += _ONE
+        x = np.divide(num, x, out=out_x)
         num = pow_p(x)
-        num += 1.0
-        return x, np.divide(num, y, out=num)
+        num += _ONE
+        return x, np.divide(num, y, out=out_y)
 
     return step
 
@@ -455,7 +456,9 @@ def phi_drift_batch(p, q, s0, t0, steps: int, scale_cap: float | None = None):
 
 def _phi_drift_pass(p, q, s0, t0, steps: int, scale_caps: tuple):
     # phi_drift_batch for several scale caps (None for none) in one
-    # pass over the orbits; one drift array per cap, in order
+    # pass over the orbits; one drift array per cap, in order.  A point
+    # not finite keeps one coordinate so (_record_orbit), and adds no drift
+    # after, so a block ending with such columns restarts without them
     steps = _count(steps, "steps", 0)
     p, q, s, t = _columns(p, q, s0, t0)
     if not (np.isfinite(p).all() and (p > 0.0).all() and np.isfinite(q).all() and (q > 0.0).all()):
@@ -469,6 +472,8 @@ def _phi_drift_pass(p, q, s0, t0, steps: int, scale_caps: tuple):
         if cap is not None and not cap >= 0.0:
             raise DomainError(f"scale_cap must be >= 0, got {cap!r}")
     capped = any(cap is not None for cap in scale_caps)
+    shape = s.shape
+    p, q, s, t = (v.ravel() for v in (p, q, s, t))
     with np.errstate(over="ignore", invalid="ignore"):
         coefs = _quad_coefs(p, q)
         base = _conserved(coefs, s, t)
@@ -476,16 +481,25 @@ def _phi_drift_pass(p, q, s0, t0, steps: int, scale_caps: tuple):
         if not np.isfinite(base).all():
             raise DomainError("conserved quantity already out of float range at the start")
         denom = np.maximum(1.0, np.abs(base))
-        drifts = [np.zeros_like(base) for _ in scale_caps]
-        # each block's figures are taken at once and folded in by max
-        for _, bs, bt in _blocks(partial(_pl_step, p, q), s, t, steps):
-            d = _drift(_conserved(coefs, bs, bt), base, denom)
-            if capped:
-                norm = _sup_norm(bs, bt)
-            for i, cap in enumerate(scale_caps):
-                sample = d if cap is None else np.where(norm <= cap, d, 0.0)
-                drifts[i] = np.maximum(drifts[i], sample.max(axis=0))
-    return drifts
+        drifts = out = np.zeros((len(scale_caps), base.size))
+        cols, done = np.arange(base.size), 0
+        while done < steps and cols.size:
+            # each block's figures are taken at once and folded in by max
+            for first, bs, bt in _blocks(partial(_pl_step, p, q), s, t, steps - done):
+                d = _drift(_conserved(coefs, bs, bt), base, denom)
+                if capped:
+                    norm = _sup_norm(bs, bt)
+                for i, cap in enumerate(scale_caps):
+                    sample = d if cap is None else np.where(norm <= cap, d, 0.0)
+                    drifts[i] = np.maximum(drifts[i], sample.max(axis=0))
+                live = np.isfinite(bs[-1]) & np.isfinite(bt[-1])
+                if not live.all():
+                    break
+            out[:, cols] = drifts
+            done += first + len(bs) - 1
+            p, q, s, t, base, denom, cols = (v[live] for v in (p, q, bs[-1], bt[-1], base, denom, cols))
+            coefs, drifts = tuple(c[live] for c in coefs), drifts[:, live]
+    return [d.reshape(shape) for d in out]
 
 
 @dataclass(frozen=True)

@@ -240,12 +240,18 @@ def _columns(*values):
         raise DomainError(f"inputs must be reals that broadcast together: {exc}") from None
 
 
-def _pl_step(p, q, s, t):
-    # the composed step on arrays, the same IEEE operations as _record_orbit's
-    # loop (its q * t - s is -s + q * t); callers silence unused-branch overflow
-    ns = -s
-    t1 = np.where(s > 0.0, t + p * s, t)
-    return np.where(t1 > 0.0, ns + q * t1, ns), -t1
+# 0 and 1 as 0-d arrays, which numpy compares and adds faster than floats
+_ZERO, _ONE = np.zeros(()), np.ones(())
+
+
+def _pl_step(p, q, s, t, out_s, out_t):
+    # the composed step on arrays with _record_orbit's IEEE operations (its
+    # q * t - s is -s + q * t) into out_s, out_t, which may be s, t;
+    # np.where selects faster than a masked add.  Callers silence overflow
+    t1 = np.where(s > _ZERO, t + p * s, t)
+    ns = np.negative(s, out=out_s)
+    out_s[...] = np.where(t1 > _ZERO, ns + q * t1, ns)
+    return out_s, np.negative(t1, out=out_t)
 
 
 # most iterates _blocks hands over at a time; steps between _record's range checks
@@ -259,19 +265,19 @@ def _blocks(step, a, b, steps: int):
     # iterates 1..steps of step, a map of column pairs, from the columns
     # a, b, handed over as (first step, a rows, b rows) in blocks of
     # _STEP_BLOCK rows and _BLOCK_NUMBERS numbers at most (a row at the
-    # least), the last one shorter.  The block buffers are reused, so a
-    # consumer reads each block before asking for the next; callers
-    # silence their step's overflow.  A pass that reduces per block
-    # makes its numpy calls once per block instead of once per step
+    # least), the last one shorter.  step(a, b, row_a, row_b) writes into
+    # the rows it is handed (a and b in one-row blocks) and returns them.
+    # The buffers are reused, so a consumer reads each block before the
+    # next; callers silence their step's overflow
     rows = min(_STEP_BLOCK, steps, max(1, _BLOCK_NUMBERS // max(1, np.size(a))))
     ba = np.empty((rows,) + np.shape(a))
     bb = np.empty_like(ba)
+    pairs = [(ba[i, ...], bb[i, ...]) for i in range(rows)]
     first = 1
     while first <= steps:
-        n = min(len(ba), steps + 1 - first)
-        for i in range(n):
-            a, b = step(a, b)
-            ba[i], bb[i] = a, b
+        n = min(rows, steps + 1 - first)
+        for row_a, row_b in pairs[:n]:
+            a, b = step(a, b, row_a, row_b)
         yield first, ba[:n], bb[:n]
         first += n
 
@@ -507,12 +513,12 @@ def _sign_coherent_indices(p, q, s0, t0, cap: int) -> list:
     # larger coordinate exactly +-1 and its band EQ_TOL
     p, q, s, t = _columns(p, q, s0, t0)
 
-    def step(s, t):
-        s, t = _pl_step(p, q, s, t)
+    def step(s, t, out_s, out_t):
+        s, t = _pl_step(p, q, s, t, out_s, out_t)
         norm = _sup_norm(s, t)
         big = norm > 1e100
         if big.any():
-            s, t = np.where(big, s / norm, s), np.where(big, t / norm, t)
+            s[...], t[...] = np.where(big, s / norm, s), np.where(big, t / norm, t)
         return s, t
 
     last_bad = np.full(s.shape, -1)

@@ -84,21 +84,71 @@ def test_c7_detail_does_not_depend_on_the_block(monkeypatch, name, value):
             assert crit.fn() == (True, PINNED_DETAILS[crit.cid])
 
 
+class _Child:
+    # a finished child process as C11 reads it
+    def __init__(self, code=0, out=b"x" * 200, err=b""):
+        self.returncode, self._pipes = code, (out, err)
+
+    def communicate(self):
+        return self._pipes
+
+
 def test_c11_children_import_the_running_package(monkeypatch):
     # the package's parent directory leads the children's PYTHONPATH,
     # ahead of the entries this process was given
     envs = []
 
-    def run(args, **kwargs):
+    def popen(args, **kwargs):
         envs.append(kwargs["env"])
-        return subprocess.CompletedProcess(args, 0, stdout=b"x" * 200, stderr=b"")
+        return _Child()
 
     monkeypatch.setenv("PYTHONPATH", os.pathsep.join(["elsewhere", "other"]))
-    monkeypatch.setattr(acceptance.subprocess, "run", run)
+    monkeypatch.setattr(acceptance.subprocess, "Popen", popen)
     assert acceptance._c11_golden_outputs()[0]
     root = os.path.dirname(os.path.dirname(os.path.abspath(mutdyn.__file__)))
     assert len(envs) == 6
     assert all(env["PYTHONPATH"].split(os.pathsep) == [root, "elsewhere", "other"] for env in envs)
+
+
+def test_c11_starts_six_children_and_reports_in_format_then_run_order(monkeypatch):
+    # every child is started before any is read, and a failure is
+    # reported as the runs made one after another reported it: csv,
+    # json, svg, and within a format run 1 before run 2
+    events = []
+
+    def fake(children):
+        it = iter(children)
+
+        def popen(args, **kwargs):
+            events.append(("start", args[-1]))
+            child = next(it)
+            read = child.communicate
+
+            def communicate():
+                events.append(("read", args[-1]))
+                return read()
+
+            child.communicate = communicate
+            return child
+
+        monkeypatch.setattr(acceptance.subprocess, "Popen", popen)
+        events.clear()
+        return acceptance._c11_golden_outputs()
+
+    ok = [_Child(out=b"c" * 300), _Child(out=b"c" * 300), _Child(out=b"j" * 400), _Child(out=b"j" * 400)]
+    ok += [_Child(out=b"s" * 500), _Child(out=b"s" * 500)]
+    assert fake(ok) == (True, "byte-identical reruns for csv 300B, json 400B, svg 500B")
+    assert [e[0] for e in events] == ["start"] * 6 + ["read"] * 6
+    assert [e[1] for e in events] == ["csv", "csv", "json", "json", "svg", "svg"] * 2
+    failing = [_Child(), _Child(3, err=b"csv two"), _Child(4, err=b"json one")] + [_Child() for _ in range(3)]
+    assert fake(failing) == (False, "csv run exited 3: csv two")
+    failing = [_Child(), _Child(out=b"y" * 200), _Child(5, err=b"one"), _Child(6, err=b"two")]
+    failing += [_Child(), _Child()]
+    assert fake(failing) == (False, "csv output differs between identical runs")
+    failing = [_Child(), _Child(), _Child(5, err=b"one"), _Child(6, err=b"two"), _Child(), _Child()]
+    assert fake(failing) == (False, "json run exited 5: one")
+    failing = [_Child() for _ in range(4)] + [_Child(out=b"s" * 10), _Child(out=b"s" * 10)]
+    assert fake(failing) == (False, "svg output suspiciously small (10 bytes)")
 
 
 def _slow(ok, detail):

@@ -4,6 +4,7 @@ import math
 import sys
 import tracemalloc
 import warnings
+from fractions import Fraction
 from functools import partial
 
 import numpy as np
@@ -456,6 +457,56 @@ def test_batch_drift_matches_scalar_path_exactly():
     assert overflowing >= 5 and truncated >= 5
 
 
+def _exact_and_float_drift(params, start, steps, caps):
+    # the conserved quadratic's relative drift along a computed orbit
+    # while its infinity norm is at most each cap: (exact, float) per cap.
+    # Every float is a rational, so Fraction evaluates the monomial form
+    # p s^2 + pq s t + q t^2 (the mirror form on the open second quadrant)
+    # at the orbit's own points exactly
+    orbit = iterate_orbit(params, OrbitKind.TROPICAL, start, steps)
+    p, q = Fraction(params.p), Fraction(params.q)
+    exact = []
+    for s, t in orbit.points.tolist():
+        cross = p * q * Fraction(s) * Fraction(t)
+        exact.append(p * Fraction(s) ** 2 + (-cross if s < 0.0 < t else cross) + q * Fraction(t) ** 2)
+    norm = tropical._sup_norm(*orbit.points.T)
+    evaluated = orbits._drift(orbit.phi, orbit.phi[0], max(1.0, abs(orbit.phi[0])))
+    out = []
+    for cap in caps:
+        rows = np.flatnonzero(norm <= cap).tolist()
+        wander = max(abs(exact[i] - exact[0]) for i in rows) / max(1, abs(exact[0]))
+        out.append((float(wander), float(evaluated[rows].max())))
+    return out
+
+
+def test_exact_drift_of_the_computed_orbit_inside_and_past_the_window():
+    # inside C3's window (norm <= 1e3) the orbit's exact drift is under
+    # C3's 1e-9 in every regime, and in the rotation regime the float
+    # evaluation reads the same drift.  Past the window (norm <= 1e8) the
+    # float evaluation adds an order of magnitude at the critical product,
+    # while in the hyperbolic regime the computed orbit itself leaves its
+    # level set: its exact drift is of order 1, as far as the float figure
+    rng = np.random.default_rng(1)
+    regimes = (("rotation", 0.3, 3.8, 1000), ("critical", 4.0, 4.0, 1000), ("hyperbolic", 4.5, 9.0, 100))
+    worst = {}
+    for regime, lo, hi, steps in regimes:
+        for _ in range(6):
+            p = float(rng.uniform(0.7, 3.0))
+            params = Params(p, float(rng.uniform(lo, hi)) / p)
+            start = tuple(rng.uniform(-2.0, 2.0, 2).tolist())
+            for cap, pair in zip((1e3, 1e8), _exact_and_float_drift(params, start, steps, (1e3, 1e8))):
+                old = worst.get((regime, cap), (0.0, 0.0))
+                worst[regime, cap] = (max(old[0], pair[0]), max(old[1], pair[1]))
+    for regime in ("rotation", "critical", "hyperbolic"):
+        assert worst[regime, 1e3][0] < 1e-9, regime
+    exact, evaluated = worst["rotation", 1e8]
+    assert 0.0 < exact < 1e-13 and abs(exact - evaluated) < 0.1 * exact
+    exact, evaluated = worst["critical", 1e8]
+    assert exact < 1e-10 and evaluated > 3.0 * exact
+    exact, evaluated = worst["hyperbolic", 1e8]
+    assert exact > 1e-2 and evaluated < 10.0 * exact
+
+
 def test_batch_drift_scale_cap_bounds_the_window():
     raw = float(phi_drift_batch(3.0, 3.0, 1.0, 1.0, 60))
     capped = float(phi_drift_batch(3.0, 3.0, 1.0, 1.0, 60, scale_cap=1e3))
@@ -776,7 +827,7 @@ def _frozen_drift_pass(p, q, s, t, steps, scale_caps):
         denom = np.maximum(1.0, np.abs(base))
         drifts = [np.zeros_like(base) for _ in scale_caps]
         for _ in range(steps):
-            s, t = tropical._pl_step(p, q, s, t)
+            s, t = tropical._pl_step(p, q, s, t, np.empty(s.shape), np.empty(t.shape))
             d = orbits._drift(tropical._conserved(coefs, s, t), base, denom)
             norm = tropical._sup_norm(s, t)
             for i, cap in enumerate(scale_caps):
@@ -802,6 +853,44 @@ def test_blocked_drift_pass_equals_the_per_step_loop_bit_for_bit():
     got = _phi_drift_pass(p[:6, None], 1.5, s[None, :5], -0.5, block + 1, (None,))[0]
     want = _frozen_drift_pass(p[:6, None], 1.5, s[None, :5], -0.5, block + 1, (None,))[0]
     assert got.shape == (6, 5) and got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("block", [1, 3, 64])
+def test_drift_pass_goes_on_without_orbits_that_left_float_range(monkeypatch, block):
+    # hyperbolic orbits from ordinary starts leave float range at steps
+    # 388-672, in different blocks, and the last column at step 1; the
+    # rotation and critical orbits stay.  The pass restarts on the orbits
+    # left after each block that ends with others out of range, and every
+    # figure is the per-step loop's, in a flat and a broadcast shape
+    rng = np.random.default_rng(808)
+    n = 12
+    p = np.append(rng.uniform(0.7, 3.0, 3 * n), 1.0)
+    pq = np.concatenate([rng.uniform(0.3, 3.8, n), np.full(n, 4.0), rng.uniform(4.5, 9.0, n), [1e160]])
+    q = pq / p
+    s, t = rng.uniform(-2.0, 2.0, (2, 3 * n + 1))
+    s[-1], t[-1] = 1e150, 0.0
+    widths = []
+
+    def blocks(step, a, b, steps):
+        widths.append(np.size(a))
+        return tropical._blocks(step, a, b, steps)
+
+    monkeypatch.setattr(tropical, "_STEP_BLOCK", block)
+    monkeypatch.setattr(orbits, "_blocks", blocks)
+    pick = [0, 1, n, n + 1, 2 * n, 2 * n + 1, 2 * n + 2, 3 * n]
+    cases = (
+        ((p, q, s, t), (3 * n + 1,), 2 * n),
+        ((p[pick, None], q[pick, None], s[None, :5], t[None, :5]), (8, 5), 4 * 5),
+    )
+    for args, shape, bounded in cases:
+        widths.clear()
+        got = _phi_drift_pass(*args, 1500, (1e3, None))
+        want = _frozen_drift_pass(*args, 1500, (1e3, None))
+        assert [a.tobytes() for a in got] == [b.tobytes() for b in want]
+        assert got[0].shape == shape
+        # each restart drops columns, down to the rotation and critical orbits
+        assert widths[0] == math.prod(shape) and widths[-1] == bounded
+        assert len(widths) > 3 and widths == sorted(set(widths), reverse=True)
 
 
 def _array_passes(steps):

@@ -8,6 +8,7 @@ import pytest
 from mutdyn.errors import DomainError, RangeError, RegimeError
 from mutdyn.floatops import EQ_TOL, close_rel, det2
 from mutdyn import tropical
+from mutdyn.acceptance import _expected_period, _q_for_m
 from mutdyn.orbits import OrbitKind, iterate_orbit
 from mutdyn.params import Params
 from mutdyn.tropical import (
@@ -819,7 +820,9 @@ def test_pl_step_equals_the_composed_map_bit_for_bit():
         params = Params(float(rng.uniform(0.2, 3.0)), float(rng.uniform(0.2, 3.0)))
         s, t = (float(v) for v in rng.choice([-1.0, -0.0, 0.0, 1.0], 2) * rng.uniform(0.0, 4.0, 2))
         image = mu_c(params, PointPL(s, t))
-        got = tropical._pl_step(params.p, params.q, np.array(s), np.array(t))
+        # stepped in place, as in a block of one row
+        pair = np.array(s), np.array(t)
+        got = tropical._pl_step(params.p, params.q, *pair, *pair)
         assert _bits(got) == _bits(image.as_tuple())
 
 
@@ -1007,7 +1010,7 @@ def test_subcritical_rotation_number_bounds_every_orbit():
     angle = np.arctan2(t, s)
     swept = np.zeros(n)
     for _ in range(steps):
-        s, t = tropical._pl_step(p, q, s, t)
+        s, t = tropical._pl_step(p, q, s, t, s, t)
         nxt = np.arctan2(t, s)
         swept += np.mod(angle - nxt, 2.0 * math.pi)
         angle = nxt
@@ -1025,6 +1028,80 @@ def test_detect_period_is_the_rotation_number_denominator():
             for _ in range(4):
                 start = PointPL(*rng.uniform(-2.0, 2.0, 2))
                 assert detect_period(Params(p, pq / p), start, 40) == period
+
+
+def _rotation_number(p, q):
+    # the counterclockwise rotation number pi / (pi + 2 theta) of the PL map
+    # at pq = 4 cos^2 theta < 4, for floats or arrays
+    return math.pi / (math.pi + 2.0 * np.arccos(np.sqrt(p * q) / 2.0))
+
+
+def test_turn_count_stays_within_one_turn_of_n_rho():
+    # Theta_n, the counterclockwise angle swept in n steps (each step's
+    # turn taken in [0, 2 pi)) over 2 pi, is a circle homeomorphism's turn
+    # count: |Theta_n - n rho| < 1 at every n, for every start, down to
+    # pq = 0.01 and for p / q from 1e-6 to 1e6 (the worst here is 0.81)
+    rng = np.random.default_rng(607)
+    n = 300
+    pq = rng.uniform(0.01, 3.99, n)
+    split = 10.0 ** rng.uniform(-3.0, 3.0, n)
+    p, q = np.sqrt(pq) * split, np.sqrt(pq) / split
+    rho = _rotation_number(p, q)
+    s, t = rng.uniform(-2.0, 2.0, (2, n))
+    angle, turns = np.arctan2(t, s), np.zeros(n)
+    for k in range(1, 5001):
+        s, t = tropical._pl_step(p, q, s, t, s, t)
+        nxt = np.arctan2(t, s)
+        turns += np.mod(nxt - angle, 2.0 * math.pi)
+        angle = nxt
+        assert np.abs(turns / (2.0 * math.pi) - k * rho).max() < 1.0, k
+
+
+def _sector_areas(p, q, s, t):
+    # the area of {phi <= 1} swept counterclockwise from the ray at angle 0
+    # to the ray through (s, t), and the whole area.  On a quadrant phi is
+    # a s^2 + b s t + c t^2 with a = p, c = q and b = -pq on the second,
+    # pq elsewhere, and M = ((r, 0), (b, 2c)) with r = sqrt(4ac - b^2) =
+    # sqrt(pq (4 - pq)) turns the direction at angle x so that its angle
+    # grows at r / (2 phi(cos x, sin x)): a sector's area is the angle
+    # between the images of its rays over r, from math.atan2
+    pq = p * q
+    r = math.sqrt(pq * (4.0 - pq))
+    axes = ((1.0, 0.0), (0.0, 1.0), (-1.0, 0.0), (0.0, -1.0))
+
+    def part(k, u, v):
+        b = -pq if k == 1 else pq
+        (a0, a1), (b0, b1) = ((r * x, b * x + 2.0 * q * y) for x, y in (u, v))
+        return math.atan2(a0 * b1 - a1 * b0, a0 * b0 + a1 * b1) / r
+
+    quarters = [part(k, axes[k], axes[(k + 1) % 4]) for k in range(4)]
+    k = min(int(math.atan2(t, s) % (2.0 * math.pi) // (math.pi / 2.0)), 3)
+    return sum(quarters[:k]) + part(k, axes[k], (s, t)), sum(quarters)
+
+
+def test_one_step_sweeps_rho_of_the_level_area():
+    # the map keeps area, phi and positive dilations, so it maps the
+    # sector of {phi <= 1} between two rays onto the one between their
+    # images: measured by swept area it is a rigid rotation, and every
+    # step sweeps rho times the whole area, here to rounding
+    rng = np.random.default_rng(608)
+    for _ in range(20):
+        pq, split = rng.uniform(0.5, 3.5), math.exp(rng.uniform(-2.0, 2.0))
+        p, q = math.sqrt(pq) * split, math.sqrt(pq) / split
+        for _ in range(5):
+            s, t = rng.uniform(-2.0, 2.0, 2)
+            image = mu_c(Params(p, q), PointPL(s, t))
+            before, area = _sector_areas(p, q, s, t)
+            after, _ = _sector_areas(p, q, image.s, image.t)
+            assert abs((after - before) % area / area - _rotation_number(p, q)) < 1e-14
+
+
+def test_rotation_number_at_the_periodic_products_gives_the_period_table():
+    # at theta = pi / m, rho = m / (m + 2), whose denominator in lowest
+    # terms is the period C1 checks: m + 2 for odd m, (m + 2) / 2 for even m
+    for m in range(3, 31):
+        rho = Fraction(float(_rotation_number(1.0, _q_for_m(m)))).limit_denominator(100)
+        assert rho == Fraction(m, m + 2) and rho.denominator == _expected_period(m), m
 
 
 # the tropicalizations of mu_x's invariants at the integer pairs with pq = 4
