@@ -23,7 +23,7 @@ import sys
 import time
 from dataclasses import dataclass
 from functools import partial, reduce
-from itertools import chain
+from itertools import chain, count
 
 import numpy as np
 
@@ -58,9 +58,7 @@ from .tropical import (
     mu1_c_branch_matrices,
     mu2_c,
     mu2_c_branch_matrices,
-    mu_c,
     mu_c_branch_matrices,
-    tau,
 )
 
 __all__ = ["Criterion", "CRITERIA", "run_all"]
@@ -190,9 +188,10 @@ def _c5_escape():
             s, t = np.where(norm > 1e100, s2 / norm, s2), np.where(norm > 1e100, t2 / norm, t2)
     worst_steps = 0
     for i, ((p, q), pair_logs) in enumerate(zip(pairs, logs)):
+        params = Params(p, q)
         for a, b in pair_logs:
             for step in range(1, 201):
-                a, b = mu_x_log(Params(p, q), (a, b))
+                a, b = mu_x_log(params, (a, b))
                 if p * a > log_goal:
                     worst_steps = max(worst_steps, step)
                     break
@@ -260,24 +259,24 @@ def _c7_angle_and_signs():
     worst_n = -1
     nonneg = negative = 0
     witness = None
+    where = "p={} q={} start={}".format  # formatted on a failure path only
     for (p, q, s, t), value, rise, fell, inside, n0 in zip(
         flat, values, rises, rises[len(flat) :], fourth.tolist(), _sign_coherent_indices(p, q, s0, t0, 500)
     ):
-        where = f"p={p} q={q} start={(s, t)}"
         if value >= 0.0:
             nonneg += 1
             if rise is not None:
-                return False, f"angle rose at step {rise} from value {value:.3g} >= 0, {where}"
+                return False, f"angle rose at step {rise} from value {value:.3g} >= 0, {where(p, q, (s, t))}"
         else:
             negative += 1
             if not inside:
-                return False, f"value {value:.3g} < 0 left the open fourth quadrant, {where}"
+                return False, f"value {value:.3g} < 0 left the open fourth quadrant, {where(p, q, (s, t))}"
             if fell is not None:
-                return False, f"unlifted angle fell at step {fell}, {where}"
+                return False, f"unlifted angle fell at step {fell}, {where(p, q, (s, t))}"
             if witness is None:
                 witness = (p, q, (s, t), value, rise)
         if n0 is None:
-            return False, f"no sign coherence by 500 for {where}"
+            return False, f"no sign coherence by 500 for {where(p, q, (s, t))}"
         worst_n = max(worst_n, n0)
     if not (nonneg and negative):
         return False, f"a population is empty: {nonneg} starts with value >= 0, {negative} below"
@@ -292,19 +291,14 @@ def _c7_angle_and_signs():
 
 
 def _c8_closed_forms():
-    rng = _rng(8)
-    params, starts = [], []
-    for trial in range(1000):
-        sub = trial < 600
-        pq = float(rng.uniform(0.2, 3.9)) if sub else float(rng.uniform(4.0, 7.0))
-        p = float(rng.uniform(0.3, 2.5))
-        params.append(Params(p, pq / p))
-        starts.append(PointPL(*rng.uniform(-3.0, 3.0, 2)).as_tuple())
+    # every trial's (pq, p, s, t) in one draw, the stream of drawing them in turn
+    lows = np.repeat([[0.2, 0.3, -3.0, -3.0], [4.0, 0.3, -3.0, -3.0]], [600, 400], axis=0)
+    highs = np.repeat([[3.9, 2.5, 3.0, 3.0], [7.0, 2.5, 3.0, 3.0]], [600, 400], axis=0)
+    pq, p, s0, t0 = _rng(8).uniform(lows, highs).T
     # one column per trial, one row per n = 0..30
-    p, q = np.array([(prm.p, prm.q) for prm in params]).T
+    q = pq / p
     kappa, nu = _kappa(p, q), _nu(p, q)
-    s0, t0 = np.array(starts).T
-    cur_s, cur_t = np.empty((2, 31, len(params)))
+    cur_s, cur_t = np.empty((2, 31, len(p)))
     cur_s[0], cur_t[0] = s0, t0
     for n in range(1, 31):
         cur_s[n], cur_t[n] = _tau_step(p, q, cur_s[n - 1], cur_t[n - 1])
@@ -313,7 +307,7 @@ def _c8_closed_forms():
     scale = reduce(np.maximum, (1.0, abs(cur_s), abs(cur_t), abs(sn), abs(tn), abs(tn_t)))
     err = reduce(np.maximum, (abs(sn - cur_s), abs(tn - cur_t), abs(-sn + cur_s), abs(tn_t - tilde_t)))
     sub = slice(0, 600)
-    thetas = [theta_of(prm) for prm in params[sub]]
+    thetas = list(map(math.acos, (kappa[sub] / 2.0).tolist()))
     trig_s, trig_t, trig_t_t = _trig_forms(thetas, nu[sub], 30, s0[sub], t0[sub])
     trig_err = (abs(trig_s - sn[:, sub]), abs(trig_t - tn[:, sub]), abs(trig_t_t - tn_t[:, sub]))
     err[:, sub] = reduce(np.maximum, trig_err, err[:, sub])
@@ -321,27 +315,30 @@ def _c8_closed_forms():
     failing = np.flatnonzero((err > 1e-9 * scale).T)
     if len(failing):
         trial, n = divmod(int(failing[0]), 31)
-        return False, f"closed form off by {err[n, trial]:.2e} at n={n}, params={params[trial]}"
+        return False, f"closed form off by {err[n, trial]:.2e} at n={n}, params={Params(p[trial], q[trial])}"
     worst = float(np.max(err / scale))
-    agree = 0
+    runs = []
     rng2 = _rng(80)
-    while agree < 300:
+    while len(runs) < 300:
         pq = float(rng2.uniform(2.05, 3.5))
         p = float(rng2.uniform(0.6, 2.0))
-        params = Params(p, pq / p)
-        th = theta_of(params)
+        q = pq / p
+        th = theta_of(Params(p, q))
         n_max = int((math.pi / th - 2.0) // 2.0)
         while n_max >= 1 and math.pi - (2 * n_max + 2) * th < 0.01:
             n_max -= 1
-        if n_max < 1:
-            continue
-        a = b = PointPL(float(rng2.uniform(0.05, 2.5)), float(rng2.uniform(0.05, 2.5)))
-        for _ in range(n_max + 1):
-            a = mu_c(params, a)
-            b = tau(params, b)
-            if not (a.s == b.s and a.t == b.t):
-                return False, f"alternating iterates split at params={params}"
-        agree += 1
+        if n_max >= 1:
+            runs.append((p, q, float(rng2.uniform(0.05, 2.5)), float(rng2.uniform(0.05, 2.5)), n_max + 1))
+    # every run's n_max + 1 steps of mu_c in one pass against tau's, one column per run
+    p, q, s, t, steps = np.array(runs).T
+    split = np.zeros(len(runs), dtype=bool)
+    for first, ss, ts in _blocks(partial(_pl_step, p, q), s, t, int(steps.max())):
+        for n, a_s, a_t in zip(count(first), ss, ts):
+            s, t = _tau_step(p, q, s, t)
+            split |= (n <= steps) & ((a_s != s) | (a_t != t))
+    if split.any():
+        run = int(split.argmax())
+        return False, f"alternating iterates split at params={Params(p[run], q[run])}"
     return True, (
         f"closed forms within {worst:.1e} relative for n <= 30; "
         f"300 first-quadrant runs matched the linearization bit for bit"

@@ -17,6 +17,7 @@ periodic products.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import isfinite
 
 from .errors import DomainError, RangeError, _count, _real
 from .floatops import EQ_TOL, close_rel
@@ -85,10 +86,17 @@ def mutate(mat: ExtendedExchangeMatrix, k: int) -> ExtendedExchangeMatrix:
     k = _count(k, "mutation direction", 1)
     if k > 2:
         raise DomainError(f"mutation direction must be 1 or 2, got {k!r}")
-    kk = k - 1
-    lever = mat.entries[kk][1 - kk]
+    rows = _mutated(mat.entries, k - 1)
+    if rows is None:
+        raise RangeError(f"mutation in direction {k} left float range")
+    return _trusted(rows)
+
+
+def _mutated(rows, kk):
+    # the image rows in direction kk + 1, or None once an entry leaves float range
+    lever = rows[kk][1 - kk]
     out = []
-    for i, row in enumerate(mat.entries):
+    for i, row in enumerate(rows):
         # a in column k, b in the other column
         a, b = row[kk], row[1 - kk]
         prod = a * lever
@@ -96,12 +104,18 @@ def mutate(mat: ExtendedExchangeMatrix, k: int) -> ExtendedExchangeMatrix:
             b = -b
         elif prod > 0.0:
             b = b + prod if a > 0.0 else b - prod
+            if not isfinite(b):
+                return None
         out.append((-a, b) if kk == 0 else (b, -a))
-    try:
-        return ExtendedExchangeMatrix(tuple(out))
-    except DomainError:
-        # the image of a valid matrix is valid but for entries out of range
-        raise RangeError(f"mutation in direction {k} left float range") from None
+    return tuple(out)
+
+
+def _trusted(rows) -> ExtendedExchangeMatrix:
+    # _mutated's image of a valid matrix's rows, valid unchecked: every
+    # entry it shifts is in range, and every other one only flips sign
+    mat = object.__new__(ExtendedExchangeMatrix)
+    object.__setattr__(mat, "entries", rows)
+    return mat
 
 
 @dataclass(frozen=True)
@@ -122,10 +136,12 @@ class MutationClassResult:
         return len(self.matrices)
 
 
-def _same(a: ExtendedExchangeMatrix, b: ExtendedExchangeMatrix) -> bool:
-    # entrywise within EQ_TOL; mutation keeps the shape, so the rows pair up
-    pairs = zip(a.entries, b.entries)
-    return all(close_rel(va, vb, EQ_TOL) for ra, rb in pairs for va, vb in zip(ra, rb))
+def _same(a, b) -> bool:
+    # rows entrywise within EQ_TOL; mutation keeps the shape, so they pair up
+    for (a0, a1), (b0, b1) in zip(a, b):
+        if not (close_rel(a0, b0, EQ_TOL) and close_rel(a1, b1, EQ_TOL)):
+            return False
+    return True
 
 
 def mutation_class(seed: ExtendedExchangeMatrix, cap: int = 10**5) -> MutationClassResult:
@@ -143,28 +159,23 @@ def mutation_class(seed: ExtendedExchangeMatrix, cap: int = 10**5) -> MutationCl
     its cap left float range.
     """
     cap = _count(cap, "cap", 1)
-    order = [seed]
-    fronts = [seed, seed]
-    directions = [1, 2]
-    live = [0, 1]
-    complete = True
+    # the chains step row tuples, taking turns: chain c in direction kk[c] + 1 next
+    order, fronts, kk, live, complete = [seed.entries], [seed.entries] * 2, [0, 1], [0, 1], True
     while live:
-        for c in tuple(live):
-            try:
-                nxt = mutate(fronts[c], directions[c])
-            except RangeError:
-                live.remove(c)
-                complete = False
-                continue
-            if _same(nxt, fronts[c]):
-                live.remove(c)
-                continue
-            if _same(nxt, fronts[1 - c]):
-                return MutationClassResult(tuple(order), True)
-            if len(order) >= cap:
-                # a new member exists but there is no room left for it
-                return MutationClassResult(tuple(order), False)
-            order.append(nxt)
-            fronts[c] = nxt
-            directions[c] = 3 - directions[c]
-    return MutationClassResult(tuple(order), complete)
+        c = live.pop(0)
+        nxt = _mutated(fronts[c], kk[c])
+        if nxt is None or _same(nxt, fronts[c]):
+            # the chain leaves float range or ends at a fixed point
+            complete = complete and nxt is not None
+            continue
+        if _same(nxt, fronts[1 - c]):
+            complete = True
+            break
+        if len(order) >= cap:
+            # a new member exists but there is no room left for it
+            complete = False
+            break
+        order.append(nxt)
+        fronts[c], kk[c] = nxt, 1 - kk[c]
+        live.append(c)
+    return MutationClassResult((seed, *map(_trusted, order[1:])), complete)

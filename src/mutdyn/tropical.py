@@ -354,11 +354,12 @@ def _closed_forms(kappa, nu, top: int, s, t):
 
 def _trig_forms(theta, nu, top: int, s, t):
     # the rows of _closed_forms through sines of multiples of theta, each
-    # math.sin of the product k * theta (U_k stands for sin((k + 1) theta),
-    # and the slices are named by that k)
+    # math.sin of the product k * theta, filled a row of k at a time (U_k
+    # stands for sin((k + 1) theta), and the slices are named by that k)
     th, nu, s, t = _columns(theta, nu, s, t)
-    flat = th.ravel().tolist()
-    sines = np.array([[math.sin(k * x) for x in flat] for k in range(-1, 2 * top + 3)])
+    sines = np.empty((2 * top + 4, th.size))
+    for k, row in enumerate(sines, -1):
+        row[:] = list(map(math.sin, (k * th.ravel()).tolist()))
     sines = sines.reshape((-1,) + th.shape)
     sth = sines[2]
     u_lo, u_odd, u_even, u_hi = sines[0:-3:2], sines[1:-2:2], sines[2:-1:2], sines[3::2]

@@ -5,16 +5,21 @@ cached verdicts so the suite stays fast and the per-criterion lines
 stay visible in failure output.
 """
 import io
+import math
 import os
 import re
 import subprocess
 import time
+from functools import reduce
 
+import numpy as np
 import pytest
 
 import mutdyn
 from mutdyn import acceptance, tropical
 from mutdyn.acceptance import CRITERIA, Criterion, run_all
+from mutdyn.params import Params, theta_of
+from mutdyn.tropical import PointPL, mu_c, tau
 
 
 @pytest.fixture(scope="module")
@@ -82,6 +87,145 @@ def test_c7_detail_does_not_depend_on_the_block(monkeypatch, name, value):
     for crit in CRITERIA:
         if crit.cid in ("C1", "C5", "C7"):
             assert crit.fn() == (True, PINNED_DETAILS[crit.cid])
+
+
+# C7's text for one forced failure each: the start is formatted only on a
+# failure path, and must read as these pinned lines
+C7_FAILURES = {
+    "_sign_coherent_indices": (
+        417, None,
+        "no sign coherence by 500 for p=2.50823724353804 q=3.4533362911206704 "
+        "start=(-0.010259018965640188, 1.3530898977935184)",
+    ),
+    "_first_rises": (
+        5, 7,
+        "angle rose at step 7 from value 36.4 >= 0, p=2.0 q=2.0 "
+        "start=(-1.3719357725196286, 2.897007839722466)",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", list(C7_FAILURES))
+def test_c7_failure_text_is_unchanged(monkeypatch, name):
+    index, value, text = C7_FAILURES[name]
+    real = getattr(acceptance, name)
+
+    def forced(*args):
+        out = list(real(*args))
+        out[index] = value
+        return out
+
+    monkeypatch.setattr(acceptance, name, forced)
+    assert acceptance._c7_angle_and_signs() == (False, text)
+
+
+def _c8_trials():
+    # C8's 1000 trials drawn one scalar at a time: pq, p, then the start
+    rng = acceptance._rng(8)
+    for trial in range(1000):
+        pq = float(rng.uniform(0.2, 3.9)) if trial < 600 else float(rng.uniform(4.0, 7.0))
+        p = float(rng.uniform(0.3, 2.5))
+        yield Params(p, pq / p), PointPL(*rng.uniform(-3.0, 3.0, 2))
+
+
+def _c8_runs():
+    # C8's 300 linearization runs: params, start and n_max in draw order
+    rng2 = acceptance._rng(80)
+    runs = []
+    while len(runs) < 300:
+        pq = float(rng2.uniform(2.05, 3.5))
+        p = float(rng2.uniform(0.6, 2.0))
+        params = Params(p, pq / p)
+        th = theta_of(params)
+        n_max = int((math.pi / th - 2.0) // 2.0)
+        while n_max >= 1 and math.pi - (2 * n_max + 2) * th < 0.01:
+            n_max -= 1
+        if n_max >= 1:
+            runs.append((params, PointPL(float(rng2.uniform(0.05, 2.5)), float(rng2.uniform(0.05, 2.5))), n_max))
+    return runs
+
+
+def _c8_per_object():
+    # C8 on Params and PointPL objects, one trial and one run at a time,
+    # stepping through acceptance._tau_step and tau as they are at call time
+    params, starts = zip(*((prm, pt.as_tuple()) for prm, pt in _c8_trials()))
+    p, q = np.array([(prm.p, prm.q) for prm in params]).T
+    kappa, nu = acceptance._kappa(p, q), acceptance._nu(p, q)
+    s0, t0 = np.array(starts).T
+    cur_s, cur_t = np.empty((2, 31, len(params)))
+    cur_s[0], cur_t[0] = s0, t0
+    for n in range(1, 31):
+        cur_s[n], cur_t[n] = acceptance._tau_step(p, q, cur_s[n - 1], cur_t[n - 1])
+    sn, tn, tn_t = tropical._closed_forms(kappa, nu, 30, s0, t0)
+    scale = reduce(np.maximum, (1.0, abs(cur_s), abs(cur_t), abs(sn), abs(tn), abs(tn_t)))
+    err = reduce(np.maximum, (abs(sn - cur_s), abs(tn - cur_t), abs(-sn + cur_s), abs(tn_t - (cur_t + p * cur_s))))
+    thetas = [theta_of(prm) for prm in params[:600]]
+    trig = tropical._trig_forms(thetas, nu[:600], 30, s0[:600], t0[:600])
+    err[:, :600] = reduce(np.maximum, (abs(a - b[:, :600]) for a, b in zip(trig, (sn, tn, tn_t))), err[:, :600])
+    for trial in range(len(params)):
+        for n in range(31):
+            if err[n, trial] > 1e-9 * scale[n, trial]:
+                return False, f"closed form off by {err[n, trial]:.2e} at n={n}, params={params[trial]}"
+    for prm, start, n_max in _c8_runs():
+        a = b = start
+        for _ in range(n_max + 1):
+            a, b = mu_c(prm, a), tau(prm, b)
+            if not (a.s == b.s and a.t == b.t):
+                return False, f"alternating iterates split at params={prm}"
+    return True, (
+        f"closed forms within {float(np.max(err / scale)):.1e} relative for n <= 30; "
+        f"300 first-quadrant runs matched the linearization bit for bit"
+    )
+
+
+def test_c8_draws_every_trial_at_once_with_the_scalar_stream(monkeypatch):
+    # the first _tau_step call steps all 1000 trials from their starts
+    calls = []
+    real = acceptance._tau_step
+    monkeypatch.setattr(acceptance, "_tau_step", lambda *args: calls.append(args) or real(*args))
+    assert acceptance._c8_closed_forms() == _c8_per_object() == (True, PINNED_DETAILS["C8"])
+    params, starts = zip(*_c8_trials())
+    want = [[prm.p for prm in params], [prm.q for prm in params], [pt.s for pt in starts], [pt.t for pt in starts]]
+    assert [np.asarray(v).tobytes() for v in calls[0]] == [np.array(v).tobytes() for v in want]
+
+
+def _perturbed(monkeypatch, shifts):
+    # _tau_step with s moved by shifts[p] in the columns of those p values,
+    # in acceptance and under tau alike
+    real = tropical._tau_step
+
+    def step(p, q, s, t):
+        s2, t2 = real(p, q, s, t)
+        for target, shift in shifts.items():
+            s2 = np.where(p == target, shift(s2), s2)[()]
+        return s2, t2
+
+    monkeypatch.setattr(acceptance, "_tau_step", step)
+    monkeypatch.setattr(tropical, "_tau_step", step)
+
+
+def test_c8_reports_the_first_failing_trial_as_the_per_object_code(monkeypatch):
+    # trial 731 fails at n = 1; trial 100's small shift adds up to a
+    # failure only at n = 6, yet it comes first in trial order
+    params = [prm for prm, _ in _c8_trials()]
+    _perturbed(monkeypatch, {params[731].p: lambda s: s + 1e-3, params[100].p: lambda s: s + 3e-10})
+    got = acceptance._c8_closed_forms()
+    assert got == _c8_per_object() == (False, f"closed form off by 7.24e-09 at n=6, params={params[100]}")
+
+
+@pytest.mark.parametrize("step_block", [64, 3, 1])
+def test_c8_reports_the_first_split_run_as_the_per_object_code(monkeypatch, step_block):
+    # one ulp off in runs 90 and 250: the closed forms still hold, and the
+    # first split in draw order is reported, in blocks of any length
+    monkeypatch.setattr(tropical, "_STEP_BLOCK", step_block)
+    runs = _c8_runs()
+
+    def bump(s):
+        return np.nextafter(s, np.inf)
+
+    _perturbed(monkeypatch, {runs[250][0].p: bump, runs[90][0].p: bump})
+    got = acceptance._c8_closed_forms()
+    assert got == _c8_per_object() == (False, f"alternating iterates split at params={runs[90][0]}")
 
 
 class _Child:

@@ -11,6 +11,7 @@ import pytest
 from mutdyn.acceptance import _CLASS_SIZES
 from mutdyn.errors import DomainError, RangeError
 from mutdyn.exchange import ExtendedExchangeMatrix, mutate, mutation_class
+from mutdyn.floatops import EQ_TOL, close_rel
 from mutdyn.params import Params
 from mutdyn.tropical import PointPL, _finite_point, detect_period, mu1_c, mu2_c, mu_c_inv
 
@@ -436,3 +437,69 @@ def test_periodic_classes_match_exact_arithmetic(q, m):
             assert [mat.entries for mat in result.matrices] == [
                 tuple(tuple(float(v) for v in row) for row in mat) for mat in exact
             ]
+
+
+def _object_class(seed, cap):
+    # the class walk one validated matrix at a time through the public
+    # mutate, comparing entrywise within EQ_TOL: mutation_class's oracle
+    def same(a, b):
+        pairs = zip(a.entries, b.entries)
+        return all(close_rel(va, vb, EQ_TOL) for ra, rb in pairs for va, vb in zip(ra, rb))
+
+    order, fronts, directions, live, complete = [seed], [seed, seed], [1, 2], [0, 1], True
+    while live:
+        for c in tuple(live):
+            try:
+                nxt = ExtendedExchangeMatrix(mutate(fronts[c], directions[c]).entries)
+            except RangeError:
+                live.remove(c)
+                complete = False
+                continue
+            if same(nxt, fronts[c]):
+                live.remove(c)
+                continue
+            if same(nxt, fronts[1 - c]):
+                return order, True
+            if len(order) >= cap:
+                return order, False
+            order.append(nxt)
+            fronts[c] = nxt
+            directions[c] = 3 - directions[c]
+    return order, complete
+
+
+def _class_seeds():
+    # (seed, cap): the periodic classes m = 3..8 with one to three extra
+    # rows, plain and negated; the pq = 5 class around its size 2946; the
+    # zero blocks with their fixed points; and seeds whose first mutation
+    # leaves float range in one direction or in both
+    rng = np.random.default_rng(33)
+    for m in range(3, 9):
+        for n in (1, 2, 3):
+            rows = [(1.0, 1.0)] + rng.uniform(-3.0, 3.0, (n - 1, 2)).tolist()
+            for negated in (False, True):
+                yield ExtendedExchangeMatrix.from_exponents(1.0, _q_for_m(m), rows, negated), 4000
+    for rows, negated in ((((1.0, 1.0),), False), (((1.0, 2.0), (3.0, 1.0), (2.0, 2.0)), True)):
+        for cap in (1, 2, 2945, 2946, 10**4):
+            yield ExtendedExchangeMatrix.from_exponents(1.0, 5.0, rows, negated), cap
+    for p, q, row in ((0.0, 0.0, (0.0, 1.0)), (0.0, 0.0, (1.0, 0.0)), (0.0, 0.0, (1.0, 1.0)),
+                      (0.0, 0.0, (0.0, 0.0)), (1.0, 1.0, (0.0, 0.0))):
+        yield ExtendedExchangeMatrix.from_exponents(p, q, (row,)), 10**5
+    for row in ((1e200, 1.0), (1e200, -1e200)):
+        yield ExtendedExchangeMatrix.from_exponents(1e200, 1e200, (row,)), 10**5
+
+
+def test_mutation_class_equals_the_object_walk_bit_for_bit():
+    seen = {"complete": 0, "capped": 0, "out of range": 0, "lone seed": 0}
+    for seed, cap in _class_seeds():
+        want, complete = _object_class(seed, cap)
+        result = mutation_class(seed, cap)
+        assert result.complete == complete and result.size == len(want)
+        assert [_bits(m) for m in result.matrices] == [_bits(m) for m in want]
+        assert result.matrices[0] is seed
+        assert all(ExtendedExchangeMatrix(m.entries) == m for m in result.matrices)
+        seen["complete"] += complete
+        seen["capped"] += result.size == cap and not complete
+        seen["out of range"] += result.size < cap and not complete
+        seen["lone seed"] += result.size == 1
+    assert min(seen.values()) >= 2, seen

@@ -541,6 +541,23 @@ def test_cli_seeded_scan_golden_digest(capsys, kind):
     assert hashlib.sha256(out.encode()).hexdigest() == SCAN_SHA256[kind]
 
 
+# full class listings: the digests pin every member's bits and the
+# discovery order of the pq = 5 class, which ends where its chains leave
+# float range, from the plain seed with one row and the negated one with three
+MATCLASS_SHA256 = {
+    ("1,1", False): "8158bcf28bede39462edb63fad4d33f8daa91927200ea2b6bf6a1d8d60d51587",
+    ("1,2;3,1;2,2", True): "5b1962320e69cc82e8106fcbd98e3b772bc36e602fc06a045dc160fc74ed619d",
+}
+
+
+@pytest.mark.parametrize("rows, negated", list(MATCLASS_SHA256))
+def test_cli_matclass_golden_digest(capsys, rows, negated):
+    argv = ["matclass", "--p", "1", "--q", "5", "--rows", rows, "--cap", "10000", "--full"]
+    code, out, _ = _run(capsys, argv + ["--negated"] * negated)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == MATCLASS_SHA256[rows, negated]
+
+
 def test_render_svg_refuses_what_it_cannot_draw():
     for content in (5, [5]):
         with pytest.raises(DomainError, match="must be an Orbit or point sequences"):

@@ -914,6 +914,33 @@ def _scalar_trig_form(params, n, pt):
     return sn, tn, tn_t
 
 
+def _nested_trig_forms(theta, nu, top, s, t):
+    # _trig_forms with every sine made in one nested comprehension over
+    # k, then theta, and the same formulas on top
+    th, nu, s, t = tropical._columns(theta, nu, s, t)
+    flat = th.ravel().tolist()
+    sines = np.array([[math.sin(k * x) for x in flat] for k in range(-1, 2 * top + 3)])
+    sines = sines.reshape((-1,) + th.shape)
+    sth = sines[2]
+    u_lo, u_odd, u_even, u_hi = sines[0:-3:2], sines[1:-2:2], sines[2:-1:2], sines[3::2]
+    sn = s * u_even / sth + t * u_odd / (nu * sth)
+    tn = -s * nu * u_odd / sth - t * u_lo / sth
+    tn_t = s * nu * u_hi / sth + t * u_even / sth
+    return sn, tn, tn_t
+
+
+@pytest.mark.parametrize("shape", [(), (600,), (7, 9)])
+def test_trig_forms_equal_the_nested_sines_bit_for_bit(shape):
+    # the sines are made a row of k at a time; each is still math.sin of
+    # the product k * theta, for a theta of any shape
+    rng = np.random.default_rng(78)
+    theta = rng.uniform(0.05, 1.5, shape)
+    nu, s, t = rng.uniform(0.3, 3.0, shape), rng.uniform(-3.0, 3.0, shape), rng.uniform(-3.0, 3.0, shape)
+    got = tropical._trig_forms(theta, nu, 30, s, t)
+    want = _nested_trig_forms(theta, nu, 30, s, t)
+    assert all(a.shape == (31,) + shape and _bits(a) == _bits(b) for a, b in zip(got, want))
+
+
 def test_array_closed_forms_equal_the_per_n_formulas():
     rng = np.random.default_rng(74)
     params_list = [Params(2.0, 2.0), Params(1.0, 4.0), Params(1e200, 1e200)]
