@@ -22,7 +22,7 @@ import subprocess
 import sys
 import time
 from dataclasses import dataclass
-from functools import partial, reduce
+from functools import reduce
 from itertools import chain, count
 
 import numpy as np
@@ -93,7 +93,7 @@ def _c1_period_table():
     starts = _draw_starts(_rng(1), 100 * len(ms))
     s0, t0 = np.array(starts).T
     # one pass to the largest horizon; each start's own is its period + 10
-    step = partial(_pl_step, 1.0, np.repeat([_q_for_m(m) for m in ms], 100))
+    step = _pl_step(1.0, np.repeat([_q_for_m(m) for m in ms], 100), s0.shape)
     with np.errstate(over="ignore", invalid="ignore"):
         got = _first_returns(s0, t0, _blocks(step, s0, t0, max(map(_expected_period, ms)) + 10))
     for m, start, k in zip(np.repeat(ms, 100).tolist(), starts, got.tolist()):
@@ -171,7 +171,7 @@ def _c5_escape():
     s, t = s0, t0 = np.array(starts).T
     entered = np.zeros(len(starts), dtype=bool)
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        for _, ss, ts in chain([(0, s0[None], t0[None])], _blocks(partial(_pl_step, p, q), s0, t0, 299)):
+        for _, ss, ts in chain([(0, s0[None], t0[None])], _blocks(_pl_step(p, q, s0.shape), s0, t0, 299)):
             # a point out of float range ends its orbit (the cone test passes s = inf)
             cone = (ss > 0.0) & (ss < math.inf) & (ts < 0.0) & (np.sqrt(p) * ss + np.sqrt(q) * ts >= 0.0)
             new, row = cone.any(axis=0) & ~entered, cone.argmax(axis=0)
@@ -248,7 +248,7 @@ def _c7_angle_and_signs():
     def angles():
         # one pass over every orbit; none leaves float range or meets the
         # origin (the map fixes it), so every angle is defined
-        for first, ss, ts in chain([(0, s0[None], t0[None])], _blocks(partial(_pl_step, p, q), s0, t0, 200)):
+        for first, ss, ts in chain([(0, s0[None], t0[None])], _blocks(_pl_step(p, q, s0.shape), s0, t0, 200)):
             fourth[...] &= ((ss > 0.0) & (ts < 0.0)).all(axis=0)
             lifted, raw = _lift(cut, ss, ts)
             # negation is exact, so a rise of -atan2 is a fall of atan2
@@ -332,7 +332,7 @@ def _c8_closed_forms():
     # every run's n_max + 1 steps of mu_c in one pass against tau's, one column per run
     p, q, s, t, steps = np.array(runs).T
     split = np.zeros(len(runs), dtype=bool)
-    for first, ss, ts in _blocks(partial(_pl_step, p, q), s, t, int(steps.max())):
+    for first, ss, ts in _blocks(_pl_step(p, q, s.shape), s, t, int(steps.max())):
         for n, a_s, a_t in zip(count(first), ss, ts):
             s, t = _tau_step(p, q, s, t)
             split |= (n <= steps) & ((a_s != s) | (a_t != t))

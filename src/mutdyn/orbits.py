@@ -4,7 +4,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from functools import cached_property, partial
+from functools import cached_property
 from itertools import product
 
 import numpy as np
@@ -309,16 +309,20 @@ def _tail_pass(r0, blocks, steps: int):
         for first, radius in blocks:
             end = first + len(radius)
             lr = np.log(radius)
-            kept = np.logical_and.accumulate(np.isfinite(radius), axis=0) & alive
-            run = np.maximum(np.maximum.accumulate(np.where(kept, lr, -math.inf), axis=0), max_lr)
+            jumps = np.diff(lr, axis=0, prepend=prev[None])
+            prev, peak = lr[-1], lr.max(axis=0)
+            # only a block with a radius not finite, or after a column left,
+            # masks rows; env is the max over the rows up to its mark row
+            if not (alive.all() and peak.max() < math.inf):
+                kept = np.logical_and.accumulate(np.isfinite(radius), axis=0) & alive
+                lr, jumps = (np.where(kept, v, -math.inf) for v in (lr, jumps))
+                peak = lr.max(axis=0)
+                alive &= kept[-1]
             for k, row in enumerate(marks):
                 if first <= row < end:
-                    env[k] = run[row - first]
-            max_lr = run[-1]
-            step_jump = np.diff(lr, axis=0, prepend=prev[None])
-            jump = np.maximum(jump, np.where(kept, step_jump, -math.inf).max(axis=0))
-            alive &= kept[-1]
-            prev = lr[-1]
+                    env[k] = np.maximum(lr[: row + 1 - first].max(axis=0), max_lr)
+            max_lr = np.maximum(peak, max_lr)
+            jump = np.maximum(jump, jumps.max(axis=0))
             if end > h:
                 lo = max(first, h)
                 tail = radius[lo - first :]
@@ -481,24 +485,25 @@ def _phi_drift_pass(p, q, s0, t0, steps: int, scale_caps: tuple):
         if not np.isfinite(base).all():
             raise DomainError("conserved quantity already out of float range at the start")
         denom = np.maximum(1.0, np.abs(base))
-        drifts = out = np.zeros((len(scale_caps), base.size))
+        # per cap and column the largest |phi - phi_0| so far, over denom at each
+        # restart: division by denom >= 1 is monotone and keeps the finite values
+        out, wander = np.zeros((2, len(scale_caps), base.size))
         cols, done = np.arange(base.size), 0
         while done < steps and cols.size:
-            # each block's figures are taken at once and folded in by max
-            for first, bs, bt in _blocks(partial(_pl_step, p, q), s, t, steps - done):
-                d = _drift(_conserved(coefs, bs, bt), base, denom)
-                if capped:
-                    norm = _sup_norm(bs, bt)
+            for first, bs, bt in _blocks(_pl_step(p, q, s.shape), s, t, steps - done):
+                d = np.abs(_conserved(coefs, bs, bt) - base)
+                d = np.where(np.isfinite(d), d, 0.0)
+                norm = _sup_norm(bs, bt) if capped else None
                 for i, cap in enumerate(scale_caps):
                     sample = d if cap is None else np.where(norm <= cap, d, 0.0)
-                    drifts[i] = np.maximum(drifts[i], sample.max(axis=0))
+                    np.maximum(wander[i], sample.max(axis=0), out=wander[i])
                 live = np.isfinite(bs[-1]) & np.isfinite(bt[-1])
                 if not live.all():
                     break
-            out[:, cols] = drifts
+            out[:, cols] = wander / denom
             done += first + len(bs) - 1
             p, q, s, t, base, denom, cols = (v[live] for v in (p, q, bs[-1], bt[-1], base, denom, cols))
-            coefs, drifts = tuple(c[live] for c in coefs), drifts[:, live]
+            coefs, wander = tuple(c[live] for c in coefs), wander[:, live]
     return [d.reshape(shape) for d in out]
 
 

@@ -244,14 +244,23 @@ def _columns(*values):
 _ZERO, _ONE = np.zeros(()), np.ones(())
 
 
-def _pl_step(p, q, s, t, out_s, out_t):
-    # the composed step on arrays with _record_orbit's IEEE operations (its
-    # q * t - s is -s + q * t) into out_s, out_t, which may be s, t;
-    # np.where selects faster than a masked add.  Callers silence overflow
-    t1 = np.where(s > _ZERO, t + p * s, t)
-    ns = np.negative(s, out=out_s)
-    out_s[...] = np.where(t1 > _ZERO, ns + q * t1, ns)
-    return out_s, np.negative(t1, out=out_t)
+def _pl_step(p, q, shape):
+    # the composed step for _blocks on columns of this shape, with
+    # _record_orbit's IEEE operations (p * s + t is t + p * s, q * t - s is
+    # -s + q * t) into out_s, out_t, which may be s, t: each input is read
+    # before its row is written.  The scratch u, m serves a whole pass, and
+    # np.putmask selects without temporaries.  Callers silence overflow
+    u, m = np.empty(shape), np.empty(shape, dtype=bool)
+
+    def step(s, t, out_s, out_t):
+        np.add(np.multiply(p, s, out=u), t, out=u)
+        out_t[...] = t
+        np.putmask(out_t, np.greater(s, _ZERO, out=m), u)
+        np.subtract(np.multiply(q, out_t, out=u), s, out=u)
+        np.putmask(np.negative(s, out=out_s), np.greater(out_t, _ZERO, out=m), u)
+        return out_s, np.negative(out_t, out=out_t)
+
+    return step
 
 
 # most iterates _blocks hands over at a time; steps between _record's range checks
@@ -513,9 +522,10 @@ def _sign_coherent_indices(p, q, s0, t0, cap: int) -> list:
     # step divides a column past 1e100 by its infinity norm, leaving its
     # larger coordinate exactly +-1 and its band EQ_TOL
     p, q, s, t = _columns(p, q, s0, t0)
+    pl_step = _pl_step(p, q, s.shape)
 
     def step(s, t, out_s, out_t):
-        s, t = _pl_step(p, q, s, t, out_s, out_t)
+        s, t = pl_step(s, t, out_s, out_t)
         norm = _sup_norm(s, t)
         big = norm > 1e100
         if big.any():

@@ -1,4 +1,5 @@
 import math
+import sys
 import struct
 
 import numpy as np
@@ -178,3 +179,44 @@ def test_softplus_oracle():
 def test_det2():
     assert det2(((1.0, 2.0), (3.0, 4.0))) == -2.0
     assert det2(((2.0, 0.0), (0.0, 0.5))) == 1.0
+
+
+def test_the_max_over_a_divisor_of_at_least_one_is_the_max_of_the_quotients():
+    # the drift pass divides each column's largest wander by d = max(1,
+    # |phi_0|) once: correctly rounded division by d >= 1 is monotone, so
+    # the quotient of the max has the bits of the max of the quotients,
+    # and x / d is finite exactly where x is
+    rng = np.random.default_rng(12)
+    x = np.abs(rng.standard_normal((100, 400))) * 10.0 ** rng.uniform(-320.0, 308.0, (100, 400))
+    # runs of consecutive floats, whose quotients tie after rounding
+    x[:, :40] = x[0, :40] + np.arange(100.0)[:, None] * np.spacing(x[0, :40])
+    x[0, 40:60] = [0.0, 5e-324, sys.float_info.max, math.inf, math.nan] * 4
+    d = np.concatenate([np.ones(100), 1.0 + rng.random(100), 10.0 ** rng.uniform(0.0, 308.0, 200)])
+    d[-1] = sys.float_info.max
+    finite = np.isfinite(x).all(axis=0)
+    assert (x[:, finite].max(axis=0) / d[finite]).tobytes() == (x[:, finite] / d[finite]).max(axis=0).tobytes()
+    assert np.array_equal(np.isfinite(x / d), np.isfinite(x))
+
+
+def test_a_product_less_a_value_is_its_negation_plus_the_product():
+    # the array PL step takes q * t - s and p * s + t where the scalar
+    # loop reads -s + q * t and t + p * s: in IEEE arithmetic x - y is
+    # x + (-y) and addition commutes, signed zeros included, for numpy
+    # arrays and for Python floats alike
+    values = [0.0, -0.0, 5e-324, -5e-324, 0.1, -3.7, 1.0, 1e308, -1e308, math.inf, -math.inf, math.nan]
+    q, t, s = (a.ravel() for a in np.meshgrid(values, values, values, indexing="ij"))
+    with np.errstate(over="ignore", invalid="ignore"):
+        pairs = [(q * t - s, -s + q * t), (q * t + s, s + q * t)]
+    pairs += [
+        tuple(np.array([f(*v) for v in zip(q.tolist(), t.tolist(), s.tolist())]) for f in forms)
+        for forms in (
+            (lambda q, t, s: q * t - s, lambda q, t, s: -s + q * t),
+            (lambda q, t, s: q * t + s, lambda q, t, s: s + q * t),
+        )
+    ]
+    for a, b in pairs:
+        nan = np.isnan(a)
+        assert np.array_equal(nan, np.isnan(b))
+        assert a[~nan].tobytes() == b[~nan].tobytes()
+        assert np.array_equal(np.signbit(a[~nan]), np.signbit(b[~nan]))
+    assert np.signbit(pairs[0][0]).any() and (pairs[0][0] == 0.0).any()

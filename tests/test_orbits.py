@@ -5,7 +5,6 @@ import sys
 import tracemalloc
 import warnings
 from fractions import Fraction
-from functools import partial
 
 import numpy as np
 import pytest
@@ -737,7 +736,7 @@ def test_tail_pass_over_many_columns_is_the_per_orbit_reduction():
     s, t = rng.uniform(-2.0, 2.0, (2, 40))
     s[-5:] *= 1e300  # orbits that leave float range
     for steps in (15, 16, 64, 65, 200):
-        step = partial(tropical._pl_step, p, q)
+        step = tropical._pl_step(p, q, s.shape)
         with np.errstate(over="ignore", invalid="ignore"):
             blocks = [(i, tropical._sup_norm(*ab)) for i, *ab in tropical._blocks(step, s, t, steps)]
         alive, *reduced = orbits._tail_pass(tropical._sup_norm(s, t), blocks, steps)
@@ -746,6 +745,67 @@ def test_tail_pass_over_many_columns_is_the_per_orbit_reduction():
                 for pq, st in zip(zip(p, q), zip(s, t))]
         assert [_verdict_bits(v) for v in got] == [_verdict_bits(v) for v in want], steps
         assert {v.kind for v in got} == set(GrowthKind), steps
+
+
+def _same_bits(a, b) -> bool:
+    # bit-equal, except that nans match nans (their payloads are not pinned)
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    nan = np.isnan(a)
+    return np.array_equal(nan, np.isnan(b)) and a[~nan].tobytes() == b[~nan].tobytes()
+
+
+def _affine_step(g, c):
+    # a -> g a + c and b -> -b per column: a step for _blocks whose radii
+    # are chosen exactly, as _tail_pass takes any map's blocks
+    def step(a, b, out_a, out_b):
+        np.add(np.multiply(g, a, out=out_a), c, out=out_a)
+        return out_a, np.negative(b, out=out_b)
+
+    return step
+
+
+@pytest.mark.parametrize("block", [1, 3, 64])
+def test_tail_pass_reads_the_marks_at_block_edges_and_near_range_exits(monkeypatch, block):
+    # columns whose radius is constant, grows linearly, grows by 5% a step
+    # or is 0 (log -inf, a jump of nan), and columns that double from
+    # 2^(1024 - k) to inf at step k: at each mark row h and m, and on the
+    # first and the last row of the mark's block, so that a column leaves
+    # float range inside a block that holds a mark row.  The horizons put
+    # the marks on a block's first and on its last row.  Each horizon runs
+    # without the leaving columns too, so that no block is masked
+    monkeypatch.setattr(tropical, "_STEP_BLOCK", block)
+    edges = set()
+    for steps in (87, 127, 129, 131, 171):
+        h = (steps + 1) // 2
+        marks = (h, (h + steps) // 2)
+        first = [(row - 1) // block * block + 1 for row in marks]
+        edges |= {"first" for row, lo in zip(marks, first) if row == lo}
+        edges |= {"last" for row, lo in zip(marks, first) if row == lo + block - 1}
+        exits = sorted({k for row, lo in zip(marks, first) for k in (row, lo, lo + block - 1)})
+        kept = [(1.0, 0.0, 1.5, 0.5), (1.0, 0.25, 1.0, -1.0), (1.05, 0.0, 1.0, 1.0), (1.0, 0.0, 0.0, 0.0)]
+        leaving = [(2.0, 0.0, math.ldexp(1.0, 1024 - k), 1.0) for k in exits]
+        for columns in (kept, kept + leaving):
+            g, c, a, b = (np.array(v) for v in zip(*columns))
+            with np.errstate(over="ignore", invalid="ignore"):
+                rows = [(i, x.copy(), y.copy()) for i, x, y in tropical._blocks(_affine_step(g, c), a, b, steps)]
+                blocks = ((i, tropical._sup_norm(x, y)) for i, x, y in tropical._blocks(_affine_step(g, c), a, b, steps))
+                alive, *reduced = orbits._tail_pass(tropical._sup_norm(a, b), blocks, steps)
+            assert {len(x) for _, x, _ in rows[:-1]} <= {block}
+            path = np.concatenate([np.stack([a, b], axis=-1)[None]] + [np.stack(r[1:], axis=-1) for r in rows])
+            for j, ok in enumerate(alive.tolist()):
+                end = np.flatnonzero(~np.isfinite(path[:, j]).all(axis=1))
+                points = path[: end[0] if len(end) else steps + 1, j]
+                orbit = Orbit(Params(1.0, 1.0), OrbitKind.TROPICAL, points, steps)
+                got = orbits._growth_verdict(steps, not ok, *(v[j] for v in reduced))
+                assert _verdict_bits(got) == _verdict_bits(growth_classification(orbit)), (steps, j)
+                assert ok == (not orbit.truncated) and orbit.truncated_at in (None, *exits)
+                # every figure of the one-block reduction of the stored orbit
+                radius = tropical._sup_norm(*points.T)[:, None]
+                with np.errstate(divide="ignore", invalid="ignore"):
+                    one = orbits._tail_pass(radius[0], [(1, radius[1:])] if orbit.steps else [], orbit.steps)[1:]
+                figures = slice(None) if ok else slice(0, 2)
+                assert _same_bits([v[j] for v in reduced][figures], [v[0] for v in one][figures]), (steps, j)
+    assert edges == {"first", "last"}
 
 
 def test_scan_errors_are_the_per_orbit_loops():
@@ -827,7 +887,7 @@ def _frozen_drift_pass(p, q, s, t, steps, scale_caps):
         denom = np.maximum(1.0, np.abs(base))
         drifts = [np.zeros_like(base) for _ in scale_caps]
         for _ in range(steps):
-            s, t = tropical._pl_step(p, q, s, t, np.empty(s.shape), np.empty(t.shape))
+            s, t = tropical._pl_step(p, q, s.shape)(s, t, np.empty(s.shape), np.empty(t.shape))
             d = orbits._drift(tropical._conserved(coefs, s, t), base, denom)
             norm = tropical._sup_norm(s, t)
             for i, cap in enumerate(scale_caps):
@@ -853,6 +913,39 @@ def test_blocked_drift_pass_equals_the_per_step_loop_bit_for_bit():
     got = _phi_drift_pass(p[:6, None], 1.5, s[None, :5], -0.5, block + 1, (None,))[0]
     want = _frozen_drift_pass(p[:6, None], 1.5, s[None, :5], -0.5, block + 1, (None,))[0]
     assert got.shape == (6, 5) and got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("block", [1, 3, 64])
+def test_drift_pass_divides_each_largest_wander_once(monkeypatch, block):
+    # the pass divides a column's largest |phi - phi_0| by denom = max(1,
+    # |phi_0|) at each restart, the per-step loop every step's.  Starts up
+    # to 6 put |phi_0| past 1, and the critical and hyperbolic orbits pass
+    # the window of 1e3, so their raw maximum comes from a later row than
+    # the windowed one.  Three orbits from 1e150 at pq = 900 leave float
+    # range near step 50, so the pass restarts with the others' maxima
+    # already divided once
+    rng = np.random.default_rng(909)
+    n = 20
+    p = np.append(rng.uniform(0.7, 3.0, 3 * n), [30.0] * 3)
+    pq = np.concatenate([rng.uniform(0.3, 3.8, n), np.full(n, 4.0), rng.uniform(4.5, 9.0, n), [900.0] * 3])
+    q = pq / p
+    s, t = rng.uniform(-6.0, 6.0, (2, 3 * n + 3))
+    s[-3:], t[-3:] = 1e150, -1e150
+    widths = []
+
+    def blocks(step, a, b, steps):
+        widths.append(np.size(a))
+        return tropical._blocks(step, a, b, steps)
+
+    monkeypatch.setattr(tropical, "_STEP_BLOCK", block)
+    monkeypatch.setattr(orbits, "_blocks", blocks)
+    got = _phi_drift_pass(p, q, s, t, 200, (1e3, None))
+    want = _frozen_drift_pass(p, q, s, t, 200, (1e3, None))
+    assert [a.tobytes() for a in got] == [b.tobytes() for b in want]
+    assert widths == [3 * n + 3, 3 * n]
+    denom = np.maximum(1.0, np.abs(tropical._conserved(tropical._quad_coefs(p, q), s, t)))
+    assert (denom > 1.0).sum() >= 2 * n
+    assert ((got[0] < got[1]) & (denom > 1.0)).sum() >= n
 
 
 @pytest.mark.parametrize("block", [1, 3, 64])

@@ -1,6 +1,5 @@
 import math
 from fractions import Fraction
-from functools import partial
 
 import numpy as np
 import pytest
@@ -400,7 +399,7 @@ def test_batched_return_search_is_detect_period_per_column():
         columns += [(1.0, q, *rng.uniform(-3.0, 3.0, 2), int(rng.integers(1, 30))) for _ in range(8)]
     columns += [(1.0, 1.05, 1.0, 0.0, 60), (3.0, 3.0, 1.0, -0.5, 2000), (1e100, 1e100, 1.0, 1.0, 60)]
     p, q, s0, t0, horizon = (np.array(v) for v in zip(*columns))
-    step = partial(tropical._pl_step, p, q)
+    step = tropical._pl_step(p, q, s0.shape)
     with np.errstate(over="ignore", invalid="ignore"):
         found = tropical._first_returns(s0, t0, tropical._blocks(step, s0, t0, int(horizon.max())))
     got = [int(k) if 0 < k <= n else None for k, n in zip(found, horizon)]
@@ -822,8 +821,77 @@ def test_pl_step_equals_the_composed_map_bit_for_bit():
         image = mu_c(params, PointPL(s, t))
         # stepped in place, as in a block of one row
         pair = np.array(s), np.array(t)
-        got = tropical._pl_step(params.p, params.q, *pair, *pair)
+        got = tropical._pl_step(params.p, params.q, ())(*pair, *pair)
         assert _bits(got) == _bits(image.as_tuple())
+
+
+def _float_pl_step(p, q, s, t):
+    # mu_c's arithmetic on Python floats, through which inf and nan pass
+    t1 = t + p * s if s > 0.0 else t
+    return (q * t1 - s if t1 > 0.0 else -s), -t1
+
+
+def _pl_columns(rng, width):
+    # exponents and starts per column: ordinary values with signed zeros,
+    # infinities, nans and values near the ends of float range mixed in
+    special = [0.0, -0.0, math.inf, -math.inf, math.nan, 1e300, -1e300, 5e-324, -5e-324]
+    p, q = rng.uniform(0.2, 3.0, (2, width))
+    s, t = rng.uniform(-3.0, 3.0, (2, width))
+    for v in (s, t):
+        pick = rng.random(width) < 0.4
+        v[pick] = rng.choice(special, pick.sum())
+    return p, q, s, t
+
+
+def _per_column(p, q, s, t):
+    # _float_pl_step on each column, checked against mu_c wherever the
+    # start and the image are finite
+    want = np.array([_float_pl_step(*col) for col in zip(*np.broadcast_arrays(p, q, s, t))]).T
+    for pp, qq, ss, tt, ws, wt in zip(*np.broadcast_arrays(p, q, s, t), *want):
+        if math.isfinite(ss) and math.isfinite(tt) and math.isfinite(ws) and math.isfinite(wt):
+            assert _bits(mu_c(Params(pp, qq), PointPL(ss, tt)).as_tuple()) == _bits((ws, wt))
+    return want
+
+
+def _same_signed_bits(a, b) -> bool:
+    # _same_bits, and the sign bit of every value that is not a nan
+    nan = np.isnan(np.asarray(a, dtype=float))
+    return _same_bits(a, b) and np.array_equal(np.signbit(a)[~nan], np.signbit(b)[~nan])
+
+
+@pytest.mark.parametrize("width", [1, 300, 1000, 9000])
+def test_pl_step_is_mu_c_per_column_bit_for_bit(width):
+    # the array step into separate rows, in place, with p an array or a
+    # float (C1 steps p = 1 against a column of q), and on 0-d columns;
+    # then three steps through _blocks, whose blocks have one row at 9000
+    # columns (so it steps in place) and several below
+    rng = np.random.default_rng(width)
+    p, q, s, t = _pl_columns(rng, width)
+    s0, t0 = s.copy(), t.copy()
+    with np.errstate(over="ignore", invalid="ignore"):
+        for pp in (p, 1.0):
+            want = _per_column(pp, q, s, t)
+            step = tropical._pl_step(pp, q, s.shape)
+            out_s, out_t = np.empty(width), np.empty(width)
+            got = step(s, t, out_s, out_t)
+            assert got[0] is out_s and got[1] is out_t
+            assert _same_signed_bits(got, want)
+            # the inputs are read, not written
+            assert _same_signed_bits((s, t), (s0, t0))
+            ss, tt = s.copy(), t.copy()
+            assert _same_signed_bits(step(ss, tt, ss, tt), want)
+        for col in range(min(width, 40)):
+            zs, zt = np.array(s[col]), np.array(t[col])
+            step = tropical._pl_step(p[col], q[col], ())
+            got = step(zs, zt, np.empty(()), np.empty(()))
+            assert _same_signed_bits(got, _float_pl_step(p[col], q[col], s[col], t[col]))
+            assert _same_signed_bits(step(zs, zt, zs, zt), got)
+        want = (s, t)
+        for _, bs, bt in tropical._blocks(tropical._pl_step(p, q, s.shape), s, t, 3):
+            for row in zip(bs, bt):
+                want = _per_column(p, q, *want)
+                assert _same_signed_bits(row, want)
+    assert width < 8192 or len(bs) == 1
 
 
 def _scalar_sign_coherent_index(params, pt, cap=500):
@@ -1036,8 +1104,9 @@ def test_subcritical_rotation_number_bounds_every_orbit():
     s, t = rng.uniform(-2.0, 2.0, (2, n))
     angle = np.arctan2(t, s)
     swept = np.zeros(n)
+    step = tropical._pl_step(p, q, s.shape)
     for _ in range(steps):
-        s, t = tropical._pl_step(p, q, s, t, s, t)
+        s, t = step(s, t, s, t)
         nxt = np.arctan2(t, s)
         swept += np.mod(angle - nxt, 2.0 * math.pi)
         angle = nxt
@@ -1076,8 +1145,9 @@ def test_turn_count_stays_within_one_turn_of_n_rho():
     rho = _rotation_number(p, q)
     s, t = rng.uniform(-2.0, 2.0, (2, n))
     angle, turns = np.arctan2(t, s), np.zeros(n)
+    step = tropical._pl_step(p, q, s.shape)
     for k in range(1, 5001):
-        s, t = tropical._pl_step(p, q, s, t, s, t)
+        s, t = step(s, t, s, t)
         nxt = np.arctan2(t, s)
         turns += np.mod(nxt - angle, 2.0 * math.pi)
         angle = nxt
