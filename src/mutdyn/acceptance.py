@@ -33,12 +33,13 @@ from .orbits import (
     OrbitKind,
     StartPolicy,
     GrowthKind,
+    _draw_starts,
     _first_rises,
     _phi_drift_pass,
     iterate_orbit,
     scan_grid,
 )
-from .params import Params, _kappa, _nu, kappa_nu, theta_of
+from .params import Params, _kappa, _nu, theta_of
 from .rational import PointPos, mu_x_log, symplectic_residual
 from .tropical import (
     PointPL,
@@ -50,6 +51,7 @@ from .tropical import (
     _lift,
     _pl_step,
     _quad_coefs,
+    _renormalise,
     _sign_coherent_indices,
     _tau_step,
     _trig_forms,
@@ -70,14 +72,7 @@ def _rng(offset: int) -> np.random.Generator:
     return np.random.default_rng(_BASE_SEED + offset)
 
 
-def _draw_starts(rng, n: int) -> list:
-    # n starts in [-3, 3]^2, a pair under 0.1 in both sizes drawn again: the
-    # stream of drawing a pair at a time, a batch at a time, up to the n-th
-    starts = []
-    while len(starts) < n:
-        pairs = rng.uniform(-3.0, 3.0, size=(n - len(starts), 2)).tolist()
-        starts += [(s, t) for s, t in pairs if max(abs(s), abs(t)) >= 0.1]
-    return starts
+_STARTS = (-3.0, 3.0, 0.1)  # in [-3, 3]^2, at least 0.1 from the origin
 
 
 def _q_for_m(m: int) -> float:
@@ -90,7 +85,7 @@ def _expected_period(m: int) -> int:
 
 def _c1_period_table():
     ms = range(3, 31)
-    starts = _draw_starts(_rng(1), 100 * len(ms))
+    starts = _draw_starts(_rng(1), 100 * len(ms), *_STARTS)
     s0, t0 = np.array(starts).T
     # one pass to the largest horizon; each start's own is its period + 10
     step = _pl_step(1.0, np.repeat([_q_for_m(m) for m in ms], 100), s0.shape)
@@ -125,7 +120,7 @@ def _c3_conserved_drift():
     t0 = rng.uniform(-2.0, 2.0, 3 * n)
     steps = 10**4
     # one pass yields both the windowed and the raw drift
-    window, full = _phi_drift_pass(p_all, q_all, s0, t0, steps, (1e3, None))
+    window, full = _phi_drift_pass(p_all, q_all, s0, t0, steps, 1e3)
     full = full[n:]
     sub_max = float(window[:n].max())
     crit_max = float(window[n : 2 * n].max())
@@ -164,7 +159,7 @@ def _c5_escape():
         p = float(rng.uniform(0.8, 3.0))
         pairs.append((p, float(rng.uniform(4.5, 12.0)) / p))
         logs.append([[math.log(v) for v in rng.uniform(0.5, 3.0, 2)] for _ in range(20)])
-        starts += _draw_starts(rng, 20)
+        starts += _draw_starts(rng, 20, *_STARTS)
     # each tropical start up to its first point in the coherent cone, then
     # 100 steps of the linearization from there, renormalized past 1e100
     p, q = np.repeat(pairs, 20, axis=0).T
@@ -179,13 +174,12 @@ def _c5_escape():
             entered |= new
             if entered.all():
                 break
-        floor = np.repeat([kappa_nu(Params(*pair))[0] - 1.0 - 1e-6 for pair in pairs], 20)
+        floor = _kappa(p, q) - 1.0 - 1e-6
         ratio = np.full(len(starts), math.nan)
         for _ in range(100):
             s2, t2 = _tau_step(p, q, s, t)
             ratio = np.where(np.isnan(ratio) & (abs(t2) < floor * abs(t)), abs(t2) / abs(t), ratio)
-            norm = np.maximum(abs(s2), abs(t2))
-            s, t = np.where(norm > 1e100, s2 / norm, s2), np.where(norm > 1e100, t2 / norm, t2)
+            s, t = _renormalise(s2, t2)
     worst_steps = 0
     for i, ((p, q), pair_logs) in enumerate(zip(pairs, logs)):
         params = Params(p, q)
@@ -240,7 +234,7 @@ def _c7_angle_and_signs():
         q = float(rng.uniform(4.2, 9.0)) / p
         pairs.append((p, q))
     # one column per start, all drawn first
-    flat = [(p, q, s, t) for p, q in pairs for s, t in _draw_starts(rng, 100)]
+    flat = [(p, q, s, t) for p, q in pairs for s, t in _draw_starts(rng, 100, *_STARTS)]
     p, q, s0, t0 = np.array(flat).T
     cut = np.repeat([_cut(*pair) for pair in pairs], 100)
     fourth = np.ones(len(flat), dtype=bool)
@@ -305,7 +299,7 @@ def _c8_closed_forms():
     tilde_t = cur_t + p * cur_s
     sn, tn, tn_t = _closed_forms(kappa, nu, 30, s0, t0)
     scale = reduce(np.maximum, (1.0, abs(cur_s), abs(cur_t), abs(sn), abs(tn), abs(tn_t)))
-    err = reduce(np.maximum, (abs(sn - cur_s), abs(tn - cur_t), abs(-sn + cur_s), abs(tn_t - tilde_t)))
+    err = reduce(np.maximum, (abs(sn - cur_s), abs(tn - cur_t), abs(tn_t - tilde_t)))
     sub = slice(0, 600)
     thetas = list(map(math.acos, (kappa[sub] / 2.0).tolist()))
     trig_s, trig_t, trig_t_t = _trig_forms(thetas, nu[sub], 30, s0[sub], t0[sub])

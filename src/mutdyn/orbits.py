@@ -382,8 +382,8 @@ def conserved_drift(orbit: Orbit) -> float:
     Tropical orbits only.  Steps where the quadratic, or its distance
     from the reference, leaves float range are skipped: a 64-bit
     evaluation carries no information there.  The reference is the
-    start value, the scale max(1, |reference|).  Each step's figure is
-    the one phi_drift_batch takes, so the two agree bit for bit.
+    start value, the scale max(1, |reference|).  The figure is the one
+    phi_drift_batch takes, so the two agree bit for bit.
     """
     if orbit.kind is not OrbitKind.TROPICAL:
         raise DomainError("the conserved quadratic belongs to tropical orbits")
@@ -392,14 +392,14 @@ def conserved_drift(orbit: Orbit) -> float:
     if not math.isfinite(base):
         raise DomainError("conserved quantity already out of float range at the start")
     with np.errstate(over="ignore"):
-        return float(np.max(_drift(ph, base, max(1.0, abs(base)))))
+        return float(np.max(_wander(ph, base))) / max(1.0, abs(base))
 
 
-def _drift(value, base, denom):
-    # the relative wander |value - base| / denom of the conserved
-    # quadratic from its start value base, denom = max(1, |base|); a
-    # value that is not finite, or a wander that overflows, adds nothing
-    d = np.abs(value - base) / denom
+def _wander(value, base):
+    # |value - base| of the conserved quadratic from its start value, 0 where
+    # not finite.  Callers divide the largest by max(1, |base|), which is the
+    # largest of the divided wanders bit for bit: that division is monotone
+    d = np.abs(value - base)
     return np.where(np.isfinite(d), d, 0.0)
 
 
@@ -455,56 +455,52 @@ def phi_drift_batch(p, q, s0, t0, steps: int, scale_cap: float | None = None):
     raises DomainError, as in conserved_drift, and so does a nan cap or
     one below 0.
     """
-    return _phi_drift_pass(p, q, s0, t0, steps, (scale_cap,))[0]
+    return _phi_drift_pass(p, q, s0, t0, steps, scale_cap)[0]
 
 
-def _phi_drift_pass(p, q, s0, t0, steps: int, scale_caps: tuple):
-    # phi_drift_batch for several scale caps (None for none) in one
-    # pass over the orbits; one drift array per cap, in order.  A point
-    # not finite keeps one coordinate so (_record_orbit), and adds no drift
-    # after, so a block ending with such columns restarts without them
+def _phi_drift_pass(p, q, s0, t0, steps: int, cap):
+    # phi_drift_batch's drift windowed by the scale cap (None for none) and
+    # its raw drift, in one pass over the orbits.  A point not finite keeps
+    # one coordinate so (_record_orbit), and adds no drift after, so a block
+    # ending with such columns restarts without them
     steps = _count(steps, "steps", 0)
     p, q, s, t = _columns(p, q, s0, t0)
     if not (np.isfinite(p).all() and (p > 0.0).all() and np.isfinite(q).all() and (q > 0.0).all()):
         raise DomainError("exponents must be finite and positive")
     if not (np.isfinite(s).all() and np.isfinite(t).all()):
         raise DomainError("starts must be finite")
-    scale_caps = tuple(None if cap is None else _float(cap, "scale_cap") for cap in scale_caps)
     # norm <= cap never holds for a nan cap or one below 0, so either
     # would sample nothing and read as zero drift
-    for cap in scale_caps:
-        if cap is not None and not cap >= 0.0:
-            raise DomainError(f"scale_cap must be >= 0, got {cap!r}")
-    capped = any(cap is not None for cap in scale_caps)
+    cap = None if cap is None else _float(cap, "scale_cap")
+    if cap is not None and not cap >= 0.0:
+        raise DomainError(f"scale_cap must be >= 0, got {cap!r}")
     shape = s.shape
     p, q, s, t = (v.ravel() for v in (p, q, s, t))
     with np.errstate(over="ignore", invalid="ignore"):
-        coefs = _quad_coefs(p, q)
-        base = _conserved(coefs, s, t)
+        base = _conserved(_quad_coefs(p, q), s, t)
         # a start whose value is not finite would read as zero drift
         if not np.isfinite(base).all():
             raise DomainError("conserved quantity already out of float range at the start")
         denom = np.maximum(1.0, np.abs(base))
-        # per cap and column the largest |phi - phi_0| so far, over denom at each
-        # restart: division by denom >= 1 is monotone and keeps the finite values
-        out, wander = np.zeros((2, len(scale_caps), base.size))
+        # per column the largest windowed and raw wander, over denom at the end
+        drift = np.zeros((2, base.size))
         cols, done = np.arange(base.size), 0
         while done < steps and cols.size:
+            coefs, wander = _quad_coefs(p, q), drift[:, cols]
+            window, raw = wander
             for first, bs, bt in _blocks(_pl_step(p, q, s.shape), s, t, steps - done):
-                d = np.abs(_conserved(coefs, bs, bt) - base)
-                d = np.where(np.isfinite(d), d, 0.0)
-                norm = _sup_norm(bs, bt) if capped else None
-                for i, cap in enumerate(scale_caps):
-                    sample = d if cap is None else np.where(norm <= cap, d, 0.0)
-                    np.maximum(wander[i], sample.max(axis=0), out=wander[i])
+                d = _wander(_conserved(coefs, bs, bt), base)
+                np.maximum(raw, d.max(axis=0), out=raw)
+                if cap is not None:
+                    np.maximum(window, np.where(_sup_norm(bs, bt) <= cap, d, 0.0).max(axis=0), out=window)
                 live = np.isfinite(bs[-1]) & np.isfinite(bt[-1])
                 if not live.all():
                     break
-            out[:, cols] = wander / denom
+            drift[:, cols] = wander
             done += first + len(bs) - 1
-            p, q, s, t, base, denom, cols = (v[live] for v in (p, q, bs[-1], bt[-1], base, denom, cols))
-            coefs, wander = tuple(c[live] for c in coefs), wander[:, live]
-    return [d.reshape(shape) for d in out]
+            p, q, s, t, base, cols = (v[live] for v in (p, q, bs[-1], bt[-1], base, cols))
+    window, raw = (d.reshape(shape) for d in drift / denom)
+    return raw if cap is None else window, raw
 
 
 @dataclass(frozen=True)
@@ -544,13 +540,17 @@ class StartPolicy:
         if self.points is not None:
             return self.points
         lo, hi, floor = (0.5, 2.0, 0.0) if kind is OrbitKind.RATIONAL else (-2.0, 2.0, 0.1)
-        rng = np.random.default_rng([self.seed, i, j])
-        out = []
-        while len(out) < self.count:
-            a, b = rng.uniform(lo, hi, size=2)
-            if max(abs(a), abs(b)) >= floor:
-                out.append((float(a), float(b)))
-        return tuple(out)
+        return tuple(_draw_starts(np.random.default_rng([self.seed, i, j]), self.count, lo, hi, floor))
+
+
+def _draw_starts(rng, n: int, lo: float, hi: float, floor: float) -> list:
+    # n starts in [lo, hi)^2, a pair under floor in both sizes drawn again: a
+    # batch at a time, the stream of drawing a pair at a time up to the n-th
+    starts = []
+    while len(starts) < n:
+        pairs = rng.uniform(lo, hi, size=(n - len(starts), 2)).tolist()
+        starts += [(s, t) for s, t in pairs if max(abs(s), abs(t)) >= floor]
+    return starts
 
 
 @dataclass(frozen=True)

@@ -517,20 +517,25 @@ def first_sign_coherent_index(params: Params, pt: PointPL, cap: int = 500):
     return _sign_coherent_indices(params.p, params.q, pt.s, pt.t, cap)[0]
 
 
+def _renormalise(s, t):
+    # divides each column of the arrays s, t with infinity norm past 1e100 by
+    # it, in place, so its larger coordinate is exactly +-1; the PL map and its
+    # linearization commute with positive dilations, the sign band is relative
+    norm = _sup_norm(s, t)
+    big = norm > 1e100
+    if big.any():
+        np.divide(s, norm, out=s, where=big)
+        np.divide(t, norm, out=t, where=big)
+    return s, t
+
+
 def _sign_coherent_indices(p, q, s0, t0, cap: int) -> list:
-    # first_sign_coherent_index per column of p, q, s0, t0 broadcast.  A
-    # step divides a column past 1e100 by its infinity norm, leaving its
-    # larger coordinate exactly +-1 and its band EQ_TOL
+    # first_sign_coherent_index per column of p, q, s0, t0 broadcast, renormalised
     p, q, s, t = _columns(p, q, s0, t0)
     pl_step = _pl_step(p, q, s.shape)
 
     def step(s, t, out_s, out_t):
-        s, t = pl_step(s, t, out_s, out_t)
-        norm = _sup_norm(s, t)
-        big = norm > 1e100
-        if big.any():
-            s[...], t[...] = np.where(big, s / norm, s), np.where(big, t / norm, t)
-        return s, t
+        return _renormalise(*pl_step(s, t, out_s, out_t))
 
     last_bad = np.full(s.shape, -1)
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):

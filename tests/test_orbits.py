@@ -469,7 +469,7 @@ def _exact_and_float_drift(params, start, steps, caps):
         cross = p * q * Fraction(s) * Fraction(t)
         exact.append(p * Fraction(s) ** 2 + (-cross if s < 0.0 < t else cross) + q * Fraction(t) ** 2)
     norm = tropical._sup_norm(*orbit.points.T)
-    evaluated = orbits._drift(orbit.phi, orbit.phi[0], max(1.0, abs(orbit.phi[0])))
+    evaluated = orbits._wander(orbit.phi, orbit.phi[0]) / max(1.0, abs(orbit.phi[0]))
     out = []
     for cap in caps:
         rows = np.flatnonzero(norm <= cap).tolist()
@@ -515,9 +515,20 @@ def test_batch_drift_scale_cap_bounds_the_window():
     assert float(phi_drift_batch(3.0, 3.0, 1.0, 1.0, 60, scale_cap=1e-6)) == 0.0
     # a cap that float() takes acts as its float
     assert float(phi_drift_batch(3.0, 3.0, 1.0, 1.0, 60, scale_cap="1e3")) == capped
-    # one pass with several caps gives each figure bit for bit
-    window, full = _phi_drift_pass(3.0, 3.0, 1.0, 1.0, 60, (1e3, None))
+    # one pass gives the windowed and the raw figure bit for bit
+    window, full = _phi_drift_pass(3.0, 3.0, 1.0, 1.0, 60, 1e3)
     assert float(window) == capped and float(full) == raw
+
+
+def test_drift_pass_without_a_cap_windows_nothing():
+    # with no cap the windowed drift is the raw one, bit for bit, in every
+    # regime and through orbits that leave float range
+    rng = np.random.default_rng(17)
+    p, q, s, t = rng.uniform(0.3, 6.0, (4, 80))
+    s[:10] *= 1e150
+    window, raw = _phi_drift_pass(p, q, s - 3.0, t - 3.0, 300, None)
+    assert window.tobytes() == raw.tobytes() and (raw > 0.0).all()
+    assert window.tobytes() == _phi_drift_pass(p, q, s - 3.0, t - 3.0, 300, math.inf)[0].tobytes()
 
 
 def test_batch_drift_broadcasts():
@@ -595,6 +606,38 @@ def test_start_policy_draws_are_reproducible_and_in_range():
     trop = pol.starts_for(OrbitKind.TROPICAL, 0, 0)
     assert all(-2.0 <= v <= 2.0 for pt in trop for v in pt)
     assert all(max(abs(s), abs(t)) >= 0.1 for s, t in trop)
+
+
+def _pair_at_a_time_starts(rng, count, lo, hi, floor):
+    # the seeded draw as starts_for once wrote it, a pair per call
+    out = []
+    while len(out) < count:
+        a, b = rng.uniform(lo, hi, size=2)
+        if max(abs(a), abs(b)) >= floor:
+            out.append((float(a), float(b)))
+    return tuple(out)
+
+
+def test_start_draw_is_the_pair_at_a_time_stream():
+    # the batched draw gives the starts of drawing a pair at a time, and
+    # leaves the generator where that did, so a caller's later draws hold
+    for kind, box in ((OrbitKind.RATIONAL, (0.5, 2.0, 0.0)), (OrbitKind.TROPICAL, (-2.0, 2.0, 0.1))):
+        for seed in range(200):
+            for count in (1, 2, 4, 9):
+                policy = StartPolicy(seed=seed, count=count)
+                for cell in ((0, 0), (3, 5), (11, 2)):
+                    want = _pair_at_a_time_starts(np.random.default_rng([seed, *cell]), count, *box)
+                    assert policy.starts_for(kind, *cell) == want
+    # a floor that rejects about half the pairs, and the stream after it
+    rejected = 0
+    for seed in range(50):
+        a, b = np.random.default_rng(seed), np.random.default_rng(seed)
+        got = orbits._draw_starts(a, 7, -3.0, 3.0, 2.0)
+        want = _pair_at_a_time_starts(b, 7, -3.0, 3.0, 2.0)
+        assert tuple(got) == want and a.uniform() == b.uniform()
+        pairs = np.random.default_rng(seed).uniform(-3.0, 3.0, (60, 2))
+        rejected += np.flatnonzero(abs(pairs).max(axis=1) >= 2.0)[6] - 6
+    assert rejected > 100
 
 
 def test_scan_grid_geometry():
@@ -888,7 +931,8 @@ def _frozen_drift_pass(p, q, s, t, steps, scale_caps):
         drifts = [np.zeros_like(base) for _ in scale_caps]
         for _ in range(steps):
             s, t = tropical._pl_step(p, q, s.shape)(s, t, np.empty(s.shape), np.empty(t.shape))
-            d = orbits._drift(tropical._conserved(coefs, s, t), base, denom)
+            d = np.abs(tropical._conserved(coefs, s, t) - base) / denom
+            d = np.where(np.isfinite(d), d, 0.0)
             norm = tropical._sup_norm(s, t)
             for i, cap in enumerate(scale_caps):
                 sample = d if cap is None else np.where(norm <= cap, d, 0.0)
@@ -905,12 +949,12 @@ def test_blocked_drift_pass_equals_the_per_step_loop_bit_for_bit():
     s[:15] *= 1e150  # quadratics that overflow, orbits that truncate
     block = tropical._STEP_BLOCK
     for steps in (0, 1, block - 1, block, block + 1, 3 * block + 5):
-        got = _phi_drift_pass(p, q, s, t, steps, (1e3, None))
+        got = _phi_drift_pass(p, q, s, t, steps, 1e3)
         want = _frozen_drift_pass(p, q, s, t, steps, (1e3, None))
         for a, b in zip(got, want):
             assert a.tobytes() == b.tobytes()
     # broadcast shapes fold per block as well
-    got = _phi_drift_pass(p[:6, None], 1.5, s[None, :5], -0.5, block + 1, (None,))[0]
+    got = _phi_drift_pass(p[:6, None], 1.5, s[None, :5], -0.5, block + 1, None)[0]
     want = _frozen_drift_pass(p[:6, None], 1.5, s[None, :5], -0.5, block + 1, (None,))[0]
     assert got.shape == (6, 5) and got.tobytes() == want.tobytes()
 
@@ -918,12 +962,12 @@ def test_blocked_drift_pass_equals_the_per_step_loop_bit_for_bit():
 @pytest.mark.parametrize("block", [1, 3, 64])
 def test_drift_pass_divides_each_largest_wander_once(monkeypatch, block):
     # the pass divides a column's largest |phi - phi_0| by denom = max(1,
-    # |phi_0|) at each restart, the per-step loop every step's.  Starts up
+    # |phi_0|) once, at the end, the per-step loop every step's.  Starts up
     # to 6 put |phi_0| past 1, and the critical and hyperbolic orbits pass
     # the window of 1e3, so their raw maximum comes from a later row than
     # the windowed one.  Three orbits from 1e150 at pq = 900 leave float
     # range near step 50, so the pass restarts with the others' maxima
-    # already divided once
+    # carried over
     rng = np.random.default_rng(909)
     n = 20
     p = np.append(rng.uniform(0.7, 3.0, 3 * n), [30.0] * 3)
@@ -939,7 +983,7 @@ def test_drift_pass_divides_each_largest_wander_once(monkeypatch, block):
 
     monkeypatch.setattr(tropical, "_STEP_BLOCK", block)
     monkeypatch.setattr(orbits, "_blocks", blocks)
-    got = _phi_drift_pass(p, q, s, t, 200, (1e3, None))
+    got = _phi_drift_pass(p, q, s, t, 200, 1e3)
     want = _frozen_drift_pass(p, q, s, t, 200, (1e3, None))
     assert [a.tobytes() for a in got] == [b.tobytes() for b in want]
     assert widths == [3 * n + 3, 3 * n]
@@ -977,7 +1021,7 @@ def test_drift_pass_goes_on_without_orbits_that_left_float_range(monkeypatch, bl
     )
     for args, shape, bounded in cases:
         widths.clear()
-        got = _phi_drift_pass(*args, 1500, (1e3, None))
+        got = _phi_drift_pass(*args, 1500, 1e3)
         want = _frozen_drift_pass(*args, 1500, (1e3, None))
         assert [a.tobytes() for a in got] == [b.tobytes() for b in want]
         assert got[0].shape == shape
@@ -994,7 +1038,7 @@ def _array_passes(steps):
     s, t = rng.uniform(-2.0, 2.0, (2, 60))
     s[:10] *= 1e150  # orbits that truncate, quadratics that overflow, signs renormalised
     got = [_verdict_bits(v) for v in orbits._rational_verdicts(p, q, x, y, steps)]
-    got += [d.tobytes() for d in _phi_drift_pass(tp, tq, s, t, steps, (1e3, None))]
+    got += [d.tobytes() for d in _phi_drift_pass(tp, tq, s, t, steps, 1e3)]
     return got + tropical._sign_coherent_indices(tp, tq, s, t, steps)
 
 

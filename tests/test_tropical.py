@@ -919,6 +919,28 @@ def _scalar_sign_coherent_index(params, pt, cap=500):
     return last_bad + 1 if last_bad < cap else None
 
 
+def test_renormalisation_divides_only_columns_past_1e100():
+    # a column at or below 1e100 in the infinity norm keeps its bits; a
+    # larger one is divided by its norm, so its bigger coordinate is
+    # exactly +-1 and the other keeps its sign
+    rng = np.random.default_rng(29)
+    s = rng.uniform(-3.0, 3.0, 400) * 10.0 ** rng.integers(0, 200, 400)
+    t = rng.uniform(-3.0, 3.0, 400) * 10.0 ** rng.integers(0, 200, 400)
+    s[:5], t[:5] = [1e100, -1e100, 0.0, -0.0, 5.0], [3.0, -0.0, -1e100, 1e-300, 1e101]
+    norm = np.maximum(abs(s), abs(t))
+    small, big = norm <= 1e100, norm > 1e100
+    assert small.sum() > 50 and big.sum() > 200
+    got_s, got_t = tropical._renormalise(s.copy(), t.copy())
+    assert got_s[small].tobytes() == s[small].tobytes() and got_t[small].tobytes() == t[small].tobytes()
+    bigger = np.where(abs(s) >= abs(t), got_s, got_t)[big]
+    assert (abs(bigger) == 1.0).all() and (np.sign(bigger) == np.sign(np.where(abs(s) >= abs(t), s, t)[big])).all()
+    assert (np.signbit(got_s) == np.signbit(s)).all() and (np.signbit(got_t) == np.signbit(t)).all()
+    assert got_s[4] == 5.0 / 1e101 and got_t[4] == 1.0
+    # in place, on the arrays it is handed
+    a, b = np.array([2e100, 1.0]), np.array([-1e100, 2.0])
+    assert tropical._renormalise(a, b)[0] is a and a.tolist() == [1.0, 1.0] and b.tolist() == [-0.5, 2.0]
+
+
 def test_sign_coherence_reduction_equals_the_scalar_loop():
     rng = np.random.default_rng(73)
     cases = []
