@@ -39,7 +39,7 @@ from .orbits import (
     iterate_orbit,
     scan_grid,
 )
-from .params import Params, _kappa, _nu, theta_of
+from .params import Params, _kappa, _nu, _q_for_m, theta_of
 from .rational import PointPos, mu_x_log, symplectic_residual
 from .tropical import (
     PointPL,
@@ -75,10 +75,6 @@ def _rng(offset: int) -> np.random.Generator:
 _STARTS = (-3.0, 3.0, 0.1)  # in [-3, 3]^2, at least 0.1 from the origin
 
 
-def _q_for_m(m: int) -> float:
-    return 4.0 * math.cos(math.pi / m) ** 2
-
-
 def _expected_period(m: int) -> int:
     return m + 2 if m % 2 else (m + 2) // 2
 
@@ -99,10 +95,9 @@ def _c1_period_table():
 
 
 def _c2_named_periods():
-    got7 = detect_period(Params(1.0, _q_for_m(7)), PointPL(1.0, 1.0), 40)
-    got10 = detect_period(Params(1.0, _q_for_m(10)), PointPL(1.0, 1.0), 40)
-    ok = got7 == 9 and got10 == 6
-    return ok, f"m=7 gives {got7} (want 9), m=10 gives {got10} (want 6)"
+    got = {m: detect_period(Params(1.0, _q_for_m(m)), PointPL(1.0, 1.0), 40) for m in (7, 10)}
+    ok = all(k == _expected_period(m) for m, k in got.items())
+    return ok, ", ".join(f"m={m} gives {k} (want {_expected_period(m)})" for m, k in got.items())
 
 
 def _c3_conserved_drift():
@@ -136,18 +131,17 @@ def _c3_conserved_drift():
 
 
 def _c4_hand_orbits():
-    orb = iterate_orbit(Params(1.0, 1.0), OrbitKind.RATIONAL, (1.0, 1.0), 5)
-    want = np.array([(1, 1), (2, 3), (2, 1), (1, 2), (3, 2), (1, 1)], dtype=float)
-    err1 = float(np.max(np.abs(orb.points - want)))
-    orb2 = iterate_orbit(Params(2.0, 1.0), OrbitKind.RATIONAL, (1.0, 1.0), 3)
-    want2 = np.array([(1, 1), (2, 5), (3, 2), (1, 1)], dtype=float)
-    err2 = float(np.max(np.abs(orb2.points - want2)))
-    early = min(
-        float(np.max(np.abs(orb.points[k] - orb.points[0]))) for k in (1, 2, 3, 4)
-    )
-    early2 = min(float(np.max(np.abs(orb2.points[k] - orb2.points[0]))) for k in (1, 2))
-    ok = err1 <= 1e-12 and err2 <= 1e-12 and early > 1e-9 and early2 > 1e-9
-    return ok, f"five-cycle error {err1:.1e}, three-cycle error {err2:.1e}, no early return"
+    ok, errors = True, []
+    for name, p, want in (
+        ("five-cycle", 1.0, [(1, 1), (2, 3), (2, 1), (1, 2), (3, 2), (1, 1)]),
+        ("three-cycle", 2.0, [(1, 1), (2, 5), (3, 2), (1, 1)]),
+    ):
+        points = iterate_orbit(Params(p, 1.0), OrbitKind.RATIONAL, (1.0, 1.0), len(want) - 1).points
+        err = float(np.max(np.abs(points - np.array(want, dtype=float))))
+        early = min(float(np.max(np.abs(point - points[0]))) for point in points[1:-1])
+        ok = ok and err <= 1e-12 and early > 1e-9
+        errors.append(f"{name} error {err:.1e}")
+    return ok, f"{', '.join(errors)}, no early return"
 
 
 def _c5_escape():
@@ -339,7 +333,7 @@ def _c8_closed_forms():
     )
 
 
-_CLASS_SIZES = {3: 10, 4: 6, 5: 14, 6: 8, 7: 18, 8: 10}
+_CLASS_SIZES = {m: 2 * _expected_period(m) for m in range(3, 9)}
 
 
 def _c9_mutation_classes():
@@ -359,14 +353,11 @@ def _c9_mutation_classes():
         params = Params(p, q)
         plain = ExtendedExchangeMatrix.from_exponents(p, q, rows=((s, t),))
         negated = ExtendedExchangeMatrix.from_exponents(p, q, rows=((s, t),), negated=True)
-        m1 = mutate(plain, 1)
-        img1 = mu1_c(params, PointPL(s, t))
-        if m1.entries[:2] != negated.entries[:2] or m1.entries[2] != img1.as_tuple():
-            return False, f"direction-1 mutation mismatch at p={p} q={q} row=({s},{t})"
-        m2 = mutate(negated, 2)
-        img2 = mu2_c(params, PointPL(s, t))
-        if m2.entries[:2] != plain.entries[:2] or m2.entries[2] != img2.as_tuple():
-            return False, f"direction-2 mutation mismatch at p={p} q={q} row=({s},{t})"
+        # direction 1 negates the block and acts on the row by mu1_c, direction 2 back by mu2_c
+        for k, seed, block, factor in ((1, plain, negated, mu1_c), (2, negated, plain, mu2_c)):
+            mat, image = mutate(seed, k), factor(params, PointPL(s, t))
+            if mat.entries[:2] != block.entries[:2] or mat.entries[2] != image.as_tuple():
+                return False, f"direction-{k} mutation mismatch at p={p} q={q} row=({s},{t})"
     sizes = ", ".join(f"m={m}:{n}" for m, n in _CLASS_SIZES.items())
     return True, (
         f"classes closed ({sizes}); the pq=5 class leaves float range with 2946 members "

@@ -12,7 +12,9 @@ two directions acts on each extra row exactly as the piecewise-linear
 factor maps act on the plane, with the exchange block flipping between
 a form and its negation.  The mutation class of a seed matrix is its
 orbit under both directions; it is finite precisely at the globally
-periodic products.
+periodic products pq = 4 cos^2(k pi/m), gcd(k, m) = 1 and 2k < m, where
+the class of one nonzero extra row has twice the row's piecewise-linear
+period, 2 (m + 2k) / gcd(m, 2) members.
 """
 from __future__ import annotations
 

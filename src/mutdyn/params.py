@@ -10,9 +10,11 @@ qualitative about the dynamics is decided by their product:
 * ``pq > 4``  hyperbolic behaviour with exponential escape.
 
 Below the critical product the angle theta with ``pq = 4 cos^2(theta)``
-controls rotation numbers, and :func:`detect_m` recognizes the
-exceptional products ``4 cos^2(pi/m)`` at which the piecewise-linear
-map is globally periodic.
+controls rotation numbers.  The piecewise-linear map is globally
+periodic exactly when theta / pi is rational: at ``theta = k pi / m``
+with ``gcd(k, m) = 1`` and ``2k < m`` every orbit but the origin's has
+period ``(m + 2k) / gcd(m, 2)``.  :func:`detect_m` recognizes the
+products ``4 cos^2(pi/m)`` of the case k = 1.
 """
 from __future__ import annotations
 
@@ -117,8 +119,13 @@ def _root(value, fallback):
     return np.where(normal, np.sqrt(value), fallback)[()]
 
 
+def _q_for_m(m: int) -> float:
+    # the periodic product 4 cos^2(pi/m) of k = 1; at p = 1 it is q
+    return 4.0 * math.cos(math.pi / m) ** 2
+
+
 def detect_m(params: Params, cap: int = 10**6):
-    """Find the integer m >= 3 with pq = 4 cos^2(pi/m), if any exists.
+    """Find the integer m >= 3 with pq = 4 cos^2(pi/m): the case k = 1 only.
 
     The defining identity is inverted analytically and the rounded
     candidate is verified against the product within EQ_TOL, relative;
@@ -132,8 +139,6 @@ def detect_m(params: Params, cap: int = 10**6):
         return None
     est = round(math.pi / theta_of(params))
     for cand in (est, est - 1, est + 1):
-        if 3 <= cand <= cap:
-            ref = 4.0 * math.cos(math.pi / cand) ** 2
-            if close_rel(pq, ref, EQ_TOL):
-                return cand
+        if 3 <= cand <= cap and close_rel(pq, _q_for_m(cand), EQ_TOL):
+            return cand
     return None

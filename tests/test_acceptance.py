@@ -4,6 +4,7 @@ The full battery runs once per session; individual tests read the
 cached verdicts so the suite stays fast and the per-criterion lines
 stay visible in failure output.
 """
+import dataclasses
 import io
 import math
 import os
@@ -18,6 +19,7 @@ import pytest
 import mutdyn
 from mutdyn import acceptance, tropical
 from mutdyn.acceptance import CRITERIA, Criterion, run_all
+from mutdyn.exchange import MutationClassResult
 from mutdyn.params import Params, theta_of
 from mutdyn.tropical import PointPL, mu_c, tau
 
@@ -117,6 +119,67 @@ def test_c7_failure_text_is_unchanged(monkeypatch, name):
 
     monkeypatch.setattr(acceptance, name, forced)
     assert acceptance._c7_angle_and_signs() == (False, text)
+
+
+# C1's text when one start's first return is forced: in range, and out of it
+@pytest.mark.parametrize("index, found, text", [
+    (1234, 5, "m=15 start=(-0.5447670937375992, 1.0789587923836352) period 5 != 17"),
+    (0, 0, "m=3 start=(-2.7525439967419603, -1.9490343429829153) period None != 5"),
+    (2799, 41, "m=30 start=(-0.28349400780989864, -2.111918351795601) period None != 16"),
+])
+def test_c1_failure_text_is_unchanged(monkeypatch, index, found, text):
+    real = acceptance._first_returns
+
+    def forced(*args):
+        out = real(*args)
+        out[index] = found
+        return out
+
+    monkeypatch.setattr(acceptance, "_first_returns", forced)
+    assert acceptance._c1_period_table() == (False, text)
+
+
+# C4's text when one hand cycle is off: every point moved, and an early return
+@pytest.mark.parametrize("p, move, text", [
+    (1.0, lambda pts: pts + 1e-3, "five-cycle error 1.0e-03, three-cycle error 0.0e+00, no early return"),
+    (2.0, lambda pts: pts[[0, 1, 0, 3]], "five-cycle error 0.0e+00, three-cycle error 2.0e+00, no early return"),
+])
+def test_c4_failure_text_is_unchanged(monkeypatch, p, move, text):
+    real = acceptance.iterate_orbit
+
+    def forced(params, *args):
+        orbit = real(params, *args)
+        return dataclasses.replace(orbit, points=move(orbit.points)) if params.p == p else orbit
+
+    monkeypatch.setattr(acceptance, "iterate_orbit", forced)
+    assert acceptance._c4_hand_orbits() == (False, text)
+
+
+# C9's text when a class is one member short: a periodic one, and the hyperbolic one
+@pytest.mark.parametrize("q, text", [
+    (4.0 * math.cos(math.pi / 6) ** 2, "m=6: size 7 complete=True, want 8"),
+    (5.0, "hyperbolic class: size 2945 complete=False"),
+])
+def test_c9_class_failure_text_is_unchanged(monkeypatch, q, text):
+    real = acceptance.mutation_class
+
+    def forced(seed, cap):
+        result = real(seed, cap=cap)
+        return MutationClassResult(result.matrices[:-1], result.complete) if -seed.entries[1][0] == q else result
+
+    monkeypatch.setattr(acceptance, "mutation_class", forced)
+    assert acceptance._c9_mutation_classes() == (False, text)
+
+
+@pytest.mark.parametrize("direction", [1, 2])
+def test_c9_row_action_failure_text_is_unchanged(monkeypatch, direction):
+    # a mutation that returns its input in one direction fails at the first draw
+    real = acceptance.mutate
+    monkeypatch.setattr(acceptance, "mutate", lambda mat, k: mat if k == direction else real(mat, k))
+    assert acceptance._c9_mutation_classes() == (False, (
+        f"direction-{direction} mutation mismatch at p=0.653474297225973 q=2.0018589162298497 "
+        "row=(2.44221004318901,2.0967189290266113)"
+    ))
 
 
 def _c8_trials():

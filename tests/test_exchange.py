@@ -190,6 +190,17 @@ def test_class_sizes_at_periodic_products():
             assert sizes[0] == expected[m], f"m={m}, row (1, 1): {sizes[0]} != {expected[m]}"
 
 
+def test_class_size_at_every_rational_angle():
+    # at pq = 4 cos^2(k pi / m), gcd(k, m) = 1 and 2k < m, the row (1, 1)
+    # closes with twice its PL period (m + 2k) / gcd(m, 2) members
+    for m in range(3, 25):
+        for k in (k for k in range(1, (m + 1) // 2) if math.gcd(k, m) == 1):
+            pq = 4.0 * math.cos(k * math.pi / m) ** 2
+            for p, q in ((math.sqrt(pq), math.sqrt(pq)), (1.0, pq)):
+                res = mutation_class(ExtendedExchangeMatrix.from_exponents(p, q, rows=((1.0, 1.0),)))
+                assert res.complete and res.size == 2 * (m + 2 * k) // math.gcd(m, 2), (m, k, p, res.size)
+
+
 def test_cap_boundary():
     seed = ExtendedExchangeMatrix.from_exponents(1.0, 1.0, rows=((1.0, 0.0),))
     exact = mutation_class(seed, cap=10)

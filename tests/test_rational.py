@@ -521,3 +521,25 @@ def test_float_orbits_stay_within_measured_ulps_of_the_exact_orbits():
             gaps = [ulp_gap(a, float(b)) for pt, want in zip(orbit.points.tolist(), exact)
                     for a, b in zip(pt, want)]  # fmt: skip
             assert max(gaps) <= bound, (p, q, x0, y0, max(gaps))
+
+
+def _gaps(p, q, steps):
+    # the sup distance of each iterate of (1.3, 0.8) from the start
+    points = iterate_orbit(Params(p, q), OrbitKind.RATIONAL, (1.3, 0.8), steps).points
+    return np.max(np.abs(points[1:] - points[0]), axis=1)
+
+
+def test_birational_map_returns_at_the_integer_finite_types_only():
+    # the PL map is periodic at every pq = 4 cos^2(pi/m).  The birational
+    # map returns with the PL period at the integer pairs, the finite types
+    # of Fomin and Zelevinsky ("Cluster algebras II: Finite type
+    # classification", 2003); at the other products it stays over 1e-2
+    # from its start for 60 steps, 1.05e-2 at the closest
+    for (p, q), period in FINITE_TYPE.items():
+        gaps = _gaps(p, q, period)
+        assert gaps[-1] <= 1e-15 and gaps[:-1].min() > 1e-2, (p, q)
+    for m in (4, 5, 6, 7, 8, 10):
+        pq = 4.0 * math.cos(math.pi / m) ** 2
+        # at p = 1, m = 4 and 6 are the integer pairs (1, 2) and (1, 3) to rounding
+        for p, q in [(math.sqrt(pq), math.sqrt(pq))] + [(1.0, pq)] * (m not in (4, 6)):
+            assert _gaps(p, q, 60).min() > 1e-2, (m, p, q)

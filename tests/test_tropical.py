@@ -1223,6 +1223,31 @@ def test_rotation_number_at_the_periodic_products_gives_the_period_table():
         assert rho == Fraction(m, m + 2) and rho.denominator == _expected_period(m), m
 
 
+def test_every_rational_angle_gives_the_period_law():
+    # at pq = 4 cos^2(k pi / m), gcd(k, m) = 1 and 2k < m, rho = m / (m + 2k),
+    # so every orbit but the origin's first returns after the denominator
+    # (m + 2k) / gcd(m, 2) steps, whatever p/q and the start; k = 1 is C1's table
+    rng = np.random.default_rng(3601)
+    for m in range(3, 31):
+        for k in (k for k in range(1, (m + 1) // 2) if math.gcd(k, m) == 1):
+            pq, want = 4.0 * math.cos(k * math.pi / m) ** 2, (m + 2 * k) // math.gcd(m, 2)
+            assert k > 1 or want == _expected_period(m)
+            splits = np.exp(rng.uniform(-6.0, 6.0, 20)).tolist()
+            for split, (s, t) in zip(splits, rng.uniform(-2.0, 2.0, (20, 2)).tolist()):
+                params = Params(math.sqrt(pq * split), math.sqrt(pq / split))
+                assert detect_period(params, PointPL(s, t), want + 10) == want, (m, k, split, s, t)
+
+
+def test_no_orbit_returns_at_random_products():
+    # a random product has an irrational theta / pi, and then the rotation
+    # in swept area brings no orbit back
+    rng = np.random.default_rng(3602)
+    products, splits = rng.uniform(0.01, 3.99, 200).tolist(), np.exp(rng.uniform(-2.0, 2.0, 200)).tolist()
+    for pq, split, (s, t) in zip(products, splits, rng.uniform(-2.0, 2.0, (200, 2)).tolist()):
+        params = Params(math.sqrt(pq * split), math.sqrt(pq / split))
+        assert detect_period(params, PointPL(s, t), 2000) is None, (pq, split, s, t)
+
+
 # the tropicalizations of mu_x's invariants at the integer pairs with pq = 4
 TROPICAL_INVARIANTS = {
     (2, 2): lambda s, t: max(0, 2 * s, 2 * t) - s - t,
