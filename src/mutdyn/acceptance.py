@@ -31,7 +31,6 @@ from .exchange import ExtendedExchangeMatrix, mutate, mutation_class
 from .floatops import det2
 from .orbits import (
     OrbitKind,
-    StartPolicy,
     GrowthKind,
     _draw_starts,
     _first_rises,
@@ -138,10 +137,11 @@ def _c4_hand_orbits():
     ):
         points = iterate_orbit(Params(p, 1.0), OrbitKind.RATIONAL, (1.0, 1.0), len(want) - 1).points
         err = float(np.max(np.abs(points - np.array(want, dtype=float))))
-        early = min(float(np.max(np.abs(point - points[0]))) for point in points[1:-1])
-        ok = ok and err <= 1e-12 and early > 1e-9
+        ok = ok and err <= 1e-12
         errors.append(f"{name} error {err:.1e}")
-    return ok, f"{', '.join(errors)}, no early return"
+    # every wanted point between the ends is at least 1 from the start, so
+    # the error bound rules out an early return
+    return ok, ", ".join(errors) + (", no early return" if ok else "")
 
 
 def _c5_escape():
@@ -222,11 +222,8 @@ def _c7_angle_and_signs():
     # range that quadrant does not cross) never falls.  Every orbit is
     # checked against its half of the rule, and both halves must occur.
     rng = _rng(7)
-    pairs = [(2.0, 2.0)]
-    while len(pairs) < 10:
-        p = float(rng.uniform(0.8, 2.8))
-        q = float(rng.uniform(4.2, 9.0)) / p
-        pairs.append((p, q))
+    # nine (p, pq) in one draw, the stream of drawing them in turn
+    pairs = [(2.0, 2.0)] + [(p, pq / p) for p, pq in rng.uniform([0.8, 4.2], [2.8, 9.0], (9, 2)).tolist()]
     # one column per start, all drawn first
     flat = [(p, q, s, t) for p, q in pairs for s, t in _draw_starts(rng, 100, *_STARTS)]
     p, q, s0, t0 = np.array(flat).T
@@ -283,17 +280,18 @@ def _c8_closed_forms():
     lows = np.repeat([[0.2, 0.3, -3.0, -3.0], [4.0, 0.3, -3.0, -3.0]], [600, 400], axis=0)
     highs = np.repeat([[3.9, 2.5, 3.0, 3.0], [7.0, 2.5, 3.0, 3.0]], [600, 400], axis=0)
     pq, p, s0, t0 = _rng(8).uniform(lows, highs).T
-    # one column per trial, one row per n = 0..30
+    # one column per trial, one row per n = 0..31; tau1's second coordinate
+    # at n is the next row's -t, with its bits
     q = pq / p
     kappa, nu = _kappa(p, q), _nu(p, q)
-    cur_s, cur_t = np.empty((2, 31, len(p)))
+    cur_s, cur_t = np.empty((2, 32, len(p)))
     cur_s[0], cur_t[0] = s0, t0
-    for n in range(1, 31):
+    for n in range(1, 32):
         cur_s[n], cur_t[n] = _tau_step(p, q, cur_s[n - 1], cur_t[n - 1])
-    tilde_t = cur_t + p * cur_s
+    cur_s, cur_t, next_t = cur_s[:31], cur_t[:31], cur_t[1:]
     sn, tn, tn_t = _closed_forms(kappa, nu, 30, s0, t0)
     scale = reduce(np.maximum, (1.0, abs(cur_s), abs(cur_t), abs(sn), abs(tn), abs(tn_t)))
-    err = reduce(np.maximum, (abs(sn - cur_s), abs(tn - cur_t), abs(tn_t - tilde_t)))
+    err = reduce(np.maximum, (abs(sn - cur_s), abs(tn - cur_t), abs(tn_t + next_t)))
     sub = slice(0, 600)
     thetas = list(map(math.acos, (kappa[sub] / 2.0).tolist()))
     trig_s, trig_t, trig_t_t = _trig_forms(thetas, nu[sub], 30, s0[sub], t0[sub])
@@ -346,10 +344,8 @@ def _c9_mutation_classes():
     result = mutation_class(seed, cap=10**4)
     if result.complete or result.size != 2946:
         return False, f"hyperbolic class: size {result.size} complete={result.complete}"
-    rng = _rng(9)
-    for _ in range(100):
-        p, q = (float(v) for v in rng.uniform(0.2, 3.0, 2))
-        s, t = (float(v) for v in rng.uniform(-3.0, 3.0, 2))
+    # 100 rows (p, q, s, t) in one draw, the stream of drawing them in turn
+    for p, q, s, t in _rng(9).uniform([0.2, 0.2, -3.0, -3.0], [3.0, 3.0, 3.0, 3.0], (100, 4)).tolist():
         params = Params(p, q)
         plain = ExtendedExchangeMatrix.from_exponents(p, q, rows=((s, t),))
         negated = ExtendedExchangeMatrix.from_exponents(p, q, rows=((s, t),), negated=True)
@@ -366,14 +362,7 @@ def _c9_mutation_classes():
 
 
 def _c10_bounded_grid():
-    table = scan_grid(
-        (0.2, 1.9),
-        (0.2, 1.9),
-        10,
-        OrbitKind.RATIONAL,
-        10**4,
-        StartPolicy(points=((1.0, 1.0),)),
-    )
+    table = scan_grid((0.2, 1.9), (0.2, 1.9), 10, OrbitKind.RATIONAL, 10**4)
     bad = [
         (c.p, c.q, c.verdict.kind.value)
         for c in table.cells

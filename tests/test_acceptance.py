@@ -20,6 +20,7 @@ import mutdyn
 from mutdyn import acceptance, tropical
 from mutdyn.acceptance import CRITERIA, Criterion, run_all
 from mutdyn.exchange import MutationClassResult
+from mutdyn.orbits import GrowthKind, GrowthVerdict
 from mutdyn.params import Params, theta_of
 from mutdyn.tropical import PointPL, mu_c, tau
 
@@ -121,6 +122,45 @@ def test_c7_failure_text_is_unchanged(monkeypatch, name):
     assert acceptance._c7_angle_and_signs() == (False, text)
 
 
+def _set_at(index, value):
+    # a function whose output holds value at index
+    def wrap(real):
+        def forced(*args):
+            out = real(*args)
+            out = out.copy() if isinstance(out, np.ndarray) else list(out)
+            out[index] = value
+            return out
+
+        return forced
+
+    return wrap
+
+
+# C7's other texts: a value forced below 0 outside the fourth quadrant, a
+# forced fall of the unlifted angle, and every value forced to 0 or above
+@pytest.mark.parametrize("forced, text", [
+    ({"_conserved": _set_at(1, -1.0)}, (
+        "value -1 < 0 left the open fourth quadrant, p=2.0 q=2.0 "
+        "start=(-0.08273791098450456, 2.71888786522781)"
+    )),
+    ({"_first_rises": _set_at(1112, 4)}, (
+        "unlifted angle fell at step 4, p=2.110495794723077 q=3.0652759840307464 "
+        "start=(2.0433858685912742, -1.891627974624122)"
+    )),
+    (
+        {
+            "_conserved": lambda real: lambda *args: np.abs(real(*args)),
+            "_first_rises": lambda real: lambda *args: [None] * len(real(*args)),
+        },
+        "a population is empty: 1000 starts with value >= 0, 0 below",
+    ),
+])
+def test_c7_quadrant_and_population_failure_texts_are_unchanged(monkeypatch, forced, text):
+    for name, wrap in forced.items():
+        monkeypatch.setattr(acceptance, name, wrap(getattr(acceptance, name)))
+    assert acceptance._c7_angle_and_signs() == (False, text)
+
+
 # C1's text when one start's first return is forced: in range, and out of it
 @pytest.mark.parametrize("index, found, text", [
     (1234, 5, "m=15 start=(-0.5447670937375992, 1.0789587923836352) period 5 != 17"),
@@ -139,10 +179,11 @@ def test_c1_failure_text_is_unchanged(monkeypatch, index, found, text):
     assert acceptance._c1_period_table() == (False, text)
 
 
-# C4's text when one hand cycle is off: every point moved, and an early return
+# C4's text when one hand cycle is off: every point moved, and an early
+# return; "no early return" is claimed on a pass only
 @pytest.mark.parametrize("p, move, text", [
-    (1.0, lambda pts: pts + 1e-3, "five-cycle error 1.0e-03, three-cycle error 0.0e+00, no early return"),
-    (2.0, lambda pts: pts[[0, 1, 0, 3]], "five-cycle error 0.0e+00, three-cycle error 2.0e+00, no early return"),
+    (1.0, lambda pts: pts + 1e-3, "five-cycle error 1.0e-03, three-cycle error 0.0e+00"),
+    (2.0, lambda pts: pts[[0, 1, 0, 3]], "five-cycle error 0.0e+00, three-cycle error 2.0e+00"),
 ])
 def test_c4_failure_text_is_unchanged(monkeypatch, p, move, text):
     real = acceptance.iterate_orbit
@@ -153,6 +194,63 @@ def test_c4_failure_text_is_unchanged(monkeypatch, p, move, text):
 
     monkeypatch.setattr(acceptance, "iterate_orbit", forced)
     assert acceptance._c4_hand_orbits() == (False, text)
+
+
+def _on_call(n, change):
+    # a function whose n-th call's output goes through change
+    def wrap(real):
+        calls = []
+
+        def forced(*args):
+            calls.append(args)
+            out = real(*args)
+            return change(out) if len(calls) == n else out
+
+        return forced
+
+    return wrap
+
+
+def _held_at_origin(starts):
+    starts[5] = (0.0, 0.0)
+    return starts
+
+
+def _one_t_shrunk(step):
+    s, t = step
+    t = t.copy()
+    t[47] *= 0.1
+    return s, t
+
+
+# C5's text for one forced failure each: the birational orbits of the pairs
+# with p > 2.5 held still, the third pair's sixth start held at the origin
+# (which the map fixes), and one column's |t| shrunk tenfold at every step
+@pytest.mark.parametrize("name, wrap, text", [
+    ("mu_x_log", lambda real: lambda params, ab: ab if params.p > 2.5 else real(params, ab),
+     "p=2.5684021427319963 q=1.832352080011849 never passed 1e6 within 200 steps"),
+    ("_draw_starts", _on_call(3, _held_at_origin),
+     "p=1.2438207091278786 q=6.8358927956376565 start never reached the coherent cone"),
+    ("_tau_step", lambda real: lambda *args: _one_t_shrunk(real(*args)),
+     "p=1.2438207091278786 q=6.8358927956376565: growth ratio 0.866825 < 1.915925"),
+])
+def test_c5_failure_text_is_unchanged(monkeypatch, name, wrap, text):
+    monkeypatch.setattr(acceptance, name, wrap(getattr(acceptance, name)))
+    assert acceptance._c5_escape() == (False, text)
+
+
+# C6's text when one branch matrix is an ulp off: the composed map's last
+# branch at the fourth parameter pair, the second factor's at the seventh
+@pytest.mark.parametrize("name, call, matrix, text", [
+    ("mu_c_branch_matrices", 4, ((-1.0, 0.0), (0.0, -1.0 - 2**-52)),
+     "composed branch det 1.0000000000000002 != 1 at Params(p=1.4532979173626384, q=2.3228475013500725)"),
+    ("mu2_c_branch_matrices", 7, ((1.0, 0.0), (0.0, -1.0 - 2**-52)),
+     "factor branch det -1.0000000000000002 != -1 at Params(p=2.313253681099214, q=0.7622783408222947)"),
+])
+def test_c6_failure_text_is_unchanged(monkeypatch, name, call, matrix, text):
+    wrap = _on_call(call, lambda mats: mats[:-1] + (matrix,))
+    monkeypatch.setattr(acceptance, name, wrap(getattr(acceptance, name)))
+    assert acceptance._c6_symplectic_and_dets() == (False, text)
 
 
 # C9's text when a class is one member short: a periodic one, and the hyperbolic one
@@ -180,6 +278,23 @@ def test_c9_row_action_failure_text_is_unchanged(monkeypatch, direction):
         f"direction-{direction} mutation mismatch at p=0.653474297225973 q=2.0018589162298497 "
         "row=(2.44221004318901,2.0967189290266113)"
     ))
+
+
+def test_c10_failure_text_is_unchanged(monkeypatch):
+    # two cells forced linear: the count, and the first in row-major order
+    real = acceptance.scan_grid
+
+    def forced(*args):
+        table = real(*args)
+        cells = list(table.cells)
+        for i in (80, 37):
+            cells[i] = dataclasses.replace(cells[i], verdict=GrowthVerdict(GrowthKind.LINEAR, rate=0.5))
+        return dataclasses.replace(table, cells=tuple(cells))
+
+    monkeypatch.setattr(acceptance, "scan_grid", forced)
+    assert acceptance._c10_bounded_grid() == (
+        False, "2 cells not bounded-like, first: (0.7666666666666666, 1.5222222222222221, 'linear')"
+    )
 
 
 def _c8_trials():
@@ -250,6 +365,51 @@ def test_c8_draws_every_trial_at_once_with_the_scalar_stream(monkeypatch):
     params, starts = zip(*_c8_trials())
     want = [[prm.p for prm in params], [prm.q for prm in params], [pt.s for pt in starts], [pt.t for pt in starts]]
     assert [np.asarray(v).tobytes() for v in calls[0]] == [np.array(v).tobytes() for v in want]
+
+
+def test_c7_draws_its_pairs_at_once_with_the_scalar_stream(monkeypatch):
+    # the oracle: C7's nine random (p, q) drawn one scalar at a time, pq then
+    # divided by p; the start draws begin where it leaves the generator
+    rng = acceptance._rng(7)
+    pairs = [(2.0, 2.0)]
+    while len(pairs) < 10:
+        p = float(rng.uniform(0.8, 2.8))
+        pairs.append((p, float(rng.uniform(4.2, 9.0)) / p))
+    cuts, states = [], []
+    real_cut, real_draw = acceptance._cut, acceptance._draw_starts
+    monkeypatch.setattr(acceptance, "_cut", lambda p, q: cuts.append((p, q)) or real_cut(p, q))
+
+    def draw(rng, *args):
+        states.append(rng.bit_generator.state)
+        return real_draw(rng, *args)
+
+    monkeypatch.setattr(acceptance, "_draw_starts", draw)
+    assert acceptance._c7_angle_and_signs() == (True, PINNED_DETAILS["C7"])
+    assert cuts == pairs
+    assert states[0] == rng.bit_generator.state
+
+
+def test_c9_draws_its_rows_at_once_with_the_scalar_stream(monkeypatch):
+    # the oracle: C9's 100 row actions drawn as (p, q), then (s, t), in turn;
+    # the generator ends where it leaves it
+    rng = acceptance._rng(9)
+    rows = []
+    for _ in range(100):
+        p, q = (float(v) for v in rng.uniform(0.2, 3.0, 2))
+        s, t = (float(v) for v in rng.uniform(-3.0, 3.0, 2))
+        rows.append((p, q, s, t))
+    made, seen = [], []
+    real_rng, real_mu1 = acceptance._rng, acceptance.mu1_c
+    monkeypatch.setattr(acceptance, "_rng", lambda offset: made.append(real_rng(offset)) or made[-1])
+
+    def mu1(params, pt):
+        seen.append((params.p, params.q, pt.s, pt.t))
+        return real_mu1(params, pt)
+
+    monkeypatch.setattr(acceptance, "mu1_c", mu1)
+    assert acceptance._c9_mutation_classes() == (True, PINNED_DETAILS["C9"])
+    assert seen == rows
+    assert [g.bit_generator.state for g in made] == [rng.bit_generator.state]
 
 
 def _perturbed(monkeypatch, shifts):

@@ -1099,7 +1099,15 @@ def test_tau_step_has_the_bits_of_the_two_stage_composition():
     ss, ts = rng.uniform(-4.0, 4.0, (2, 300))
     ss[:20] = 0.0
     ss[20:40] = -0.0
+    # t + p s is +0 or -0 in every sign pattern of zero t and s
+    ss[40:60] = 0.0
+    ss[60:80] = -0.0
+    ts[40:80:2] = 0.0
+    ts[41:80:2] = -0.0
     got_s, got_t = tropical._tau_step(ps, qs, ss, ts)
+    # the second coordinate is minus tau1's, bit for bit: C8 reads tau1 there
+    assert _bits(got_t) == _bits(-(ts + ps * ss))
+    assert _bits(got_t) == _bits([-tau1(Params(*pq), PointPL(s, t)).t for *pq, s, t in zip(ps, qs, ss, ts)])
     for j in range(300):
         params = Params(float(ps[j]), float(qs[j]))
         pt = PointPL(float(ss[j]), float(ts[j]))
@@ -1107,6 +1115,33 @@ def test_tau_step_has_the_bits_of_the_two_stage_composition():
         assert _bits(tropical._tau_step(params.p, params.q, pt.s, pt.t)) == _bits(want)
         assert _bits(tau(params, pt).as_tuple()) == _bits(want)
         assert _bits((got_s[j], got_t[j])) == _bits(want)
+
+
+def test_tau_maps_the_coherent_cone_into_the_fourth_quadrant_with_a_margin():
+    # the premise of an exit for the sign-coherence pass: for pq >= 4, tau
+    # maps the cone K = {s > 0, t < 0, sqrt(p) s + sqrt(q) t >= 0} into K
+    # and strictly inside the open fourth quadrant, its edge rays (1, 0-)
+    # and (sqrt(q), -sqrt(p)) to (pq - 1, -p) and to a ray on or inside K.
+    # The relative margin min(s, -t) / max(|s|, |t|) of the image depends on
+    # p and q only; over pq in [4, 100] and p/q in e^+-18 it stays above
+    # 1e6 EQ_TOL, so the sign band cannot meet an image of K
+    rng = np.random.default_rng(606)
+    n = 5000
+    pq = rng.uniform(4.0, 100.0, n)
+    pq[:500] = 4.0
+    split = np.exp(rng.uniform(-9.0, 9.0, n))
+    split[[0, 1, 500, 501]] = np.exp([9.0, -9.0, 9.0, -9.0])
+    p = np.sqrt(pq) * split
+    q = pq / p  # 4 / p where pq = 4
+    a, b = rng.uniform(0.0, 1.0, (2, n))
+    s = np.stack([np.ones(n), np.sqrt(q), a + b * np.sqrt(q)])
+    t = np.stack([np.zeros(n), -np.sqrt(p), -b * np.sqrt(p)])
+    s2, t2 = tropical._tau_step(p, q, s, t)
+    assert _bits((s2[0], t2[0])) == _bits((q * p - 1.0, -p))
+    assert np.all((s2 > 0.0) & (t2 < 0.0))
+    assert np.all(np.minimum(s2, -t2) >= 1e6 * EQ_TOL * np.maximum(s2, -t2))
+    # in K to rounding: the edge sits at 0 when pq = 4, where it is fixed
+    assert np.all(np.sqrt(p) * s2 + np.sqrt(q) * t2 >= -1e-15 * (np.sqrt(p) * s2 - np.sqrt(q) * t2))
 
 
 def test_subcritical_rotation_number_bounds_every_orbit():
